@@ -9,7 +9,6 @@ arguments (including tau outside the upper half-plane), 3 non-convergence,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConvergenceError, DomainError
@@ -24,8 +23,6 @@ from .suites import (
     sweep_rows,
 )
 from .theta import EvalConfig, product_terms, theta1, theta1_reduced, theta2, theta3, theta4
-
-THREADS_ENV = "SIEGELTHETA_THREADS"
 
 _FUNCTIONS = {"theta1": theta1, "theta2": theta2, "theta3": theta3, "theta4": theta4}
 
@@ -44,17 +41,6 @@ def parse_complex(text: str) -> complex:
     if not (abs(value.real) < float("inf") and abs(value.imag) < float("inf")):
         raise DomainError(f"non-finite complex literal {text!r}")
     return value
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise DomainError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    if threads < 1:
-        raise DomainError(f"{THREADS_ENV} must be >= 1, got {threads}")
-    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +91,7 @@ def _cmd_eval(args) -> int:
     tau = parse_complex(args.tau)
     if args.reduce and args.function != "theta1":
         raise DomainError("--reduce is only available for theta1")
-    cfg = EvalConfig(eps=args.eps, max_terms=args.max_terms, reduction_enabled=args.reduce)
+    cfg = EvalConfig(eps=args.eps, max_terms=args.max_terms)
     if args.function == "theta1" and args.reduce:
         value, terms, _ = theta1_reduced(z, tau, cfg)
     else:
@@ -122,7 +108,6 @@ def _cmd_verify(args) -> int:
         count=args.count,
         tol=args.tol,
         n=args.n,
-        threads=_thread_count(),
         timing=args.timing,
     )
     out = sys.stdout

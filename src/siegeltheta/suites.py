@@ -8,9 +8,7 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 from .contour import QuadratureConfig, integrate_closed, residue_by_circle, rhombus_contour
 from .errors import DomainError
@@ -143,168 +141,111 @@ def sample_domain_points(count: int, seed: int, n: int = 1) -> list[DomainPoint]
 # Suites
 # ---------------------------------------------------------------------------
 
-def _execute(builders, threads: int, timing: bool) -> list[VerificationReport]:
-    def call(builder: Callable[[], VerificationReport]) -> VerificationReport:
-        if not timing:
-            return builder()
-        started = time.perf_counter()
-        report = builder()
-        return dataclasses.replace(
-            report, wall_ms=(time.perf_counter() - started) * 1e3
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(call, builders))
-    return [call(b) for b in builders]
-
-
 def _point_params(p: DomainPoint) -> dict:
     return {"a": p.a, "b": p.b, "y": p.y, "n": p.n}
 
 
 def _suite_eq2(seed, count, tol):
-    builders = []
     for index, (z, tau) in enumerate(sample_grid(count, seed)):
-        def build(index=index, z=z, tau=tau):
-            return VerificationReport.build(
-                "eq2_inversion_law",
-                {"index": index, "z": format_complex(z), "tau": format_complex(tau)},
-                transformation_residual(z, tau),
-                tol,
-                product_terms(z, tau),
-            )
-        builders.append(build)
-    return builders
+        yield VerificationReport.build(
+            "eq2_inversion_law",
+            {"index": index, "z": format_complex(z), "tau": format_complex(tau)},
+            transformation_residual(z, tau),
+            tol,
+            product_terms(z, tau),
+        )
 
 
 def _suite_lemma1(seed, count, tol):
-    builders = []
     for index, p in enumerate(sample_domain_points(count, seed)):
-        def build(index=index, p=p):
-            residual = abs(inversion_log_ratio(p) - inversion_log_ratio_lambert(p))
-            params = {"index": index, **_point_params(p)}
-            return VerificationReport.build(
-                "lemma1_log_series_equivalence", params, residual, tol, lambert_terms(p)
-            )
-        builders.append(build)
-    return builders
-
-
-def _counting(f):
-    calls = [0]
-
-    def wrapped(zeta):
-        calls[0] += 1
-        return f(zeta)
-
-    return wrapped, calls
+        residual = abs(inversion_log_ratio(p) - inversion_log_ratio_lambert(p))
+        params = {"index": index, **_point_params(p)}
+        yield VerificationReport.build(
+            "lemma1_log_series_equivalence", params, residual, tol, lambert_terms(p)
+        )
 
 
 def _suite_lemma2(n, tol):
     a, b, y = LEMMA2_POINT
     p = DomainPoint(a, b, y, n)
+    params = _point_params(p)
     radius = 1.0 / (4.0 * p.N)
     qcfg = QuadratureConfig(tol=1e-12)
-    builders = []
+    calls = 0
 
-    def build_internal():
-        breakdown = ResidueBreakdown.compute(p)
-        residual = abs(breakdown.total_times_2pi_i - closed_residue_sum(p))
-        return VerificationReport.build(
-            "lemma2_breakdown_vs_closed_sum", _point_params(p), residual, tol, 4 * n + 1
-        )
+    def kernel(zeta):
+        nonlocal calls
+        calls += 1
+        return residue_kernel(zeta, p)
 
-    builders.append(build_internal)
+    def by_circle(center):
+        nonlocal calls
+        calls = 0
+        return residue_by_circle(kernel, center, radius, qcfg), calls
 
-    def build_zero():
-        f, calls = _counting(lambda zeta: residue_kernel(zeta, p))
-        oracle = residue_by_circle(f, 0.0, radius, qcfg)
-        residual = abs(residue_at_zero(p) - oracle)
-        return VerificationReport.build(
-            "lemma2_residue_zero_vs_circle", _point_params(p), residual, tol, calls[0]
-        )
+    breakdown = ResidueBreakdown.compute(p)
+    residual = abs(breakdown.total_times_2pi_i - closed_residue_sum(p))
+    yield VerificationReport.build(
+        "lemma2_breakdown_vs_closed_sum", params, residual, tol, 4 * n + 1
+    )
 
-    builders.append(build_zero)
+    oracle, nodes = by_circle(0.0)
+    yield VerificationReport.build(
+        "lemma2_residue_zero_vs_circle", params, abs(residue_at_zero(p) - oracle), tol, nodes
+    )
 
     for k in [k for k in range(-min(n, 2), min(n, 2) + 1) if k != 0]:
-        def build_imag(k=k):
-            f, calls = _counting(lambda zeta: residue_kernel(zeta, p))
-            oracle = residue_by_circle(f, 1j * k / p.N, radius, qcfg)
-            residual = abs(residue_imag_pole(k, p) - oracle)
-            return VerificationReport.build(
-                "lemma2_residue_imag_vs_circle",
-                {"k": k, **_point_params(p)},
-                residual,
-                tol,
-                calls[0],
-            )
-
-        def build_real(k=k):
-            f, calls = _counting(lambda zeta: residue_kernel(zeta, p))
-            oracle = residue_by_circle(f, k * p.y / p.N, radius, qcfg)
-            residual = abs(residue_real_pole(k, p) - oracle)
-            return VerificationReport.build(
-                "lemma2_residue_real_vs_circle",
-                {"k": k, **_point_params(p)},
-                residual,
-                tol,
-                calls[0],
-            )
-
-        builders.append(build_imag)
-        builders.append(build_real)
-
-    def build_theorem():
-        f, calls = _counting(lambda zeta: residue_kernel(zeta, p))
-        value, _ = integrate_closed(f, rhombus_contour(p.y), QuadratureConfig(tol=1e-10))
-        residual = abs(value - closed_residue_sum(p))
-        return VerificationReport.build(
-            "lemma2_residue_theorem_contour", _point_params(p), residual, tol, calls[0]
+        oracle, nodes = by_circle(1j * k / p.N)
+        yield VerificationReport.build(
+            "lemma2_residue_imag_vs_circle",
+            {"k": k, **params},
+            abs(residue_imag_pole(k, p) - oracle),
+            tol,
+            nodes,
+        )
+        oracle, nodes = by_circle(k * p.y / p.N)
+        yield VerificationReport.build(
+            "lemma2_residue_real_vs_circle",
+            {"k": k, **params},
+            abs(residue_real_pole(k, p) - oracle),
+            tol,
+            nodes,
         )
 
-    builders.append(build_theorem)
+    calls = 0
+    value, _ = integrate_closed(kernel, rhombus_contour(p.y), QuadratureConfig(tol=1e-10))
+    yield VerificationReport.build(
+        "lemma2_residue_theorem_contour", params, abs(value - closed_residue_sum(p)), tol, calls
+    )
 
-    def build_partial():
-        deep = DomainPoint(a, b, y, 25)
-        limit = (
-            inversion_log_ratio_lambert(deep)
-            + math.pi * deep.z * deep.z / deep.y
-            - 0.5j * math.pi
-        )
-        residual = abs(closed_residue_sum(deep) - limit)
-        return VerificationReport.build(
-            "lemma2_partial_sum_limit", _point_params(deep), residual, tol, deep.n
-        )
-
-    builders.append(build_partial)
-    return builders
+    deep = DomainPoint(a, b, y, 25)
+    limit = (
+        inversion_log_ratio_lambert(deep)
+        + math.pi * deep.z * deep.z / deep.y
+        - 0.5j * math.pi
+    )
+    residual = abs(closed_residue_sum(deep) - limit)
+    yield VerificationReport.build(
+        "lemma2_partial_sum_limit", _point_params(deep), residual, tol, deep.n
+    )
 
 
 def _suite_lemma3(n, tol):
     a, b, y = LEMMA3_POINT
     p = DomainPoint(a, b, y, n)
-    builders = []
     for edge in EDGES:
-        def build(edge=edge):
-            residual = edge_limit_residual(edge, 0.5, p)
-            params = {"edge": edge, "t": 0.5, **_point_params(p)}
-            return VerificationReport.build("lemma3_edge_limit", params, residual, tol, n)
-        builders.append(build)
-    return builders
+        residual = edge_limit_residual(edge, 0.5, p)
+        params = {"edge": edge, "t": 0.5, **_point_params(p)}
+        yield VerificationReport.build("lemma3_edge_limit", params, residual, tol, n)
 
 
 def _suite_theorem(seed, count, tol):
-    builders = []
     for index, p in enumerate(sample_domain_points(count, seed)):
-        def build(index=index, p=p):
-            params = {"index": index, **_point_params(p)}
-            return VerificationReport.build(
-                "theorem_log_identity", params, log_identity_residual(p), tol,
-                lambert_terms(p),
-            )
-        builders.append(build)
-    return builders
+        params = {"index": index, **_point_params(p)}
+        yield VerificationReport.build(
+            "theorem_log_identity", params, log_identity_residual(p), tol,
+            lambert_terms(p),
+        )
 
 
 def run_suite(
@@ -313,32 +254,49 @@ def run_suite(
     count: int | None = None,
     tol: float | None = None,
     n: int | None = None,
-    threads: int = 1,
     timing: bool = False,
 ) -> list[VerificationReport]:
-    """Run one named suite (or 'all') and return its reports in emission order."""
+    """Run one named suite (or 'all') and return its reports in emission order.
+
+    count and n must be >= 1 and tol finite and >= 0 when given; otherwise
+    DomainError is raised before any check runs.  With timing, each report's
+    wall_ms is the time taken to produce it.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
+    if count is not None and count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
+    if n is not None and n < 1:
+        raise DomainError(f"n must be >= 1, got {n!r}")
+    if tol is not None:
+        tol = float(tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
     if suite == "all":
         reports = []
         for name in SUITES:
-            reports.extend(
-                run_suite(name, seed=seed, count=count, tol=tol, n=n,
-                          threads=threads, timing=timing)
-            )
+            reports.extend(run_suite(name, seed=seed, count=count, tol=tol, n=n, timing=timing))
         return reports
-    if suite not in SUITES:
-        raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
-    tol = DEFAULT_TOLERANCES[suite] if tol is None else float(tol)
+    tol = DEFAULT_TOLERANCES[suite] if tol is None else tol
+    count = DEFAULT_COUNTS.get(suite) if count is None else count
     if suite == "eq2":
-        builders = _suite_eq2(seed, count or DEFAULT_COUNTS["eq2"], tol)
+        reports = _suite_eq2(seed, count, tol)
     elif suite == "lemma1":
-        builders = _suite_lemma1(seed, count or DEFAULT_COUNTS["lemma1"], tol)
+        reports = _suite_lemma1(seed, count, tol)
     elif suite == "lemma2":
-        builders = _suite_lemma2(n or DEFAULT_N["lemma2"], tol)
+        reports = _suite_lemma2(n or DEFAULT_N["lemma2"], tol)
     elif suite == "lemma3":
-        builders = _suite_lemma3(n or DEFAULT_N["lemma3"], tol)
+        reports = _suite_lemma3(n or DEFAULT_N["lemma3"], tol)
     else:
-        builders = _suite_theorem(seed, count or DEFAULT_COUNTS["theorem"], tol)
-    return _execute(builders, threads, timing)
+        reports = _suite_theorem(seed, count, tol)
+    if not timing:
+        return list(reports)
+    timed = []
+    started = time.perf_counter()
+    for report in reports:
+        timed.append(dataclasses.replace(report, wall_ms=(time.perf_counter() - started) * 1e3))
+        started = time.perf_counter()
+    return timed
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +334,27 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         return header, rows
 
     if target == "reduction_gain":
+        first = 0.01 if start is None else float(start)
+        if not first > 0.0:
+            raise DomainError(f"reduction_gain start must be a positive Im tau, got {first!r}")
         values = _geometric(
-            0.01 if start is None else float(start),
+            first,
             1.0 if stop is None else float(stop),
             10 if steps is None else int(steps),
         )
         header = ["im_tau", "z", "eps", "terms_direct", "terms_reduced", "gain", "abs_diff"]
         z = 0.3
         eps = 1e-12
-        on = EvalConfig(eps=eps, reduction_enabled=True)
-        off = EvalConfig(eps=eps, reduction_enabled=False)
+        cfg = EvalConfig(eps=eps)
         rows = []
         for im_tau in values:
             tau = complex(0.0, im_tau)
-            reduced = theta1_reduced(z, tau, on)
-            direct = theta1_reduced(z, tau, off)
+            reduced = theta1_reduced(z, tau, cfg)
+            direct_terms = product_terms(z, tau, cfg)
             rows.append([
-                im_tau, z, eps, direct.terms_used, reduced.terms_used,
-                direct.terms_used / reduced.terms_used,
-                abs(reduced.value - direct.value),
+                im_tau, z, eps, direct_terms, reduced.terms_used,
+                direct_terms / reduced.terms_used,
+                abs(reduced.value - theta1(z, tau, cfg)),
             ])
         return header, rows
 

@@ -56,12 +56,10 @@ class EvalConfig:
 
     eps: target absolute tolerance for the truncation tail bound.
     max_terms: hard cap on the number of product/series terms.
-    reduction_enabled: whether `theta1_reduced` may invert tau.
     """
 
     eps: float = 1e-12
     max_terms: int = 5000
-    reduction_enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -127,15 +125,17 @@ def _log_factor_scale(log_abs_w: float) -> float:
     return m + math.log(math.exp(-m) + math.exp(two - m) + math.exp(-two - m))
 
 
-def _product_length(abs_q: float, log_abs_w: float, cfg: EvalConfig) -> int:
+def _product_length(log_abs_q: float, log_abs_w: float, cfg: EvalConfig) -> int:
     """Smallest M with |q|^(2M) (1+|w|^2+|w|^-2) / (1-|q|^2) < eps.
 
     The left side dominates the sum of the remaining log-factors of the
     product, so the truncated product is within eps of the full one
     (relatively); everything is solved in log space to dodge overflow.
+    log|q| = -pi Im tau is passed in as |q| underflows to 0 for Im tau > 237.
     """
-    log_q2 = 2.0 * math.log(abs_q)
-    log_c = _log_factor_scale(log_abs_w) - math.log1p(-abs_q * abs_q)
+    log_q2 = 2.0 * log_abs_q
+    # expm1: |q| rounds to 1 for Im tau < 1e-17, where log1p(-|q|^2) fails
+    log_c = _log_factor_scale(log_abs_w) - math.log(-math.expm1(log_q2))
     target = math.log(cfg.eps) - log_c
     terms = max(1, math.ceil(target / log_q2))
     if terms > cfg.max_terms:
@@ -153,30 +153,40 @@ def product_terms(z, tau, cfg: EvalConfig | None = None) -> int:
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
     z = _as_complex(z, "z")
-    abs_q = math.exp(-_PI * tau.imag)
-    return _product_length(abs_q, -_PI * z.imag, cfg)
+    return _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
 
 
-def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
+def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: float):
+    """Truncated prod (1-q^(2n)) (1 + sign w^2 q^(2n+lead)) (1 + sign w^-2 q^(2n+trail))
+    over n >= 1 and its length; an exactly zero factor (z on the zero
+    lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3."""
     terms = product_terms(z, tau, cfg)
     z = complex(z)
     tau = complex(tau)
-    prefactor = -1j * cmath.exp(_IPI * (z + tau / 4.0))
+    two_z = 2.0 * z
     prod = 1.0 + 0.0j
     for n in range(1, terms + 1):
-        f1 = 1.0 - cmath.exp(_IPI * (2.0 * n) * tau)
-        f2 = 1.0 - cmath.exp(_IPI * ((2.0 * n) * tau + 2.0 * z))
-        f3 = 1.0 - cmath.exp(_IPI * ((2.0 * n - 2.0) * tau - 2.0 * z))
+        two_n = 2.0 * n
+        f1 = 1.0 - cmath.exp(_IPI * two_n * tau)
+        f2 = 1.0 + sign * cmath.exp(_IPI * ((two_n + lead) * tau + two_z))
+        f3 = 1.0 + sign * cmath.exp(_IPI * ((two_n + trail) * tau - two_z))
         if f1 == 0 or f2 == 0 or f3 == 0:
-            # z sits on the zero lattice m + n tau: return the exact zero
             return 0.0j, n
         prod *= f1 * f2 * f3
+    return prod, terms
+
+
+def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
+    prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
+    if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
+        return prod, terms
+    prefactor = -1j * cmath.exp(_IPI * (z + tau / 4.0))
     return _require_finite(prefactor * prod, "theta1 product"), terms
 
 
 def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
     """First theta function, odd in z, from its product representation."""
-    value, _ = _theta1_product(z, tau, cfg or _DEFAULT_CFG)
+    value, _ = _theta1_product(complex(z), complex(tau), cfg or _DEFAULT_CFG)
     return value
 
 
@@ -215,25 +225,10 @@ def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
     )
 
 
-def _theta3_product(z: complex, tau: complex, cfg: EvalConfig):
-    terms = product_terms(z, tau, cfg)
-    z = complex(z)
-    tau = complex(tau)
-    prod = 1.0 + 0.0j
-    for n in range(1, terms + 1):
-        f1 = 1.0 - cmath.exp(_IPI * (2.0 * n) * tau)
-        f2 = 1.0 + cmath.exp(_IPI * ((2.0 * n - 1.0) * tau + 2.0 * z))
-        f3 = 1.0 + cmath.exp(_IPI * ((2.0 * n - 1.0) * tau - 2.0 * z))
-        if f1 == 0 or f2 == 0 or f3 == 0:
-            return 0.0j, n
-        prod *= f1 * f2 * f3
-    return _require_finite(prod, "theta3 product"), terms
-
-
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Third theta function from the triple product."""
-    value, _ = _theta3_product(z, tau, cfg or _DEFAULT_CFG)
-    return value
+    prod, _ = _triple_product(z, tau, cfg or _DEFAULT_CFG, 1.0, -1.0, -1.0)
+    return _require_finite(prod, "theta3 product")
 
 
 def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -264,15 +259,18 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
 
     Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau) inside the unit disc, so
     the product at the inverted point needs far fewer terms; the inversion
-    law is then solved for theta1(z, tau).  Outside the disc (or with
-    reduction disabled) this is a plain product evaluation.
+    law is then solved for theta1(z, tau).  Outside the disc this is a plain
+    product evaluation.  OverflowError: the inversion prefactor underflowed.
     """
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
     z = _as_complex(z, "z")
-    if not (cfg.reduction_enabled and abs(tau) < 1.0):
+    if abs(tau) >= 1.0:
         value, terms = _theta1_product(z, tau, cfg)
         return ThetaEval(value, terms, False)
     inner, terms = _theta1_product(z / tau, -1.0 / tau, cfg)
-    value = inner / _inversion_prefactor(z, tau)
+    prefactor = _inversion_prefactor(z, tau)
+    if prefactor == 0:
+        raise OverflowError("reduced theta1 overflowed the binary64 range")
+    value = inner / prefactor
     return ThetaEval(_require_finite(value, "reduced theta1"), terms, True)

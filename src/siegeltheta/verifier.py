@@ -147,28 +147,26 @@ def _inverted_terms(p: DomainPoint, cfg: SeriesConfig) -> int:
     return _terms_for_rate(min(p.a, 1.0 - p.a) / p.y, cfg)
 
 
-def _tau_side_term(m: int, z: complex, y: float) -> complex:
-    # (1/m)/(1-e^(2m pi y)) + (e^(2m pi i z)/m)/(1-e^(2m pi y))
-    #   + (e^(-2m pi i z)/m) e^(2m pi y)/(1-e^(2m pi y)),
-    # rewritten through e^(-2m pi y) so nothing overflows
-    s = _TWO_PI * m
-    decay = math.exp(-s * y)
+def _lambert_term(m: int, s: float, u: complex, h: float) -> complex:
+    # term m of one side's three Lambert sums, s h = 2 pi m Im tau:
+    # (1/m)/(1-e^(s h)) + (e^(s u)/m)/(1-e^(s h)) + (e^(-s u)/m) e^(s h)/(1-e^(s h)),
+    # rewritten through e^(-s h) so nothing overflows.  The tau side is
+    # (2 pi m, i z, y) and the inverted side (2 pi m / y, z, 1).
+    decay = math.exp(-s * h)
     d = 1.0 - decay
     t1 = -decay / d
-    t2 = -cmath.exp(s * (1j * z - y)) / d
-    t3 = -cmath.exp(-1j * s * z) / d
+    t2 = -cmath.exp(s * (u - h)) / d
+    t3 = -cmath.exp(-s * u) / d
     return (t1 + t2 + t3) / m
 
 
-def _inverted_side_term(m: int, z: complex, y: float) -> complex:
-    # same three shapes at the inverted point: arguments z/y, modulus 1/y
-    s = _TWO_PI * m / y
-    decay = math.exp(-s)
-    d = 1.0 - decay
-    t1 = -decay / d
-    t2 = -cmath.exp(s * (z - 1.0)) / d
-    t3 = -cmath.exp(-s * z) / d
-    return (t1 + t2 + t3) / m
+def _six_sums(z: complex, y: float, terms: int) -> complex:
+    # the three tau-side sums minus the three inverted-side sums, to m = terms
+    iz = 1j * z
+    total = 0.0j
+    for m in range(1, terms + 1):
+        total += _lambert_term(m, _TWO_PI * m, iz, y) - _lambert_term(m, _TWO_PI * m / y, z, 1.0)
+    return total
 
 
 def _ratio_closed_tail(z: complex, y: float) -> complex:
@@ -183,9 +181,10 @@ def log_theta1_lambert(p: DomainPoint, cfg: SeriesConfig | None = None) -> compl
     """
     cfg = cfg or _DEFAULT_CFG
     z, y = p.z, p.y
+    iz = 1j * z
     total = complex(0.0, -_PI / 2.0) + 1j * _PI * z - _PI * y / 4.0
     for m in range(1, lambert_terms(p, cfg) + 1):
-        total += _tau_side_term(m, z, y)
+        total += _lambert_term(m, _TWO_PI * m, iz, y)
     return total
 
 
@@ -194,7 +193,7 @@ def _log_theta1_inverted(p: DomainPoint, cfg: SeriesConfig) -> complex:
     z, y = p.z, p.y
     total = complex(0.0, -_PI / 2.0) + _PI * z / y - _PI / (4.0 * y)
     for m in range(1, _inverted_terms(p, cfg) + 1):
-        total += _inverted_side_term(m, z, y)
+        total += _lambert_term(m, _TWO_PI * m / y, z, 1.0)
     return total
 
 
@@ -211,10 +210,7 @@ def inversion_log_ratio_lambert(
     cfg = cfg or _DEFAULT_CFG
     z, y = p.z, p.y
     terms = max(lambert_terms(p, cfg), _inverted_terms(p, cfg))
-    total = 0.0j
-    for m in range(1, terms + 1):
-        total += _tau_side_term(m, z, y) - _inverted_side_term(m, z, y)
-    return total + _ratio_closed_tail(z, y)
+    return _six_sums(z, y, terms) + _ratio_closed_tail(z, y)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +332,7 @@ def closed_residue_sum(p: DomainPoint) -> complex:
     `ResidueBreakdown.total_times_2pi_i` up to roundoff.
     """
     z, y = p.z, p.y
-    total = 0.0j
-    for k in range(1, p.n + 1):
-        total += _tau_side_term(k, z, y) - _inverted_side_term(k, z, y)
-    return total + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI
+    return _six_sums(z, y, p.n) + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,18 +155,45 @@ def test_verify_all_is_byte_deterministic(capsys):
     assert first == second
 
 
-def test_verify_threaded_output_matches_serial(capsys, monkeypatch):
-    _, serial, _ = run_cli(capsys, "verify", "eq2", "--count", "6")
-    monkeypatch.setenv("SIEGELTHETA_THREADS", "3")
-    _, threaded, _ = run_cli(capsys, "verify", "eq2", "--count", "6")
-    assert serial == threaded
+def test_verify_timing_fills_wall_ms_only(capsys):
+    _, plain, _ = run_cli(capsys, "verify", "lemma2")
+    code, timed, _ = run_cli(capsys, "verify", "lemma2", "--timing")
+    assert code == 0
+    plain = [json.loads(line) for line in plain.splitlines()]
+    timed = [json.loads(line) for line in timed.splitlines()]
+    assert len(timed) == len(plain) > 0
+    assert all(record.pop("wall_ms") > 0 for record in timed)
+    assert all(record.pop("wall_ms") == 0 for record in plain)
+    assert timed == plain
 
 
-def test_verify_bad_thread_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SIEGELTHETA_THREADS", "zero")
-    code, _, err = run_cli(capsys, "verify", "lemma3")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "eq2", "--tol", "nan"],
+        ["verify", "eq2", "--tol", "inf"],
+        ["verify", "all", "--tol=-1e-9"],
+        ["verify", "eq2", "--count", "0"],
+        ["verify", "theorem", "--count=-3"],
+        ["verify", "lemma2", "--n", "0"],
+        ["sweep", "reduction_gain", "--start", "0"],
+    ],
+)
+def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "SIEGELTHETA_THREADS" in err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_cli_import_loads_no_thread_pool():
+    probe = "import sys, siegeltheta.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_verify_failing_tolerance_exits_1(capsys):
@@ -206,6 +236,13 @@ def test_sweep_reduction_gain(tmp_path, capsys):
     header = lines[0].split(",")
     gain_col = header.index("gain")
     assert all(float(line.split(",")[gain_col]) >= 1.0 for line in lines[1:])
+
+
+def test_sweep_reduction_gain_past_the_nome_underflow(capsys):
+    # at Im tau = 0.003 the inverted nome exp(-pi/0.003) underflows to 0
+    code, out, _ = run_cli(capsys, "sweep", "reduction_gain", "--start", "0.003")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == "1"
 
 
 def test_sweep_json_format(capsys):

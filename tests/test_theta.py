@@ -11,6 +11,7 @@ from siegeltheta import (
     inversion_rhs,
     nome,
     principal_pow,
+    product_terms,
     theta1,
     theta1_reduced,
     theta1_series,
@@ -148,10 +149,36 @@ def test_reduced_small_tau():
     cfg = EvalConfig(eps=1e-12)
     value, terms, reduced = theta1_reduced(0.3, 0.02j, cfg)
     assert reduced
-    direct = theta1_reduced(0.3, 0.02j, EvalConfig(eps=1e-12, reduction_enabled=False))
-    assert not direct.reduced
-    assert terms < direct.terms_used
-    assert abs(value - direct.value) < 1e-10
+    assert terms < product_terms(0.3, 0.02j, cfg)
+    assert abs(value - theta1(0.3, 0.02j, cfg)) < 1e-10
+
+
+def test_reduced_where_the_inverted_nome_underflows():
+    # Im(-1/tau) is about 330, so exp(-pi Im(-1/tau)) underflows to 0;
+    # reference value from mpmath at 40 digits
+    got = theta1_reduced(
+        -0.03615825074009593 + 0.3494436596301864j,
+        0.0014409974061324604 + 0.0019776945895184257j,
+    )
+    want = 2.7901147606095478e65 - 5.994699910264249e65j
+    assert got.reduced and got.terms_used == 1
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_reduced_prefactor_underflow_is_overflow_error():
+    with pytest.raises(OverflowError):
+        theta1_reduced(
+            -0.329302487086755 + 0.37492719265961993j,
+            -0.0004159089461646115 + 0.0001889601792696782j,
+        )
+
+
+def test_tiny_im_tau_is_a_convergence_error():
+    # |q| rounds to 1 here, so 1 - |q|^2 must not be formed from |q|
+    with pytest.raises(ConvergenceError):
+        theta1(0.3, 1e-17j)
+    with pytest.raises(ConvergenceError):
+        theta1_reduced(0.3, 0.5 + 1e-18j)
 
 
 def test_reduced_passthrough_is_bit_identical():
@@ -162,19 +189,17 @@ def test_reduced_passthrough_is_bit_identical():
 
 def test_reduced_cross_evaluation():
     got = theta1_reduced(0.4, 0.1j)
-    direct = theta1(0.4, 0.1j, EvalConfig(reduction_enabled=False))
+    direct = theta1(0.4, 0.1j)
     assert got.reduced
     assert abs(got.value - direct) < 1e-10
 
 
 def test_reduction_consistency_small_imaginary_axis():
     cfg = EvalConfig(eps=1e-12)
-    off = EvalConfig(eps=1e-12, reduction_enabled=False)
     for im in (0.01, 0.02, 0.05):
         reduced = theta1_reduced(0.3, im * 1j, cfg)
-        direct = theta1_reduced(0.3, im * 1j, off)
-        assert reduced.terms_used < direct.terms_used
-        assert abs(reduced.value - direct.value) < 1e-9
+        assert reduced.terms_used < product_terms(0.3, im * 1j, cfg)
+        assert abs(reduced.value - theta1(0.3, im * 1j, cfg)) < 1e-9
 
 
 def test_eval_config_validation():
@@ -188,7 +213,7 @@ def test_eval_config_validation():
 
 def test_nonconvergence_carries_bound():
     with pytest.raises(ConvergenceError) as info:
-        theta1(0.3, 0.001j, EvalConfig(max_terms=50, reduction_enabled=False))
+        theta1(0.3, 0.001j, EvalConfig(max_terms=50))
     assert info.value.achieved > 1e-12
 
 
