@@ -2,7 +2,6 @@
 numerical verification harness for the theta1 inversion law."""
 
 from .contour import (
-    ContourPath,
     QuadratureConfig,
     integrate_closed,
     integrate_edge,

@@ -2,8 +2,8 @@
 suites as JSON lines, and write convergence sweeps as CSV or JSON tables.
 
 Exit codes: 0 success (all checks passed), 1 some check failed, 2 bad
-arguments (including tau outside the upper half-plane), 3 non-convergence,
-4 unwritable output path.
+arguments (including tau outside the upper half-plane), 3 no binary64
+result (non-convergence or overflow), 4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

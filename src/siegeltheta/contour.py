@@ -6,15 +6,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "ContourPath",
     "QuadratureConfig",
     "integrate_closed",
     "integrate_edge",
@@ -24,78 +20,45 @@ __all__ = [
 
 Integrand = Callable[[complex], complex]
 
+# 15-point Gauss-Legendre rule on [-1, 1]: (node, weight) for the nonnegative
+# nodes, mirrored. The literals are tabulated, not computed: a rule recomputed
+# here differs in the last bit of some of them, which changes the verify output
+# bytes. tests/test_contour.py checks them bit for bit.
+_HALF_RULE = (
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+)
+_GAUSS_RULE = tuple((-x, w) for x, w in reversed(_HALF_RULE[1:])) + _HALF_RULE
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """tol: absolute error target per edge; max_depth: subdivision limit;
-    nodes_per_panel: Gauss-Legendre order per panel (also the trapezoid seed)."""
+    """tol: absolute error target per edge; max_depth: subdivision limit."""
 
     tol: float = 1e-10
     max_depth: int = 16
-    nodes_per_panel: int = 15
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if self.nodes_per_panel < 1:
-            raise DomainError(
-                f"nodes_per_panel must be >= 1, got {self.nodes_per_panel!r}"
-            )
 
 
 _DEFAULT_CFG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class ContourPath:
-    """Ordered polygonal path; closed paths wrap from the last vertex to the first."""
-
-    vertices: tuple[complex, ...]
-    closed: bool = True
-
-    def __post_init__(self):
-        vertices = tuple(complex(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", vertices)
-        if len(vertices) < 2:
-            raise DomainError("a path needs at least two vertices")
-        pairs = list(zip(vertices, vertices[1:]))
-        if self.closed:
-            pairs.append((vertices[-1], vertices[0]))
-        if any(a == b for a, b in pairs):
-            raise DomainError("consecutive vertices must be distinct")
-
-    def edges(self) -> Iterator[tuple[complex, complex]]:
-        yield from zip(self.vertices, self.vertices[1:])
-        if self.closed:
-            yield self.vertices[-1], self.vertices[0]
-
-    def signed_area(self) -> float:
-        """Shoelace area; positive for counterclockwise traversal."""
-        total = 0.0
-        for a, b in self.edges():
-            total += a.real * b.imag - b.real * a.imag
-        return 0.5 * total
-
-    def is_counterclockwise(self) -> bool:
-        return self.signed_area() > 0.0
-
-    def reversed(self) -> "ContourPath":
-        return ContourPath(tuple(reversed(self.vertices)), self.closed)
-
-
-def rhombus_contour(y: float) -> ContourPath:
-    """Closed rhombus -i -> y -> i -> -y, counterclockwise; area 2y."""
+def rhombus_contour(y: float) -> tuple[complex, ...]:
+    """Vertices of the closed rhombus -i -> y -> i -> -y, counterclockwise."""
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be a positive finite real, got {y!r}")
-    return ContourPath((-1j, complex(y), 1j, complex(-y)), closed=True)
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+    return (-1j, complex(y), 1j, complex(-y))
 
 
 def integrate_edge(
@@ -111,12 +74,11 @@ def integrate_edge(
     cfg = cfg or _DEFAULT_CFG
     start = complex(start)
     end = complex(end)
-    nodes, weights = _gauss_rule(cfg.nodes_per_panel)
 
     def panel(a: complex, b: complex) -> complex:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+        return half * sum(w * f(mid + half * x) for x, w in _GAUSS_RULE)
 
     def refine(a, b, coarse, depth, tol):
         mid = 0.5 * (a + b)
@@ -140,14 +102,15 @@ def integrate_edge(
 
 
 def integrate_closed(
-    f: Integrand, path: ContourPath, cfg: QuadratureConfig | None = None
+    f: Integrand, vertices: Sequence[complex], cfg: QuadratureConfig | None = None
 ) -> tuple[complex, float]:
-    """Sum of edge integrals around a closed path; error estimates add up."""
-    if not path.closed:
-        raise DomainError("integrate_closed requires a closed path")
+    """Sum of edge integrals around the closed polygon vertices[0] -> ... ->
+    vertices[-1] -> vertices[0]; error estimates add up."""
+    if len(vertices) < 2:
+        raise DomainError("a closed path needs at least two vertices")
     total = 0.0j
     err = 0.0
-    for a, b in path.edges():
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
         value, edge_err = integrate_edge(f, a, b, cfg)
         total += value
         err += edge_err
@@ -159,15 +122,16 @@ def residue_by_circle(
 ) -> complex:
     """(1/2 pi i) times the integral of f over the circle around center.
 
-    Periodic trapezoid rule with node doubling; spectrally accurate as long
-    as f is analytic in a neighborhood of the circle, so the caller must
-    keep radius at most half the distance to the nearest other singularity.
+    Periodic trapezoid rule with node doubling from 15 nodes; spectrally
+    accurate as long as f is analytic in a neighborhood of the circle, so the
+    caller must keep radius at most half the distance to the nearest other
+    singularity.
     """
     cfg = cfg or _DEFAULT_CFG
     center = complex(center)
     if not (math.isfinite(radius) and radius > 0.0):
         raise DomainError(f"radius must be a positive finite real, got {radius!r}")
-    count = max(4, cfg.nodes_per_panel)
+    count = len(_GAUSS_RULE)
     previous = None
     gap = math.inf
     for _ in range(cfg.max_depth + 1):

@@ -321,11 +321,17 @@ def _linear(start: float, stop: float, steps: int) -> list[float]:
     return [start + step * i for i in range(steps)]
 
 
+def _integer_bound(name: str, value, default: int) -> int:
+    if value is not None and not (math.isfinite(value) and value == int(value)):
+        raise DomainError(f"edge_limit {name} must be a finite integer, got {value!r}")
+    return default if value is None else int(value)
+
+
 def sweep_rows(target, start=None, stop=None, steps=None):
     """Header and rows for a named sweep target."""
     if target == "edge_limit":
-        first = 2 if start is None else int(start)
-        last = 20 if stop is None else int(stop)
+        first = _integer_bound("start", start, 2)
+        last = _integer_bound("stop", stop, 20)
         header = ["n", "edge", "t", "a", "b", "y", "residual"]
         rows = []
         for n in range(first, last + 1):

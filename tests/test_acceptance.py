@@ -193,7 +193,7 @@ def test_criterion_9_quadrature_self_tests():
     path = rhombus_contour(2.0)
     poly, _ = integrate_closed(lambda w: (2 - 3j) * w**3 + w - 5.0, path)
     forward, _ = integrate_closed(lambda w: 1.0 / w, path)
-    backward, _ = integrate_closed(lambda w: 1.0 / w, path.reversed())
+    backward, _ = integrate_closed(lambda w: 1.0 / w, path[::-1])
     unit = abs(forward - 2j * PI)
     orientation = abs(forward + backward)
     elapsed = time.perf_counter() - started

@@ -96,6 +96,23 @@ def test_eval_nonconvergence_exits_3(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta1", "--reduce", "--z=-0.329302487086755+0.37492719265961993i",
+         "--tau=-0.0004159089461646115+0.0001889601792696782i"],
+        ["theta1", "--z=0.3+40i", "--tau=i"],
+        ["theta3", "--z=0.3+300i", "--tau=i"],
+    ],
+)
+def test_eval_overflow_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_eval_reduce_requires_theta1(capsys):
     code, _, err = run_cli(
         capsys, "eval", "theta3", "--z", "0.1", "--tau", "i", "--reduce"
@@ -177,6 +194,9 @@ def test_verify_timing_fills_wall_ms_only(capsys):
         ["verify", "theorem", "--count=-3"],
         ["verify", "lemma2", "--n", "0"],
         ["sweep", "reduction_gain", "--start", "0"],
+        ["sweep", "edge_limit", "--start", "nan"],
+        ["sweep", "edge_limit", "--stop", "inf"],
+        ["sweep", "edge_limit", "--start", "2.5"],
     ],
 )
 def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):
@@ -186,14 +206,17 @@ def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_cli_import_loads_no_thread_pool():
-    probe = "import sys, siegeltheta.cli; print('concurrent.futures' in sys.modules)"
+def test_cli_import_loads_no_thread_pool_or_numpy():
+    probe = (
+        "import sys, siegeltheta.cli; "
+        "print('concurrent.futures' in sys.modules, 'numpy' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_verify_failing_tolerance_exits_1(capsys):
