@@ -327,6 +327,17 @@ def _integer_bound(name: str, value, default: int) -> int:
     return default if value is None else int(value)
 
 
+def _real_bounds(target: str, start, stop, steps, default_start: float, default_stop: float):
+    first = default_start if start is None else float(start)
+    last = default_stop if stop is None else float(stop)
+    count = 10 if steps is None else int(steps)
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise DomainError(f"{target} start and stop must be finite, got {first!r}, {last!r}")
+    if count < 1:
+        raise DomainError(f"{target} steps must be >= 1, got {count!r}")
+    return first, last, count
+
+
 def sweep_rows(target, start=None, stop=None, steps=None):
     """Header and rows for a named sweep target."""
     if target == "edge_limit":
@@ -340,14 +351,10 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         return header, rows
 
     if target == "reduction_gain":
-        first = 0.01 if start is None else float(start)
+        first, last, count = _real_bounds(target, start, stop, steps, 0.01, 1.0)
         if not first > 0.0:
             raise DomainError(f"reduction_gain start must be a positive Im tau, got {first!r}")
-        values = _geometric(
-            first,
-            1.0 if stop is None else float(stop),
-            10 if steps is None else int(steps),
-        )
+        values = _geometric(first, last, count)
         header = ["im_tau", "z", "eps", "terms_direct", "terms_reduced", "gain", "abs_diff"]
         z = 0.3
         eps = 1e-12
@@ -365,11 +372,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         return header, rows
 
     if target == "lambert_tail":
-        values = _linear(
-            1.1 if start is None else float(start),
-            5.0 if stop is None else float(stop),
-            10 if steps is None else int(steps),
-        )
+        values = _linear(*_real_bounds(target, start, stop, steps, 1.1, 5.0))
         header = ["y", "a", "b", "eps", "terms", "residual"]
         rows = []
         for y in values:

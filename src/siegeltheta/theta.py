@@ -14,8 +14,10 @@ The inversion law
     theta1(z/tau, -1/tau) = -i (-i tau)^(1/2) exp(pi i z^2 / tau) theta1(z, tau)
 
 is exposed both as an identity (`inversion_rhs`) and as an accelerator
-(`theta1_reduced`): when |tau| < 1 the product converges much faster at
--1/tau, so the law is solved for theta1(z, tau) and evaluated there.
+(`theta1_reduced`).  That first takes one T step, tau -> tau - k with k the
+integer nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
+(DLMF 20.7.26); then, when the shifted |tau| < 1, the product converges much
+faster at -1/tau, so the law is solved for theta1(z, tau) and evaluated there.
 
 All arithmetic is binary64; products are truncated by an a priori
 geometric tail bound controlled through `EvalConfig`.
@@ -137,15 +139,16 @@ def _product_length(log_abs_q: float, log_abs_w: float, cfg: EvalConfig) -> int:
     # expm1: |q| rounds to 1 for Im tau < 1e-17, where log1p(-|q|^2) fails
     log_c = _log_factor_scale(log_abs_w) - math.log(-math.expm1(log_q2))
     target = math.log(cfg.eps) - log_c
-    terms = max(1, math.ceil(target / log_q2))
-    if terms > cfg.max_terms:
+    # compared before ceil, which fails on the inf a subnormal Im tau gives
+    length = target / log_q2
+    if length > cfg.max_terms:
         achieved = math.exp(min(700.0, cfg.max_terms * log_q2 + log_c))
         raise ConvergenceError(
             f"product tail bound {achieved:.3e} > eps={cfg.eps:.3e} "
             f"at max_terms={cfg.max_terms}",
             achieved=achieved,
         )
-    return terms
+    return max(1, math.ceil(length))
 
 
 def product_terms(z, tau, cfg: EvalConfig | None = None) -> int:
@@ -177,10 +180,13 @@ def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: fl
 
 
 def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
-    prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
-    if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
-        return prod, terms
-    prefactor = -1j * cmath.exp(_IPI * (z + tau / 4.0))
+    try:  # cmath.exp raises on overflow, in a factor or in the prefactor
+        prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
+        if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
+            return prod, terms
+        prefactor = -1j * cmath.exp(_IPI * (z + tau / 4.0))
+    except OverflowError:
+        raise OverflowError("theta1 product overflowed the binary64 range") from None
     return _require_finite(prefactor * prod, "theta1 product"), terms
 
 
@@ -227,7 +233,10 @@ def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
 
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Third theta function from the triple product."""
-    prod, _ = _triple_product(z, tau, cfg or _DEFAULT_CFG, 1.0, -1.0, -1.0)
+    try:  # cmath.exp raises on overflow
+        prod, _ = _triple_product(z, tau, cfg or _DEFAULT_CFG, 1.0, -1.0, -1.0)
+    except OverflowError:
+        raise OverflowError("theta3 product overflowed the binary64 range") from None
     return _require_finite(prod, "theta3 product")
 
 
@@ -239,6 +248,13 @@ def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
 def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta2(z) = -theta1(z - 1/2)."""
     return -theta1(_as_complex(z, "z") - 0.5, tau, cfg)
+
+
+_S = math.sqrt(0.5)
+# e^(i pi k/4) for k = 0..7, exact where its parts are 0 or +-1:
+# theta1(z, tau + k) = _T_FACTORS[k % 8] theta1(z, tau)
+_T_FACTORS = (complex(1, 0), complex(_S, _S), complex(0, 1), complex(-_S, _S),
+              complex(-1, 0), complex(-_S, -_S), complex(0, -1), complex(_S, -_S))
 
 
 def _inversion_prefactor(z: complex, tau: complex) -> complex:
@@ -255,21 +271,32 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
 
 
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
-    """Evaluate theta1, inverting tau -> -1/tau first when |tau| < 1.
+    """Evaluate theta1 after one T step and, when it helps, one S step.
 
-    Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau) inside the unit disc, so
-    the product at the inverted point needs far fewer terms; the inversion
-    law is then solved for theta1(z, tau).  Outside the disc this is a plain
-    product evaluation.  OverflowError: the inversion prefactor underflowed.
+    T: tau is shifted by k = round(Re tau) into |Re tau| <= 1/2 (exactly, in
+    binary64) and the result is multiplied by e^(i pi k/4).  S: when the
+    shifted |tau| < 1, Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the
+    product at the inverted point needs far fewer terms; the inversion law
+    is then solved for theta1(z, tau).  Otherwise this is a plain product
+    evaluation.  `reduced` is true when either step was taken; there is no
+    further T/S iteration, so a point whose shifted tau lies near the real
+    axis away from 0 can still need many terms.  OverflowError: the value or
+    the inversion prefactor left the binary64 range.
     """
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
     z = _as_complex(z, "z")
+    shift = round(tau.real)
+    tau = complex(tau.real - shift, tau.imag)  # exact; keeps a -0.0 real part
     if abs(tau) >= 1.0:
         value, terms = _theta1_product(z, tau, cfg)
-        return ThetaEval(value, terms, False)
+        if shift and value:  # an exact zero keeps its +0 parts, as in theta1
+            value = _require_finite(_T_FACTORS[shift % 8] * value, "reduced theta1")
+        return ThetaEval(value, terms, bool(shift))
     inner, terms = _theta1_product(z / tau, -1.0 / tau, cfg)
     prefactor = _inversion_prefactor(z, tau)
+    if shift:
+        prefactor *= _T_FACTORS[-shift % 8]
     if prefactor == 0:
         raise OverflowError("reduced theta1 overflowed the binary64 range")
     value = inner / prefactor

@@ -103,6 +103,7 @@ def test_eval_nonconvergence_exits_3(capsys):
          "--tau=-0.0004159089461646115+0.0001889601792696782i"],
         ["theta1", "--z=0.3+40i", "--tau=i"],
         ["theta3", "--z=0.3+300i", "--tau=i"],
+        ["theta1", "--z=0.3", "--tau=1e-300i", "--reduce"],
     ],
 )
 def test_eval_overflow_exits_3(capsys, argv):
@@ -110,7 +111,17 @@ def test_eval_overflow_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+    assert "binary64" in err
     assert "Traceback" not in err
+
+
+def test_eval_reduce_takes_the_t_step(capsys):
+    argv = ["eval", "theta1", "--z=0.3", "--tau=2.02+0.0005i"]
+    code, out, _ = run_cli(capsys, *argv, "--reduce")
+    assert code == 0
+    assert out.split()[1] == "terms=4"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
 
 
 def test_eval_reduce_requires_theta1(capsys):
@@ -197,6 +208,9 @@ def test_verify_timing_fills_wall_ms_only(capsys):
         ["sweep", "edge_limit", "--start", "nan"],
         ["sweep", "edge_limit", "--stop", "inf"],
         ["sweep", "edge_limit", "--start", "2.5"],
+        ["sweep", "reduction_gain", "--steps", "0"],
+        ["sweep", "reduction_gain", "--start", "inf"],
+        ["sweep", "lambert_tail", "--steps=-2"],
     ],
 )
 def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):

@@ -179,12 +179,64 @@ def test_tiny_im_tau_is_a_convergence_error():
         theta1(0.3, 1e-17j)
     with pytest.raises(ConvergenceError):
         theta1_reduced(0.3, 0.5 + 1e-18j)
+    # subnormal Im tau: the term count itself is inf
+    with pytest.raises(ConvergenceError):
+        theta1(0.3, 1e-320j)
 
 
 def test_reduced_passthrough_is_bit_identical():
     result = theta1_reduced(0.4 + 0.1j, 3j)
     assert not result.reduced
     assert result.value == theta1(0.4 + 0.1j, 3j)
+
+
+@pytest.mark.parametrize("tau0", [0.2 + 0.7j, -0.3 + 1.2j])
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_reduced_t_step_factor(k, tau0):
+    # theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau), DLMF 20.7.26
+    z = 0.3 + 0.1j
+    got = theta1_reduced(z, tau0 + k)
+    want = cmath.exp(1j * math.pi * k / 4) * theta1(z, tau0)
+    assert got.reduced == (k != 0 or abs(tau0) < 1)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("tau", [0.5 + 0.6j, -0.5 + 0.6j, 0.5 + 1.2j, -0.5 + 1.2j, 0.3 + 0.5j])
+def test_reduced_without_t_step_is_bit_identical(tau):
+    # |Re tau| <= 1/2 takes no T step: the plain product or the bare S step
+    z = 0.3 + 0.1j
+    if abs(tau) >= 1:
+        want = theta1(z, tau)
+    else:
+        prefactor = -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(1j * math.pi * z * z / tau)
+        want = theta1(z / tau, -1.0 / tau) / prefactor
+    assert theta1_reduced(z, tau).value == want
+
+
+@pytest.mark.parametrize(
+    "z, tau, want, terms",
+    [
+        # 40-digit values of the tau-form sine series (mpmath); the plain
+        # product needs more than 5000 and 1761 terms
+        (0.3, 2.02 + 0.0005j,
+         -3.791028042654440742505265875989960552053
+         + 3.909572254933307553878147796092063348666j, 4),
+        (0.1 + 0.2j, -1.37 + 0.003j,
+         2191899574035986539.812634204089102315875
+         + 2262457886676065464.786944985958599969730j, 241),
+    ],
+)
+def test_reduced_t_step_reaches_near_axis_points(z, tau, want, terms):
+    got = theta1_reduced(z, tau)
+    assert got.reduced and got.terms_used == terms
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_overflow_names_the_product():
+    with pytest.raises(OverflowError, match="theta3 product overflowed the binary64"):
+        theta4(0.3 + 300j, 1j)
+    with pytest.raises(OverflowError, match="theta1 product overflowed the binary64"):
+        theta1_reduced(0.3, 1e-300j)
 
 
 def test_reduced_cross_evaluation():
