@@ -1,8 +1,9 @@
-"""Byte-for-byte regression gate on the CLI's verify and sweep output.
+"""Byte-for-byte regression gate on the CLI's verify, sweep and eval output.
 
-The files under tests/golden/ were written by the CLI before the product,
-Lambert-term and suite-runner code was consolidated; any refactor of those
-paths must reproduce them exactly.
+The verify and sweep files under tests/golden/ were written by the CLI before
+the product, Lambert-term and suite-runner code was consolidated, the eval
+files before the tolerance configs were folded into constants; any refactor
+of those paths must reproduce them exactly.
 """
 
 from pathlib import Path
@@ -20,6 +21,19 @@ CASES = {
 for _target in ("edge_limit", "reduction_gain", "lambert_tail"):
     for _fmt in ("csv", "json"):
         CASES[f"sweep_{_target}.{_fmt}"] = ["sweep", _target, "--format", _fmt]
+# a fundamental-domain point for each function, then theta1_reduced with no
+# step, the S step, a T step, and both
+_FUNDAMENTAL = ["--z=0.3+0.1i", "--tau=0.1+1.2i"]
+for _function in ("theta1", "theta2", "theta3", "theta4"):
+    CASES[f"eval_{_function}_fundamental.txt"] = ["eval", _function, *_FUNDAMENTAL]
+CASES["eval_theta1_eps_max_terms.txt"] = [
+    "eval", "theta1", "--z=0.3", "--tau=0.5i", "--eps=1e-6", "--max-terms=100"]
+CASES["eval_reduce_fundamental.txt"] = ["eval", "theta1", "--reduce", *_FUNDAMENTAL]
+CASES["eval_reduce_s_step.txt"] = ["eval", "theta1", "--reduce", "--z=0.3", "--tau=0.01i"]
+CASES["eval_reduce_t_step.txt"] = [
+    "eval", "theta1", "--reduce", "--z=0.3", "--tau=2.02+0.0005i"]
+CASES["eval_reduce_t_and_s_step.txt"] = [
+    "eval", "theta1", "--reduce", "--z=0.1+0.2i", "--tau=-1.37+0.003i"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
