@@ -2,7 +2,6 @@
 numerical verification harness for the theta1 inversion law."""
 
 from .contour import (
-    QuadratureConfig,
     integrate_closed,
     integrate_edge,
     residue_by_circle,
@@ -36,7 +35,6 @@ from .verifier import (
     EDGES,
     DomainPoint,
     ResidueBreakdown,
-    SeriesConfig,
     closed_residue_sum,
     edge_endpoints,
     edge_limit_residual,

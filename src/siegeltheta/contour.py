@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "QuadratureConfig",
     "integrate_closed",
     "integrate_edge",
     "residue_by_circle",
@@ -37,21 +35,14 @@ _HALF_RULE = (
 _GAUSS_RULE = tuple((-x, w) for x, w in reversed(_HALF_RULE[1:])) + _HALF_RULE
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """tol: absolute error target per edge; max_depth: subdivision limit."""
-
-    tol: float = 1e-10
-    max_depth: int = 16
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth!r}")
+# bisection levels of an edge, and node doublings of a circle, before
+# ConvergenceError
+_MAX_LEVELS = 16
 
 
-_DEFAULT_CFG = QuadratureConfig()
+def _require_tol(tol: float) -> None:
+    if not tol > 0.0:  # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol!r}")
 
 
 def rhombus_contour(y: float) -> tuple[complex, ...]:
@@ -61,17 +52,16 @@ def rhombus_contour(y: float) -> tuple[complex, ...]:
     return (-1j, complex(y), 1j, complex(-y))
 
 
-def integrate_edge(
-    f: Integrand, start, end, cfg: QuadratureConfig | None = None
-) -> tuple[complex, float]:
+def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[complex, float]:
     """Integrate f along the straight segment start -> end.
 
     Gauss-Legendre panels refined by adaptive bisection until the local
-    error estimate (coarse vs refined panel) is below a share of cfg.tol.
-    Returns (value, error estimate); raises ConvergenceError if the total
-    estimate still exceeds cfg.tol at max_depth.
+    error estimate (coarse vs refined panel) is below a share of tol, the
+    absolute error target.  Returns (value, error estimate); raises
+    ConvergenceError if the total estimate still exceeds tol after 16
+    levels of bisection.
     """
-    cfg = cfg or _DEFAULT_CFG
+    _require_tol(tol)
     start = complex(start)
     end = complex(end)
 
@@ -85,56 +75,56 @@ def integrate_edge(
         left = panel(a, mid)
         right = panel(mid, b)
         err = abs(left + right - coarse)
-        if err <= tol or depth >= cfg.max_depth:
+        if err <= tol or depth >= _MAX_LEVELS:
             return left + right, err
         lv, le = refine(a, mid, left, depth + 1, 0.5 * tol)
         rv, re = refine(mid, b, right, depth + 1, 0.5 * tol)
         return lv + rv, le + re
 
-    value, err = refine(start, end, panel(start, end), 1, cfg.tol)
-    if err > cfg.tol:
+    value, err = refine(start, end, panel(start, end), 1, tol)
+    if err > tol:
         raise ConvergenceError(
-            f"edge quadrature error estimate {err:.3e} > tol={cfg.tol:.3e} "
-            f"at max_depth={cfg.max_depth}",
+            f"edge quadrature error estimate {err:.3e} > tol={tol:.3e} "
+            f"after {_MAX_LEVELS} levels",
             achieved=err,
         )
     return value, err
 
 
 def integrate_closed(
-    f: Integrand, vertices: Sequence[complex], cfg: QuadratureConfig | None = None
+    f: Integrand, vertices: Sequence[complex], tol: float = 1e-10
 ) -> tuple[complex, float]:
     """Sum of edge integrals around the closed polygon vertices[0] -> ... ->
-    vertices[-1] -> vertices[0]; error estimates add up."""
+    vertices[-1] -> vertices[0]; error estimates add up, and each edge
+    meets tol on its own."""
     if len(vertices) < 2:
         raise DomainError("a closed path needs at least two vertices")
     total = 0.0j
     err = 0.0
     for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-        value, edge_err = integrate_edge(f, a, b, cfg)
+        value, edge_err = integrate_edge(f, a, b, tol)
         total += value
         err += edge_err
     return total, err
 
 
-def residue_by_circle(
-    f: Integrand, center, radius: float, cfg: QuadratureConfig | None = None
-) -> complex:
+def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -> complex:
     """(1/2 pi i) times the integral of f over the circle around center.
 
     Periodic trapezoid rule with node doubling from 15 nodes; spectrally
     accurate as long as f is analytic in a neighborhood of the circle, so the
     caller must keep radius at most half the distance to the nearest other
-    singularity.
+    singularity.  Stops once two successive estimates differ by at most tol;
+    raises ConvergenceError after 16 doublings.
     """
-    cfg = cfg or _DEFAULT_CFG
+    _require_tol(tol)
     center = complex(center)
     if not (math.isfinite(radius) and radius > 0.0):
         raise DomainError(f"radius must be a positive finite real, got {radius!r}")
     count = len(_GAUSS_RULE)
     previous = None
     gap = math.inf
-    for _ in range(cfg.max_depth + 1):
+    for _ in range(_MAX_LEVELS + 1):
         total = 0.0j
         for j in range(count):
             direction = cmath.exp(2j * math.pi * j / count)
@@ -142,12 +132,12 @@ def residue_by_circle(
         approx = total * radius / count
         if previous is not None:
             gap = abs(approx - previous)
-            if gap <= cfg.tol:
+            if gap <= tol:
                 return approx
         previous = approx
         count *= 2
     raise ConvergenceError(
-        f"circle quadrature did not settle below tol={cfg.tol:.3e} "
+        f"circle quadrature did not settle below tol={tol:.3e} "
         f"within {count // 2} nodes",
         achieved=gap,
     )

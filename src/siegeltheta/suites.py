@@ -10,11 +10,12 @@ import random
 import time
 from dataclasses import dataclass
 
-from .contour import QuadratureConfig, integrate_closed, residue_by_circle, rhombus_contour
+from .contour import integrate_closed, residue_by_circle, rhombus_contour
 from .errors import DomainError
 from .theta import EvalConfig, product_terms, theta1, theta1_reduced
 from .verifier import (
     EDGES,
+    LAMBERT_EPS,
     DomainPoint,
     ResidueBreakdown,
     closed_residue_sum,
@@ -170,7 +171,6 @@ def _suite_lemma2(n, tol):
     p = DomainPoint(a, b, y, n)
     params = _point_params(p)
     radius = 1.0 / (4.0 * p.N)
-    qcfg = QuadratureConfig(tol=1e-12)
     calls = 0
 
     def kernel(zeta):
@@ -181,7 +181,7 @@ def _suite_lemma2(n, tol):
     def by_circle(center):
         nonlocal calls
         calls = 0
-        return residue_by_circle(kernel, center, radius, qcfg), calls
+        return residue_by_circle(kernel, center, radius, tol=1e-12), calls
 
     breakdown = ResidueBreakdown.compute(p)
     residual = abs(breakdown.total_times_2pi_i - closed_residue_sum(p))
@@ -213,7 +213,7 @@ def _suite_lemma2(n, tol):
         )
 
     calls = 0
-    value, _ = integrate_closed(kernel, rhombus_contour(p.y), QuadratureConfig(tol=1e-10))
+    value, _ = integrate_closed(kernel, rhombus_contour(p.y), tol=1e-10)
     yield VerificationReport.build(
         "lemma2_residue_theorem_contour", params, abs(value - closed_residue_sum(p)), tol, calls
     )
@@ -341,6 +341,8 @@ def _real_bounds(target: str, start, stop, steps, default_start: float, default_
 def sweep_rows(target, start=None, stop=None, steps=None):
     """Header and rows for a named sweep target."""
     if target == "edge_limit":
+        if steps is not None:  # one row per n from start to stop
+            raise DomainError(f"edge_limit takes no steps, got {steps!r}")
         first = _integer_bound("start", start, 2)
         last = _integer_bound("stop", stop, 20)
         header = ["n", "edge", "t", "a", "b", "y", "residual"]
@@ -380,7 +382,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
             product = theta1(p.z, complex(0.0, y))
             expanded = cmath.exp(log_theta1_lambert(p))
             residual = abs(expanded - product) / max(1.0, abs(product))
-            rows.append([y, p.a, p.b, 1e-13, lambert_terms(p), residual])
+            rows.append([y, p.a, p.b, LAMBERT_EPS, lambert_terms(p), residual])
         return header, rows
 
     raise DomainError(f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}")

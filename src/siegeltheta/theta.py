@@ -201,7 +201,9 @@ def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
 
     Entirely independent of the product route, which makes it the natural
     cross-check oracle.  Truncation stops once a geometric bound on the
-    remaining terms drops below cfg.eps.
+    remaining terms drops below cfg.eps.  That bound is absolute, so where
+    |theta1| is tiny this is no relative oracle: at (0.3, 0.001i) theta1 is
+    about 8.4e-54 and this returns about 3e-13.
     """
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
@@ -280,8 +282,8 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     is then solved for theta1(z, tau).  Otherwise this is a plain product
     evaluation.  `reduced` is true when either step was taken; there is no
     further T/S iteration, so a point whose shifted tau lies near the real
-    axis away from 0 can still need many terms.  OverflowError: the value or
-    the inversion prefactor left the binary64 range.
+    axis away from 0 can still need many terms.  OverflowError: the inverted
+    point, the value or the inversion prefactor left the binary64 range.
     """
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
@@ -293,7 +295,12 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
         if shift and value:  # an exact zero keeps its +0 parts, as in theta1
             value = _require_finite(_T_FACTORS[shift % 8] * value, "reduced theta1")
         return ThetaEval(value, terms, bool(shift))
-    inner, terms = _theta1_product(z / tau, -1.0 / tau, cfg)
+    # a subnormal Im tau sends -1/tau (and z/tau) past the binary64 range
+    inverted_z = _require_finite(z / tau, "reduced theta1")
+    inverted_tau = _require_finite(-1.0 / tau, "reduced theta1")
+    inner, terms = _theta1_product(inverted_z, inverted_tau, cfg)
+    if inner == 0:  # an exact zero keeps its +0 parts, as in theta1
+        return ThetaEval(inner, terms, True)
     prefactor = _inversion_prefactor(z, tau)
     if shift:
         prefactor *= _T_FACTORS[-shift % 8]

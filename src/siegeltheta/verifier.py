@@ -36,7 +36,6 @@ __all__ = [
     "EDGES",
     "DomainPoint",
     "ResidueBreakdown",
-    "SeriesConfig",
     "closed_residue_sum",
     "edge_endpoints",
     "edge_limit_residual",
@@ -96,55 +95,43 @@ class DomainPoint:
         return self.n + 0.5
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the Lambert sums."""
-
-    eps: float = 1e-13
-    max_m: int = 4000
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise DomainError(f"eps must be positive, got {self.eps!r}")
-        if self.max_m < 1:
-            raise DomainError(f"max_m must be >= 1, got {self.max_m!r}")
-
-
-_DEFAULT_CFG = SeriesConfig()
-
-
 # ---------------------------------------------------------------------------
 # Lambert sums
 # ---------------------------------------------------------------------------
 
-def _terms_for_rate(rate: float, cfg: SeriesConfig) -> int:
+# truncation of every Lambert sum: tail bound below LAMBERT_EPS within
+# LAMBERT_MAX_TERMS terms, else ConvergenceError
+LAMBERT_EPS = 1e-13
+LAMBERT_MAX_TERMS = 4000
+
+
+def _terms_for_rate(rate: float) -> int:
     # smallest M with e^(-2 pi M rate) / (M (1 - e^(-2 pi rate))) < eps,
     # conservatively dropping the helpful 1/M factor
     denom = -math.expm1(-_TWO_PI * rate)
-    terms = max(1, math.ceil(-math.log(cfg.eps * denom) / (_TWO_PI * rate)))
-    if terms > cfg.max_m:
-        achieved = math.exp(-_TWO_PI * cfg.max_m * rate) / (cfg.max_m * denom)
+    terms = max(1, math.ceil(-math.log(LAMBERT_EPS * denom) / (_TWO_PI * rate)))
+    if terms > LAMBERT_MAX_TERMS:
+        achieved = math.exp(-_TWO_PI * LAMBERT_MAX_TERMS * rate) / (LAMBERT_MAX_TERMS * denom)
         raise ConvergenceError(
-            f"Lambert tail bound {achieved:.3e} > eps={cfg.eps:.3e} "
-            f"at max_m={cfg.max_m}",
+            f"Lambert tail bound {achieved:.3e} > eps={LAMBERT_EPS:.3e} "
+            f"at {LAMBERT_MAX_TERMS} terms",
             achieved=achieved,
         )
     return terms
 
 
-def lambert_terms(p: DomainPoint, cfg: SeriesConfig | None = None) -> int:
+def lambert_terms(p: DomainPoint) -> int:
     """Series length needed by the boundary-log sums at p.
 
     The three sums decay like e^(-2 pi m y), e^(-2 pi m (y-|b|)) and
     e^(-2 pi m |b|); the slowest of these sets the length.
     """
-    cfg = cfg or _DEFAULT_CFG
-    return _terms_for_rate(min(p.y - abs(p.b), abs(p.b)), cfg)
+    return _terms_for_rate(min(p.y - abs(p.b), abs(p.b)))
 
 
-def _inverted_terms(p: DomainPoint, cfg: SeriesConfig) -> int:
+def _inverted_side_terms(p: DomainPoint) -> int:
     # inverted-point sums decay at rates 1/y, (1-a)/y, a/y
-    return _terms_for_rate(min(p.a, 1.0 - p.a) / p.y, cfg)
+    return _terms_for_rate(min(p.a, 1.0 - p.a) / p.y)
 
 
 def _lambert_term(m: int, s: float, u: complex, h: float) -> complex:
@@ -173,43 +160,38 @@ def _ratio_closed_tail(z: complex, y: float) -> complex:
     return -_PI * z / y + 1j * _PI * z - (_PI / 4.0) * (y - 1.0 / y)
 
 
-def log_theta1_lambert(p: DomainPoint, cfg: SeriesConfig | None = None) -> complex:
+def log_theta1_lambert(p: DomainPoint) -> complex:
     """log theta1(z, iy) in expanded form: -i pi/2 + i pi z - pi y/4 + sums.
 
     The expansion fixes the branch; no principal log of the product's value
     is ever taken, so the result is directly comparable across arguments.
     """
-    cfg = cfg or _DEFAULT_CFG
     z, y = p.z, p.y
     iz = 1j * z
     total = complex(0.0, -_PI / 2.0) + 1j * _PI * z - _PI * y / 4.0
-    for m in range(1, lambert_terms(p, cfg) + 1):
+    for m in range(1, lambert_terms(p) + 1):
         total += _lambert_term(m, _TWO_PI * m, iz, y)
     return total
 
 
-def _log_theta1_inverted(p: DomainPoint, cfg: SeriesConfig) -> complex:
+def _log_theta1_inverted(p: DomainPoint) -> complex:
     # log theta1(z/(iy), i/y), same expansion with prefactor pi z/y - pi/(4y)
     z, y = p.z, p.y
     total = complex(0.0, -_PI / 2.0) + _PI * z / y - _PI / (4.0 * y)
-    for m in range(1, _inverted_terms(p, cfg) + 1):
+    for m in range(1, _inverted_side_terms(p) + 1):
         total += _lambert_term(m, _TWO_PI * m / y, z, 1.0)
     return total
 
 
-def inversion_log_ratio(p: DomainPoint, cfg: SeriesConfig | None = None) -> complex:
+def inversion_log_ratio(p: DomainPoint) -> complex:
     """phi = log theta1(z, iy) - log theta1(z/(iy), i/y), both logs expanded."""
-    cfg = cfg or _DEFAULT_CFG
-    return log_theta1_lambert(p, cfg) - _log_theta1_inverted(p, cfg)
+    return log_theta1_lambert(p) - _log_theta1_inverted(p)
 
 
-def inversion_log_ratio_lambert(
-    p: DomainPoint, cfg: SeriesConfig | None = None
-) -> complex:
+def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
     """phi in its closed arrangement: six Lambert sums plus the closed tail."""
-    cfg = cfg or _DEFAULT_CFG
     z, y = p.z, p.y
-    terms = max(lambert_terms(p, cfg), _inverted_terms(p, cfg))
+    terms = max(lambert_terms(p), _inverted_side_terms(p))
     return _six_sums(z, y, terms) + _ratio_closed_tail(z, y)
 
 
@@ -383,9 +365,9 @@ def edge_limit_residual(edge: str, t: float, p: DomainPoint) -> float:
     return abs(edge_limit_value(edge, t, p) - edge_limit_target(edge))
 
 
-def log_identity_residual(p: DomainPoint, cfg: SeriesConfig | None = None) -> float:
+def log_identity_residual(p: DomainPoint) -> float:
     """|phi + pi z^2/y - pi i/2 + (1/2) log y|, zero iff the log identity holds."""
-    phi = inversion_log_ratio_lambert(p, cfg)
+    phi = inversion_log_ratio_lambert(p)
     return abs(phi + _PI * p.z * p.z / p.y - 0.5j * _PI + 0.5 * math.log(p.y))
 
 

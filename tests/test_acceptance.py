@@ -8,7 +8,6 @@ import time
 from siegeltheta import (
     DomainPoint,
     EvalConfig,
-    QuadratureConfig,
     ResidueBreakdown,
     closed_residue_sum,
     edge_limit_residual,
@@ -82,19 +81,18 @@ def test_criterion_4_closed_residues_vs_quadrature():
     started = time.perf_counter()
     p = DomainPoint(0.5, -0.25, 2.0, 5)
     radius = 1.0 / (4.0 * p.N)
-    cfg = QuadratureConfig(tol=1e-12)
     kernel = lambda zeta: residue_kernel(zeta, p)
-    worst = abs(residue_at_zero(p) - residue_by_circle(kernel, 0.0, radius, cfg))
+    worst = abs(residue_at_zero(p) - residue_by_circle(kernel, 0.0, radius, tol=1e-12))
     for k in range(-p.n, p.n + 1):
         if k == 0:
             continue
         worst = max(worst, abs(
             residue_imag_pole(k, p)
-            - residue_by_circle(kernel, 1j * k / p.N, radius, cfg)
+            - residue_by_circle(kernel, 1j * k / p.N, radius, tol=1e-12)
         ))
         worst = max(worst, abs(
             residue_real_pole(k, p)
-            - residue_by_circle(kernel, k * p.y / p.N, radius, cfg)
+            - residue_by_circle(kernel, k * p.y / p.N, radius, tol=1e-12)
         ))
     totals_gap = abs(
         ResidueBreakdown.compute(p).total_times_2pi_i - closed_residue_sum(p)
@@ -117,7 +115,7 @@ def test_criterion_5_residue_theorem_on_contour():
         value, _ = integrate_closed(
             lambda zeta: residue_kernel(zeta, p),
             rhombus_contour(p.y),
-            QuadratureConfig(tol=1e-10),
+            tol=1e-10,
         )
         worst = max(worst, abs(value - closed_residue_sum(p)))
     elapsed = time.perf_counter() - started

@@ -104,6 +104,7 @@ def test_eval_nonconvergence_exits_3(capsys):
         ["theta1", "--z=0.3+40i", "--tau=i"],
         ["theta3", "--z=0.3+300i", "--tau=i"],
         ["theta1", "--z=0.3", "--tau=1e-300i", "--reduce"],
+        ["theta1", "--reduce", "--z=0.3", "--tau=1e-320i"],
     ],
 )
 def test_eval_overflow_exits_3(capsys, argv):
@@ -122,6 +123,13 @@ def test_eval_reduce_takes_the_t_step(capsys):
     assert out.split()[1] == "terms=4"
     code, out, _ = run_cli(capsys, *argv)
     assert code == 3 and out == ""
+
+
+def test_eval_reduce_exact_zero_is_unsigned(capsys):
+    # the S branch returns the product's exact zero, as plain eval does
+    argv = ["eval", "theta1", "--z=0", "--tau=0.3+0.5i"]
+    assert run_cli(capsys, *argv, "--reduce") == (0, "0+0i terms=1\n", "")
+    assert run_cli(capsys, *argv) == (0, "0+0i terms=10\n", "")
 
 
 def test_eval_reduce_requires_theta1(capsys):
@@ -211,6 +219,7 @@ def test_verify_timing_fills_wall_ms_only(capsys):
         ["sweep", "reduction_gain", "--steps", "0"],
         ["sweep", "reduction_gain", "--start", "inf"],
         ["sweep", "lambert_tail", "--steps=-2"],
+        ["sweep", "edge_limit", "--steps=-3"],
     ],
 )
 def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):

@@ -6,7 +6,6 @@ import pytest
 from siegeltheta import (
     ConvergenceError,
     DomainError,
-    QuadratureConfig,
     integrate_closed,
     integrate_edge,
     residue_by_circle,
@@ -117,9 +116,9 @@ def test_closed_needs_two_vertices():
 
 
 def test_edge_quadrature_reports_failure():
-    cfg = QuadratureConfig(tol=1e-14, max_depth=2)
+    # a pole 1e-6 off the segment is not resolved to 1e-14 in 16 levels
     with pytest.raises(ConvergenceError) as info:
-        integrate_edge(lambda w: 1.0 / (w - (0.5 + 1e-6j)), 0.0, 1.0, cfg)
+        integrate_edge(lambda w: 1.0 / (w - (0.5 + 1e-6j)), 0.0, 1.0, tol=1e-14)
     assert info.value.achieved > 1e-14
 
 
@@ -146,14 +145,20 @@ def test_residue_by_circle_rejects_bad_radius():
 
 
 def test_residue_by_circle_reports_failure():
-    # singularity just inside the circle stalls the node-doubling
-    cfg = QuadratureConfig(tol=1e-14, max_depth=1)
-    with pytest.raises(ConvergenceError):
-        residue_by_circle(lambda w: 1.0 / (w - 0.999), 0.0, 1.0, cfg)
+    # a pole 1e-9 outside the circle stalls the node doubling: the gap
+    # shrinks like (1 + 1e-9)^-n, still far above tol at 983040 nodes
+    with pytest.raises(ConvergenceError) as info:
+        residue_by_circle(lambda w: 1.0 / (w - (1.0 + 1e-9)), 0.0, 1.0)
+    assert "983040 nodes" in str(info.value)
 
 
 def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_depth=0)
+    # tol is the one quadrature setting; it must be positive, and NaN is not
+    f = lambda w: 1.0 / w
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(DomainError):
+            integrate_edge(f, 1.0, 1j, tol=tol)
+        with pytest.raises(DomainError):
+            integrate_closed(f, rhombus_contour(1.0), tol=tol)
+        with pytest.raises(DomainError):
+            residue_by_circle(f, 0.0, 0.5, tol=tol)

@@ -184,6 +184,15 @@ def test_tiny_im_tau_is_a_convergence_error():
         theta1(0.3, 1e-320j)
 
 
+@pytest.mark.parametrize("z, tau", [(0, 0.3 + 0.5j), (0, 2.3 + 0.5j), (1, 0.3 + 0.5j), (0, 0.2 + 1.5j)])
+def test_reduced_exact_zero_keeps_positive_parts(z, tau):
+    # the S branch, with and without a T step, and the product branch all
+    # return the product's exact zero unsigned, as theta1 does
+    value = theta1_reduced(z, tau).value
+    assert value == 0
+    assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
+
+
 def test_reduced_passthrough_is_bit_identical():
     result = theta1_reduced(0.4 + 0.1j, 3j)
     assert not result.reduced
@@ -237,6 +246,9 @@ def test_overflow_names_the_product():
         theta4(0.3 + 300j, 1j)
     with pytest.raises(OverflowError, match="theta1 product overflowed the binary64"):
         theta1_reduced(0.3, 1e-300j)
+    # subnormal Im tau: -1/tau itself is infinite
+    with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
+        theta1_reduced(0.3, 1e-320j)
 
 
 def test_reduced_cross_evaluation():

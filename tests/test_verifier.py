@@ -7,9 +7,7 @@ from siegeltheta import (
     DomainError,
     DomainPoint,
     PoleProximityError,
-    QuadratureConfig,
     ResidueBreakdown,
-    SeriesConfig,
     closed_residue_sum,
     edge_limit_residual,
     edge_limit_target,
@@ -29,6 +27,7 @@ from siegeltheta import (
     transformation_residual,
 )
 from siegeltheta.suites import sample_domain_points, sample_grid
+from siegeltheta.verifier import LAMBERT_EPS
 
 PI = math.pi
 
@@ -54,13 +53,6 @@ def test_domain_point_validation():
     assert p.N == 3.5
 
 
-def test_series_config_validation():
-    with pytest.raises(DomainError):
-        SeriesConfig(eps=0.0)
-    with pytest.raises(DomainError):
-        SeriesConfig(max_m=0)
-
-
 @pytest.mark.parametrize("p", REFERENCE_POINTS, ids=lambda p: f"y={p.y}")
 def test_log_lambert_matches_product(p):
     expanded = cmath.exp(log_theta1_lambert(p))
@@ -69,9 +61,8 @@ def test_log_lambert_matches_product(p):
 
 
 def test_lambert_term_at_cutoff_is_below_eps():
-    cfg = SeriesConfig()
     p = P0
-    m = lambert_terms(p, cfg)
+    m = lambert_terms(p)
     # m-th term of the three boundary sums, written directly
     z, y = p.z, p.y
     e = math.exp(2 * m * PI * y)
@@ -80,7 +71,7 @@ def test_lambert_term_at_cutoff_is_below_eps():
         + (cmath.exp(2j * m * PI * z) / m) / (1.0 - e)
         + (cmath.exp(-2j * m * PI * z) / m) * e / (1.0 - e)
     )
-    assert abs(term) < 10.0 * cfg.eps
+    assert abs(term) < 10.0 * LAMBERT_EPS
 
 
 def test_lambert_terms_do_not_grow_with_y():
@@ -134,7 +125,7 @@ def test_residue_zero_against_circle_oracle():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
     oracle = residue_by_circle(
         lambda zeta: residue_kernel(zeta, p), 0.0, 1.0 / (4.0 * p.N),
-        QuadratureConfig(tol=1e-12),
+        tol=1e-12,
     )
     assert abs(residue_at_zero(p) - oracle) < 1e-9
 
@@ -154,7 +145,7 @@ def test_residue_imag_against_circle_oracle(k):
     p = DomainPoint(0.5, -0.25, 2.0, 5)
     oracle = residue_by_circle(
         lambda zeta: residue_kernel(zeta, p), 1j * k / p.N, 1.0 / (4.0 * p.N),
-        QuadratureConfig(tol=1e-12),
+        tol=1e-12,
     )
     assert abs(residue_imag_pole(k, p) - oracle) < 1e-9
 
@@ -163,7 +154,7 @@ def test_residue_real_against_circle_oracle():
     p = DomainPoint(0.5, -0.25, 2.0, 5)
     oracle = residue_by_circle(
         lambda zeta: residue_kernel(zeta, p), p.y / p.N, 1.0 / (4.0 * p.N),
-        QuadratureConfig(tol=1e-12),
+        tol=1e-12,
     )
     assert abs(residue_real_pole(1, p) - oracle) < 1e-9
 
