@@ -22,9 +22,7 @@ from .suites import (
     run_suite,
     sweep_rows,
 )
-from .theta import EvalConfig, product_terms, theta1, theta1_reduced, theta2, theta3, theta4
-
-_FUNCTIONS = {"theta1": theta1, "theta2": theta2, "theta3": theta3, "theta4": theta4}
+from .theta import _PRODUCTS, EvalConfig, theta1_reduced
 
 
 def parse_complex(text: str) -> complex:
@@ -51,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a theta function at (z, tau)")
-    ev.add_argument("function", choices=sorted(_FUNCTIONS))
+    ev.add_argument("function", choices=sorted(_PRODUCTS))
     ev.add_argument("--z", required=True, help="complex literal, e.g. 0.5-0.25i")
     ev.add_argument("--tau", required=True, help="complex literal with Im > 0")
     ev.add_argument("--eps", type=float, default=1e-12, help="truncation tolerance")
@@ -95,8 +93,7 @@ def _cmd_eval(args) -> int:
     if args.function == "theta1" and args.reduce:
         value, terms, _ = theta1_reduced(z, tau, cfg)
     else:
-        value = _FUNCTIONS[args.function](z, tau, cfg)
-        terms = product_terms(z, tau, cfg)
+        value, terms = _PRODUCTS[args.function](z, tau, cfg)
     print(f"{format_complex(value)} terms={terms}")
     return 0
 

@@ -45,6 +45,17 @@ def _require_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive, got {tol!r}")
 
 
+def _finite_point(value, name: str) -> complex:
+    value = complex(value)
+    if not _is_finite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _is_finite(value: complex) -> bool:
+    return math.isfinite(value.real) and math.isfinite(value.imag)
+
+
 def rhombus_contour(y: float) -> tuple[complex, ...]:
     """Vertices of the closed rhombus -i -> y -> i -> -y, counterclockwise."""
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
@@ -59,11 +70,12 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
     error estimate (coarse vs refined panel) is below a share of tol, the
     absolute error target.  Returns (value, error estimate); raises
     ConvergenceError if the total estimate still exceeds tol after 16
-    levels of bisection.
+    levels of bisection, or as soon as a panel sum or an estimate is not
+    finite.  DomainError for a non-finite start or end.
     """
     _require_tol(tol)
-    start = complex(start)
-    end = complex(end)
+    start = _finite_point(start, "start")
+    end = _finite_point(end, "end")
 
     def panel(a: complex, b: complex) -> complex:
         mid = 0.5 * (a + b)
@@ -75,6 +87,10 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
         left = panel(a, mid)
         right = panel(mid, b)
         err = abs(left + right - coarse)
+        # err is not finite iff a panel sum is not, and a NaN err would
+        # slip past the final err > tol test
+        if not math.isfinite(err):
+            raise ConvergenceError(f"edge quadrature panel sum is not finite at level {depth}")
         if err <= tol or depth >= _MAX_LEVELS:
             return left + right, err
         lv, le = refine(a, mid, left, depth + 1, 0.5 * tol)
@@ -114,30 +130,48 @@ def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -
     Periodic trapezoid rule with node doubling from 15 nodes; spectrally
     accurate as long as f is analytic in a neighborhood of the circle, so the
     caller must keep radius at most half the distance to the nearest other
-    singularity.  Stops once two successive estimates differ by at most tol;
-    raises ConvergenceError after 16 doublings.
+    singularity.  The rules are nested: node 2j of a doubled rule is node j
+    of the one before, bit for bit, so each doubling evaluates f only at the
+    new odd nodes, and f runs once per node of the last rule.  Stops once
+    two successive estimates differ by at most tol; raises ConvergenceError
+    after 16 doublings, or at the first estimate that is not finite.
+    DomainError for a non-finite center.
     """
     _require_tol(tol)
-    center = complex(center)
+    center = _finite_point(center, "center")
     if not (math.isfinite(radius) and radius > 0.0):
         raise DomainError(f"radius must be a positive finite real, got {radius!r}")
     count = len(_GAUSS_RULE)
+
+    def term(j):
+        # the angle 2 pi j / count is exact under doubling j and count together
+        direction = cmath.exp(2j * math.pi * j / count)
+        return f(center + radius * direction) * direction
+
     previous = None
     gap = math.inf
-    for _ in range(_MAX_LEVELS + 1):
+    for level in range(_MAX_LEVELS + 1):
+        if level:
+            count *= 2
+            doubled = [None] * count
+            doubled[0::2] = terms
+            doubled[1::2] = [term(j) for j in range(1, count, 2)]
+            terms = doubled
+        else:
+            terms = [term(j) for j in range(count)]
         total = 0.0j
-        for j in range(count):
-            direction = cmath.exp(2j * math.pi * j / count)
-            total += f(center + radius * direction) * direction
+        for value in terms:  # in index order, as a single pass would add them
+            total += value
         approx = total * radius / count
+        if not _is_finite(approx):
+            raise ConvergenceError(f"circle quadrature estimate is not finite at {count} nodes")
         if previous is not None:
             gap = abs(approx - previous)
             if gap <= tol:
                 return approx
         previous = approx
-        count *= 2
     raise ConvergenceError(
         f"circle quadrature did not settle below tol={tol:.3e} "
-        f"within {count // 2} nodes",
+        f"within {count} nodes",
         achieved=gap,
     )

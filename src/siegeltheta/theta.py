@@ -233,23 +233,46 @@ def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
     )
 
 
-def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """Third theta function from the triple product."""
+def _theta3_product(z, tau, cfg: EvalConfig):
     try:  # cmath.exp raises on overflow
-        prod, _ = _triple_product(z, tau, cfg or _DEFAULT_CFG, 1.0, -1.0, -1.0)
+        prod, terms = _triple_product(z, tau, cfg, 1.0, -1.0, -1.0)
     except OverflowError:
         raise OverflowError("theta3 product overflowed the binary64 range") from None
-    return _require_finite(prod, "theta3 product")
+    return _require_finite(prod, "theta3 product"), terms
+
+
+def _theta2_product(z, tau, cfg: EvalConfig):
+    value, terms = _theta1_product(_as_complex(z, "z") - 0.5, complex(tau), cfg)
+    # an exact zero keeps its +0 parts, as in theta1
+    return (-value if value else value), terms
+
+
+def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
+    """Third theta function from the triple product."""
+    value, _ = _theta3_product(z, tau, cfg or _DEFAULT_CFG)
+    return value
 
 
 def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta4(z) = theta3(z + 1/2)."""
-    return theta3(_as_complex(z, "z") + 0.5, tau, cfg)
+    value, _ = _theta3_product(_as_complex(z, "z") + 0.5, tau, cfg or _DEFAULT_CFG)
+    return value
 
 
 def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta2(z) = -theta1(z - 1/2)."""
-    return -theta1(_as_complex(z, "z") - 0.5, tau, cfg)
+    value, _ = _theta2_product(z, tau, cfg or _DEFAULT_CFG)
+    return value
+
+
+# each function's (value, product factors used); the count falls short of
+# product_terms when the product stops at an exact zero
+_PRODUCTS = {
+    "theta1": lambda z, tau, cfg: _theta1_product(complex(z), complex(tau), cfg),
+    "theta2": _theta2_product,
+    "theta3": _theta3_product,
+    "theta4": lambda z, tau, cfg: _theta3_product(_as_complex(z, "z") + 0.5, tau, cfg),
+}
 
 
 _S = math.sqrt(0.5)

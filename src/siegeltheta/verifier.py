@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConvergenceError, DomainError, PoleProximityError
 from .theta import inversion_rhs, require_tau, theta1
@@ -90,9 +91,19 @@ class DomainPoint:
     def z(self) -> complex:
         return complex(self.a, self.b)
 
-    @property
+    @cached_property
     def N(self) -> float:
         return self.n + 0.5
+
+    @cached_property
+    def _kernel_constants(self) -> tuple:
+        # residue_kernel's zeta-free factors, each grouped as the kernel's
+        # formula associates it so that hoisting them changes no bit.
+        # cached_property writes the instance __dict__, so ==, hash, repr
+        # and asdict still see the four fields only
+        cap, y = self.N, self.y
+        return (cap, y, _PI * 1j * cap, _PI * cap, -2j * _PI * (cap / y),
+                1.0 - self.z, _TWO_PI * cap, 1e-12 / cap)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +210,31 @@ def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
 # The residue kernel and its closed-form residues
 # ---------------------------------------------------------------------------
 
-def pole_distance(zeta: complex, p: DomainPoint) -> float:
-    """Distance from zeta to the kernel's pole set {ik/N} U {ky/N}, k in Z."""
-    zeta = complex(zeta)
-    cap = p.N
-    k_imag = round(zeta.imag * cap)
+_KERNEL_OVERFLOW = "residue kernel overflowed the binary64 range"
+
+
+def _pole_distance(zeta: complex, cap: float, y: float) -> float:
+    # distance from zeta to {ik/cap} U {ky/cap}, k in Z, through the
+    # nearest index on each axis
+    try:
+        k_imag = round(zeta.imag * cap)
+        k_real = round(zeta.real * cap / y)
+    except (ValueError, OverflowError):  # NaN or infinite index
+        if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+            raise DomainError(f"zeta must be finite, got {zeta!r}") from None
+        raise OverflowError(_KERNEL_OVERFLOW) from None
     d_imag = math.hypot(zeta.real, zeta.imag - k_imag / cap)
-    k_real = round(zeta.real * cap / p.y)
-    d_real = math.hypot(zeta.real - k_real * p.y / cap, zeta.imag)
+    d_real = math.hypot(zeta.real - k_real * y / cap, zeta.imag)
     return min(d_imag, d_real)
+
+
+def pole_distance(zeta: complex, p: DomainPoint) -> float:
+    """Distance from zeta to the kernel's pole set {ik/N} U {ky/N}, k in Z.
+
+    DomainError for a non-finite zeta; OverflowError where zeta is so large
+    that the nearest pole's index leaves the binary64 range.
+    """
+    return _pole_distance(complex(zeta), p.N, p.y)
 
 
 def _cot(w: complex) -> complex:
@@ -230,24 +257,29 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
                / (1-e^(-2 pi i (N/y) zeta))] / zeta
 
     Triple pole at 0, simple poles at ik/N and ky/N for nonzero integer k.
-    Evaluation closer than 1e-12/N to any pole raises PoleProximityError.
+    Evaluation closer than 1e-12/N to any pole raises PoleProximityError, a
+    non-finite zeta DomainError, and a value or intermediate outside the
+    binary64 range OverflowError.  The zeta-free factors are computed once
+    per DomainPoint.
     """
+    cap, y, pi_i_cap, pi_cap, b_scale, one_minus_z, two_pi_cap, guard = p._kernel_constants
     zeta = complex(zeta)
-    if pole_distance(zeta, p) < 1e-12 / p.N:
+    if _pole_distance(zeta, cap, y) < guard:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
-    cap, y, z = p.N, p.y, p.z
-    first = -_cot(_PI * 1j * cap * zeta) * _cot(_PI * cap * zeta / y) / (8.0 * zeta)
-    b = -2j * _PI * (cap / y) * zeta
-    a = (1.0 - z) * b
-    if b.real > 0.0:
-        ratio = -cmath.exp(a - b) / (1.0 - cmath.exp(-b))
-    else:
-        ratio = cmath.exp(a) / (1.0 - cmath.exp(b))
-    second = _inv_one_minus_exp(_TWO_PI * cap * zeta) * ratio / zeta
-    value = first + second
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError("residue kernel overflowed the binary64 range")
-    return value
+    try:
+        first = -_cot(pi_i_cap * zeta) * _cot(pi_cap * zeta / y) / (8.0 * zeta)
+        b = b_scale * zeta
+        a = one_minus_z * b
+        if b.real > 0.0:
+            ratio = -cmath.exp(a - b) / (1.0 - cmath.exp(-b))
+        else:
+            ratio = cmath.exp(a) / (1.0 - cmath.exp(b))
+        value = first + _inv_one_minus_exp(two_pi_cap * zeta) * ratio / zeta
+        if math.isfinite(value.real) and math.isfinite(value.imag):
+            return value
+    except OverflowError:  # cmath.exp raises on overflow
+        pass
+    raise OverflowError(_KERNEL_OVERFLOW) from None
 
 
 def residue_at_zero(p: DomainPoint) -> complex:

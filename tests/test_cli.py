@@ -126,10 +126,27 @@ def test_eval_reduce_takes_the_t_step(capsys):
 
 
 def test_eval_reduce_exact_zero_is_unsigned(capsys):
-    # the S branch returns the product's exact zero, as plain eval does
+    # the S branch returns the product's exact zero, as plain eval does, and
+    # both report the one factor the product used before it hit the zero
     argv = ["eval", "theta1", "--z=0", "--tau=0.3+0.5i"]
     assert run_cli(capsys, *argv, "--reduce") == (0, "0+0i terms=1\n", "")
-    assert run_cli(capsys, *argv) == (0, "0+0i terms=10\n", "")
+    assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
+
+
+def test_eval_theta2_exact_zero_is_unsigned(capsys):
+    # theta2 = -theta1(z - 1/2) must not negate the zero into -0-0i
+    argv = ["eval", "theta2", "--z=0.5", "--tau=0.3+0.5i"]
+    assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
+
+
+def test_eval_terms_counts_factors_used(capsys):
+    # away from a zero every function runs the full a priori length
+    from siegeltheta import product_terms
+
+    for function in ("theta1", "theta2", "theta3", "theta4"):
+        code, out, _ = run_cli(capsys, "eval", function, "--z=0.3+0.1i", "--tau=0.1+0.3i")
+        assert code == 0
+        assert out.split()[1] == f"terms={product_terms(0.3 + 0.1j, 0.1 + 0.3j)}"
 
 
 def test_eval_reduce_requires_theta1(capsys):

@@ -139,6 +139,82 @@ def test_residue_by_circle_shifted_pole(center):
         assert abs(value - 1.0) < 1e-12
 
 
+def _circle_without_reuse(f, center, radius, tol):
+    # every level re-evaluates all of its nodes: the rule before nesting
+    count = 15
+    previous = None
+    for _ in range(17):
+        total = 0.0j
+        for j in range(count):
+            direction = cmath.exp(2j * math.pi * j / count)
+            total += f(center + radius * direction) * direction
+        approx = total * radius / count
+        if previous is not None and abs(approx - previous) <= tol:
+            return approx, count
+        previous = approx
+        count *= 2
+    raise AssertionError("reference rule did not settle")
+
+
+@pytest.mark.parametrize(
+    "f,center,radius,tol",
+    [
+        (lambda w: cmath.exp(w) / (w * w), 0.0, 0.5, 1e-12),
+        (lambda w: 1.0 / (w - (0.3 - 0.2j)) + w**3, 0.3 - 0.2j, 0.25, 1e-10),
+        (lambda w: 1.0 / cmath.sin(w), 0.1j, 2.0, 1e-12),
+        (lambda w: cmath.exp(1j * w) / (w - 2.0) ** 3, 2.0, 0.05, 1e-13),
+    ],
+)
+def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
+    expected, count = _circle_without_reuse(f, center, radius, tol)
+    nodes = []
+
+    def counted(w):
+        nodes.append(w)
+        return f(w)
+
+    assert repr(residue_by_circle(counted, center, radius, tol)) == repr(expected)
+    # once per node of the last rule, every node a distinct point
+    assert len(nodes) == count > 15
+    assert len(set(nodes)) == count
+
+
+def test_edge_quadrature_stops_at_a_non_finite_integrand():
+    for value in (math.nan, math.inf, complex(0.0, -math.inf)):
+        calls = []
+
+        def f(w):
+            calls.append(w)
+            return value
+
+        with pytest.raises(ConvergenceError, match="not finite"):
+            integrate_edge(f, 0.0, 1.0)
+        assert len(calls) == 3 * len(_GAUSS_RULE)  # the first bisection only
+
+
+def test_residue_by_circle_stops_at_a_non_finite_estimate():
+    calls = []
+
+    def f(w):
+        calls.append(w)
+        return math.nan if w.real < 0 else 1.0 / w
+
+    with pytest.raises(ConvergenceError, match="not finite at 15 nodes"):
+        residue_by_circle(f, 0.0, 1.0)
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)])
+def test_quadrature_rejects_non_finite_points(bad):
+    f = lambda w: 1.0 / w
+    with pytest.raises(DomainError, match="start must be finite"):
+        integrate_edge(f, bad, 1.0)
+    with pytest.raises(DomainError, match="end must be finite"):
+        integrate_edge(f, 1.0, bad)
+    with pytest.raises(DomainError, match="center must be finite"):
+        residue_by_circle(f, bad, 0.5)
+
+
 def test_residue_by_circle_rejects_bad_radius():
     with pytest.raises(DomainError):
         residue_by_circle(lambda w: 1.0 / w, 0.0, 0.0)

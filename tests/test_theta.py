@@ -193,6 +193,14 @@ def test_reduced_exact_zero_keeps_positive_parts(z, tau):
     assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
 
 
+@pytest.mark.parametrize("tau", [0.3 + 0.5j, 1j, -0.7 + 2.0j])
+def test_theta2_exact_zero_keeps_positive_parts(tau):
+    # theta2 = -theta1(z - 1/2) negates a nonzero value only
+    value = theta2(0.5, tau)
+    assert value == 0
+    assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
+
+
 def test_reduced_passthrough_is_bit_identical():
     result = theta1_reduced(0.4 + 0.1j, 3j)
     assert not result.reduced

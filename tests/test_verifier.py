@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -119,6 +121,95 @@ def test_kernel_finite_at_generic_points():
     for point in (zeta, -zeta):
         value = residue_kernel(point, p)
         assert math.isfinite(value.real) and math.isfinite(value.imag)
+
+
+def _kernel_as_first_written(zeta, p):
+    # the kernel with every factor recomputed per call, as it was before the
+    # zeta-free factors were hoisted into the DomainPoint
+    from siegeltheta.verifier import _cot, _inv_one_minus_exp
+
+    zeta = complex(zeta)
+    if pole_distance(zeta, p) < 1e-12 / p.N:
+        raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
+    cap, y, z = p.N, p.y, p.z
+    first = -_cot(PI * 1j * cap * zeta) * _cot(PI * cap * zeta / y) / (8.0 * zeta)
+    b = -2j * PI * (cap / y) * zeta
+    a = (1.0 - z) * b
+    if b.real > 0.0:
+        ratio = -cmath.exp(a - b) / (1.0 - cmath.exp(-b))
+    else:
+        ratio = cmath.exp(a) / (1.0 - cmath.exp(b))
+    second = _inv_one_minus_exp(2.0 * PI * cap * zeta) * ratio / zeta
+    return first + second
+
+
+def _kernel_outcome(kernel, zeta, p):
+    try:
+        return repr(kernel(zeta, p))
+    except PoleProximityError:
+        return "pole"
+
+
+def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
+    rng = random.Random(20240611)
+    points = [
+        DomainPoint(rng.uniform(0.05, 0.95), -rng.uniform(0.02, 0.45),
+                    rng.uniform(0.5, 4.0), rng.randint(1, 25))
+        for _ in range(40)
+    ]
+    poles = 0
+    for index in range(2000):
+        p = points[index % len(points)]
+        if index % 4 == 0:  # around a pole, some within the 1e-12/N guard
+            k = rng.randint(-p.n, p.n)
+            pole = 1j * k / p.N if rng.random() < 0.5 else k * p.y / p.N
+            offset = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+            zeta = pole + offset * 10.0 ** rng.uniform(-14.0, -10.0) / p.N
+        else:
+            zeta = complex(rng.uniform(-1.2, 1.2) * p.y, rng.uniform(-1.2, 1.2))
+        expected = _kernel_outcome(_kernel_as_first_written, zeta, p)
+        assert _kernel_outcome(residue_kernel, zeta, p) == expected, (zeta, p)
+        poles += expected == "pole"
+    assert 100 < poles < 500
+
+
+def test_kernel_constants_leave_the_point_unchanged():
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+    before = (repr(p), hash(p), dataclasses.asdict(p))
+    residue_kernel(0.1 + 0.2j, p)
+    assert (repr(p), hash(p), dataclasses.asdict(p)) == before
+    assert p == DomainPoint(0.5, -0.25, 2.0, 3)
+
+
+@pytest.mark.parametrize(
+    "zeta",
+    [complex(math.nan, 0.0), complex(0.1, math.nan), complex(math.inf, 0.0),
+     complex(0.0, -math.inf), complex(-math.inf, math.inf)],
+    ids=repr,
+)
+def test_kernel_rejects_non_finite_zeta(zeta):
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+    with pytest.raises(DomainError, match="zeta must be finite"):
+        residue_kernel(zeta, p)
+    with pytest.raises(DomainError, match="zeta must be finite"):
+        pole_distance(zeta, p)
+
+
+@pytest.mark.parametrize(
+    "zeta",
+    [1e308, -1e308j,  # the nearest pole's index overflows
+     532.3037904003828 + 29.66979061487317j],  # an exponential overflows
+    ids=repr,
+)
+def test_kernel_overflow_is_the_documented_error(zeta):
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+    with pytest.raises(OverflowError, match="^residue kernel overflowed the binary64 range$"):
+        residue_kernel(zeta, p)
+
+
+def test_pole_distance_overflow_is_typed():
+    with pytest.raises(OverflowError, match="binary64"):
+        pole_distance(1e308, DomainPoint(0.5, -0.25, 2.0, 3))
 
 
 def test_residue_zero_against_circle_oracle():
