@@ -139,16 +139,6 @@ def test_eval_theta2_exact_zero_is_unsigned(capsys):
     assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
 
 
-def test_eval_terms_counts_factors_used(capsys):
-    # away from a zero every function runs the full a priori length
-    from siegeltheta import product_terms
-
-    for function in ("theta1", "theta2", "theta3", "theta4"):
-        code, out, _ = run_cli(capsys, "eval", function, "--z=0.3+0.1i", "--tau=0.1+0.3i")
-        assert code == 0
-        assert out.split()[1] == f"terms={product_terms(0.3 + 0.1j, 0.1 + 0.3j)}"
-
-
 def test_eval_reduce_requires_theta1(capsys):
     code, _, err = run_cli(
         capsys, "eval", "theta3", "--z", "0.1", "--tau", "i", "--reduce"
