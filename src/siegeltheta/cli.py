@@ -12,17 +12,8 @@ import argparse
 import sys
 
 from .errors import ConvergenceError, DomainError
-from .suites import (
-    SUITES,
-    SWEEP_TARGETS,
-    format_complex,
-    render_sweep_csv,
-    render_sweep_json,
-    report_json_line,
-    run_suite,
-    sweep_rows,
-)
-from .theta import _PRODUCTS, EvalConfig, theta1_reduced
+# eval loads only theta; verify and sweep import the suites module when they run
+from .theta import _PRODUCTS, SUITES, SWEEP_TARGETS, EvalConfig, format_complex, theta1_reduced
 
 
 def parse_complex(text: str) -> complex:
@@ -99,6 +90,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import report_json_line, run_suite
+
     reports = run_suite(
         args.suite,
         seed=args.seed,
@@ -114,6 +107,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .suites import render_sweep_csv, render_sweep_json, sweep_rows
+
     header, rows = sweep_rows(args.target, args.start, args.stop, args.steps)
     rendered = (
         render_sweep_csv(header, rows)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError
 

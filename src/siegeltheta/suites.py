@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 from .contour import integrate_closed, residue_by_circle, rhombus_contour
 from .errors import DomainError
-from .theta import EvalConfig, product_terms, theta1, theta1_reduced
+from .theta import (
+    SUITES,
+    SWEEP_TARGETS,
+    EvalConfig,
+    format_complex,
+    product_terms,
+    theta1,
+    theta1_reduced,
+)
 from .verifier import (
     EDGES,
     LAMBERT_EPS,
@@ -31,9 +39,6 @@ from .verifier import (
     residue_real_pole,
     transformation_residual,
 )
-
-SUITES = ("eq2", "lemma1", "lemma2", "lemma3", "theorem")
-SWEEP_TARGETS = ("edge_limit", "reduction_gain", "lambert_tail")
 
 DEFAULT_TOLERANCES = {
     "eq2": 1e-10,
@@ -72,12 +77,6 @@ class VerificationReport:
             passed=residual <= tolerance,
             terms_or_nodes=int(terms_or_nodes),
         )
-
-
-def format_complex(value: complex, digits: int = 15) -> str:
-    """Render re+-im i with the given number of significant digits."""
-    value = complex(value)
-    return f"{value.real:.{digits}g}{value.imag:+.{digits}g}i"
 
 
 def _format_float(value: float) -> str:

@@ -19,6 +19,10 @@ integer nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
 (DLMF 20.7.26); then, when the shifted |tau| < 1, the product converges much
 faster at -1/tau, so the law is solved for theta1(z, tau) and evaluated there.
 
+Every theta function has period 2 in z, so the public entries first reduce
+Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
+for a large |Re z|.
+
 All arithmetic is binary64; products are truncated by an a priori
 geometric tail bound controlled through `EvalConfig`.
 """
@@ -27,14 +31,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "EvalConfig",
     "ThetaEval",
+    "format_complex",
     "inversion_rhs",
     "nome",
     "principal_pow",
@@ -52,31 +56,30 @@ _PI = math.pi
 _IPI = 1j * math.pi
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Truncation control for the theta products and series.
+class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
+    """Truncation control for the theta products and series; immutable.
 
     eps: target absolute tolerance for the truncation tail bound.
     max_terms: hard cap on the number of product/series terms.
     """
 
-    eps: float = 1e-12
-    max_terms: int = 5000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise DomainError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
+    def __new__(cls, eps: float = 1e-12, max_terms: int = 5000):
+        if not 0.0 < eps < 1.0:
+            raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+        if max_terms < 1:
+            raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+        return super().__new__(cls, eps, max_terms)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this: validate there too
+        return cls(*iterable)
 
 
 _DEFAULT_CFG = EvalConfig()
 
-
-class ThetaEval(NamedTuple):
-    value: complex
-    terms_used: int
-    reduced: bool
+ThetaEval = namedtuple("ThetaEval", "value terms_used reduced")
 
 
 def _as_complex(value, name: str) -> complex:
@@ -84,6 +87,20 @@ def _as_complex(value, name: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _as_z(z) -> complex:
+    """_as_complex(z, "z") with Re z reduced exactly into (-2, 2).
+
+    Every theta function has period 2 in z.  fmod is exact, and it is the
+    identity below 2, so only a large |Re z| changes.  The check is inlined,
+    as this runs once per evaluation.
+    """
+    z = complex(z)
+    x = z.real
+    if not (math.isfinite(x) and math.isfinite(z.imag)):
+        raise DomainError(f"z must be finite, got {z!r}")
+    return complex(math.fmod(x, 2.0), z.imag) if abs(x) >= 2.0 else z
 
 
 def _require_finite(value: complex, what: str) -> complex:
@@ -141,7 +158,8 @@ def _product_length(log_abs_q: float, log_abs_w: float, cfg: EvalConfig) -> int:
     target = math.log(cfg.eps) - log_c
     # compared before ceil, which fails on the inf a subnormal Im tau gives
     length = target / log_q2
-    if length > cfg.max_terms:
+    # NaN, from a huge Im z whose log|w| overflows, fails this test too
+    if not length <= cfg.max_terms:
         achieved = math.exp(min(700.0, cfg.max_terms * log_q2 + log_c))
         raise ConvergenceError(
             f"product tail bound {achieved:.3e} > eps={cfg.eps:.3e} "
@@ -162,10 +180,10 @@ def product_terms(z, tau, cfg: EvalConfig | None = None) -> int:
 def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: float):
     """Truncated prod (1-q^(2n)) (1 + sign w^2 q^(2n+lead)) (1 + sign w^-2 q^(2n+trail))
     over n >= 1 and its length; an exactly zero factor (z on the zero
-    lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3."""
-    terms = product_terms(z, tau, cfg)
-    z = complex(z)
-    tau = complex(tau)
+    lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3.  z is a
+    finite complex already (from _as_z, or checked by _require_finite)."""
+    tau = require_tau(tau)
+    terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
     two_z = 2.0 * z
     prod = 1.0 + 0.0j
     for n in range(1, terms + 1):
@@ -192,7 +210,7 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
 
 def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
     """First theta function, odd in z, from its product representation."""
-    value, _ = _theta1_product(complex(z), complex(tau), cfg or _DEFAULT_CFG)
+    value, _ = _theta1_product(_as_z(z), complex(tau), cfg or _DEFAULT_CFG)
     return value
 
 
@@ -207,7 +225,7 @@ def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
     """
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
-    z = _as_complex(z, "z")
+    z = _as_z(z)
     log_q = -_PI * tau.imag
     log_growth = 2.0 * _PI * abs(z.imag)
     log_eps = math.log(cfg.eps)
@@ -242,20 +260,20 @@ def _theta3_product(z, tau, cfg: EvalConfig):
 
 
 def _theta2_product(z, tau, cfg: EvalConfig):
-    value, terms = _theta1_product(_as_complex(z, "z") - 0.5, complex(tau), cfg)
+    value, terms = _theta1_product(_as_z(z) - 0.5, complex(tau), cfg)
     # an exact zero keeps its +0 parts, as in theta1
     return (-value if value else value), terms
 
 
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Third theta function from the triple product."""
-    value, _ = _theta3_product(z, tau, cfg or _DEFAULT_CFG)
+    value, _ = _theta3_product(_as_z(z), tau, cfg or _DEFAULT_CFG)
     return value
 
 
 def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta4(z) = theta3(z + 1/2)."""
-    value, _ = _theta3_product(_as_complex(z, "z") + 0.5, tau, cfg or _DEFAULT_CFG)
+    value, _ = _theta3_product(_as_z(z) + 0.5, tau, cfg or _DEFAULT_CFG)
     return value
 
 
@@ -265,14 +283,26 @@ def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     return value
 
 
-# each function's (value, product factors used); the count falls short of
+# each function's (value, product factors used) at a caller's (z, tau), with
+# Re z reduced before any half-period shift; the count falls short of
 # product_terms when the product stops at an exact zero
 _PRODUCTS = {
-    "theta1": lambda z, tau, cfg: _theta1_product(complex(z), complex(tau), cfg),
+    "theta1": lambda z, tau, cfg: _theta1_product(_as_z(z), complex(tau), cfg),
     "theta2": _theta2_product,
-    "theta3": _theta3_product,
-    "theta4": lambda z, tau, cfg: _theta3_product(_as_complex(z, "z") + 0.5, tau, cfg),
+    "theta3": lambda z, tau, cfg: _theta3_product(_as_z(z), tau, cfg),
+    "theta4": lambda z, tau, cfg: _theta3_product(_as_z(z) + 0.5, tau, cfg),
 }
+
+# the CLI's verify and sweep choices, kept here with its eval choices so that
+# its parser loads no other module; suites imports them from here
+SUITES = ("eq2", "lemma1", "lemma2", "lemma3", "theorem")
+SWEEP_TARGETS = ("edge_limit", "reduction_gain", "lambert_tail")
+
+
+def format_complex(value: complex, digits: int = 15) -> str:
+    """Render re+-im i with the given number of significant digits."""
+    value = complex(value)
+    return f"{value.real:.{digits}g}{value.imag:+.{digits}g}i"
 
 
 _S = math.sqrt(0.5)
@@ -310,7 +340,7 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     """
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
-    z = _as_complex(z, "z")
+    z = _as_z(z)
     shift = round(tau.real)
     tau = complex(tau.real - shift, tau.imag)  # exact; keeps a -0.0 real part
     if abs(tau) >= 1.0:

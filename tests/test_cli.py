@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from siegeltheta import DomainError, theta1, theta1_reduced, EvalConfig
+from siegeltheta import (
+    DomainError, EvalConfig, format_complex, theta1, theta1_reduced, theta2, theta3,
+)
 from siegeltheta.cli import main, parse_complex
 
 
@@ -114,6 +116,40 @@ def test_eval_overflow_exits_3(capsys, argv):
     assert err.startswith("error: ")
     assert "binary64" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["theta1", "--z=1e17"], 0j),
+        (["theta1", "--z=1e308"], 0j),
+        (["theta1", "--z=-1e308", "--reduce"], 0j),
+        (["theta3", "--z=1e300"], theta3(0.0, 1j)),
+        (["theta2", "--z=4503599627370497"], theta2(1.0, 1j)),
+    ],
+)
+def test_eval_large_re_z_prints_the_reduced_value(capsys, argv, value):
+    # Re z is reduced exactly by the period 2; pi z used to lose every digit
+    # (wrong values, exit 0) or raise a math domain error (exit 1)
+    code, out, err = run_cli(capsys, "eval", *argv, "--tau=i")
+    assert (code, err) == (0, "")
+    assert out.startswith(format_complex(value) + " terms=")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta1", "--z=1e308i"],
+        ["theta3", "--z=1e308+1e308i"],
+        ["theta1", "--z=-1e308i", "--reduce"],
+    ],
+)
+def test_eval_huge_im_z_exits_3(capsys, argv):
+    # was a raw "cannot convert float NaN to integer" with exit 1
+    code, out, err = run_cli(capsys, "eval", *argv, "--tau=i")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: product tail bound")
 
 
 def test_eval_reduce_takes_the_t_step(capsys):
@@ -236,6 +272,14 @@ def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+# what the eval path must not import: the proof-replay harness and the stdlib
+# modules only it uses
+_NOT_ON_THE_EVAL_PATH = (
+    "siegeltheta.suites", "siegeltheta.verifier", "siegeltheta.contour",
+    "json", "dataclasses", "inspect", "typing", "random",
+)
+
+
 def test_cli_import_loads_no_thread_pool_or_numpy():
     probe = (
         "import sys, siegeltheta.cli; "
@@ -247,6 +291,21 @@ def test_cli_import_loads_no_thread_pool_or_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+    # -S: the interpreter's site step loads typing and random on its own
+    # here (a .pth file), which would hide what eval itself imports
+    probe = (
+        "import sys\n"
+        "from siegeltheta.cli import main\n"
+        "codes = [main(['eval', 'theta1', '--z=0.3', '--tau=0.01i', *extra])\n"
+        "         for extra in ([], ['--reduce'])]\n"
+        f"print(codes, [m for m in {_NOT_ON_THE_EVAL_PATH!r} if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_verify_failing_tolerance_exits_1(capsys):

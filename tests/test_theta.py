@@ -8,6 +8,7 @@ from siegeltheta import (
     ConvergenceError,
     DomainError,
     EvalConfig,
+    ThetaEval,
     inversion_rhs,
     nome,
     principal_pow,
@@ -20,6 +21,7 @@ from siegeltheta import (
     theta4,
 )
 from siegeltheta.suites import sample_grid
+from siegeltheta.theta import _theta1_product, _theta3_product
 
 # independently computed with a 40-digit reference implementation
 THETA1_HALF_I = 0.9135791381561168
@@ -184,6 +186,68 @@ def test_tiny_im_tau_is_a_convergence_error():
         theta1(0.3, 1e-320j)
 
 
+@pytest.mark.parametrize("z", [1e308j, 1e308 + 1e308j, 0.3 - 1e308j])
+@pytest.mark.parametrize(
+    "func", [theta1, theta2, theta3, theta4, theta1_reduced, product_terms]
+)
+def test_huge_im_z_is_a_convergence_error(func, z):
+    # 2 log|w| overflows to -inf and the term count to NaN, which compares
+    # False with the cap; it used to reach ceil() as a raw ValueError
+    with pytest.raises(ConvergenceError):
+        func(z, 1j)
+
+
+def _jtheta(n, z, tau):
+    # DLMF 20.2: theta_n(z | tau) = jtheta(n, pi z, e^(i pi tau)); the
+    # precision covers the integer part of pi z and 30 digits after it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30 + len(str(int(abs(complex(z).real))))):
+        z = mpmath.mpc(z.real, z.imag) if isinstance(z, complex) else mpmath.mpf(z)
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        return complex(mpmath.jtheta(n, mpmath.pi * z, q))
+
+
+@pytest.mark.parametrize(
+    "func, n, z",
+    [
+        (theta1, 1, 1e17),  # an even integer: theta1 = 0
+        (theta3, 3, 1e300),  # even: theta3(0, i)
+        (theta2, 2, 4503599627370497.0),  # 2^52 + 1, odd: -theta2(0, i)
+        (theta1, 1, 1e308),  # pi z overflowed to a math domain error
+    ],
+)
+def test_large_re_z_matches_mpmath(func, n, z):
+    want = _jtheta(n, z, 1j)
+    assert abs(func(z, 1j) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("z", [1e17 - 0.2j, 4503599627370497.0 + 0.25j, -2.5 + 0.1j, -1e300])
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.9 + 0.2j])
+def test_every_entry_reduces_re_z(z, tau):
+    # the plain products and theta1_reduced's S and T branches alike; |Re tau|
+    # stays below 1, where mpmath's principal q^(1/4) is e^(i pi tau/4)
+    for n, got in [
+        (1, theta1(z, tau)),
+        (1, theta1_reduced(z, tau).value),
+        (1, theta1_series(z, tau)),
+        (2, theta2(z, tau)),
+        (3, theta3(z, tau)),
+        (4, theta4(z, tau)),
+    ]:
+        want = _jtheta(n, z, tau)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), n
+
+
+def test_re_z_reduction_is_the_identity_below_2():
+    tau, cfg = 0.1 + 1.2j, EvalConfig()
+    for z in (1.999999 + 0.1j, -1.75 - 0.3j, 0.3 + 0.1j):
+        assert theta1(z, tau) == _theta1_product(z, tau, cfg)[0]
+        # reduced before the half-period shift, not after it
+        assert theta4(z, tau) == _theta3_product(z + 0.5, tau, cfg)[0]
+    # exact: 2^53 + 2 and 2 are one period apart, both reduce to 0
+    assert theta2(2.0**53 + 2.0, 1j) == theta2(0.0, 1j)
+
+
 @pytest.mark.parametrize("z, tau", [(0, 0.3 + 0.5j), (0, 2.3 + 0.5j), (1, 0.3 + 0.5j), (0, 0.2 + 1.5j)])
 def test_reduced_exact_zero_keeps_positive_parts(z, tau):
     # the S branch, with and without a T step, and the product branch all
@@ -275,12 +339,49 @@ def test_reduction_consistency_small_imaginary_axis():
 
 
 def test_eval_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^eps must lie in \(0, 1\), got 0\.0$"):
         EvalConfig(eps=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^eps must lie in \(0, 1\), got 1\.5$"):
         EvalConfig(eps=1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^eps must lie in \(0, 1\), got nan$"):
+        EvalConfig(float("nan"))
+    with pytest.raises(DomainError, match=r"^max_terms must be >= 1, got 0$"):
         EvalConfig(max_terms=0)
+    # _replace builds a new config, which is validated the same way
+    with pytest.raises(DomainError, match=r"^max_terms must be >= 1, got -1$"):
+        EvalConfig()._replace(max_terms=-1)
+
+
+def test_eval_config_is_an_immutable_value():
+    cfg = EvalConfig()
+    assert repr(cfg) == "EvalConfig(eps=1e-12, max_terms=5000)"
+    assert cfg == EvalConfig(1e-12, 5000) == EvalConfig(max_terms=5000, eps=1e-12)
+    assert cfg != EvalConfig(eps=1e-6)
+    assert hash(cfg) == hash(EvalConfig())
+    assert len({cfg, EvalConfig(), EvalConfig(eps=1e-6)}) == 2
+    assert cfg._replace(eps=1e-6) == EvalConfig(eps=1e-6)
+    eps, max_terms = cfg
+    assert EvalConfig._fields == ("eps", "max_terms")
+    assert (eps, max_terms) == (cfg.eps, cfg.max_terms) == (1e-12, 5000)
+    with pytest.raises(AttributeError):
+        cfg.eps = 1e-6
+    with pytest.raises(AttributeError):
+        cfg.tolerance = 1e-6
+    assert cfg == EvalConfig()
+
+
+def test_theta_eval_is_an_immutable_record():
+    result = theta1_reduced(0.3, 0.01j)
+    value, terms, reduced = result
+    assert ThetaEval._fields == ("value", "terms_used", "reduced")
+    assert (result.value, result.terms_used, result.reduced) == (value, terms, reduced)
+    assert result == ThetaEval(value, terms, True)
+    assert hash(result) == hash(ThetaEval(value, terms, True))
+    assert repr(ThetaEval(1 + 0j, 4, False)) == (
+        "ThetaEval(value=(1+0j), terms_used=4, reduced=False)"
+    )
+    with pytest.raises(AttributeError):
+        result.value = 0j
 
 
 def test_nonconvergence_carries_bound():
