@@ -291,8 +291,8 @@ def test_cli_import_loads_no_thread_pool_or_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
-    # -S: the interpreter's site step loads typing and random on its own
-    # here (a .pth file), which would hide what eval itself imports
+    # -S: a .pth file in site-packages can load typing and random on its
+    # own, which would hide what eval itself imports
     probe = (
         "import sys\n"
         "from siegeltheta.cli import main\n"
