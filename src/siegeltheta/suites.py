@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .contour import integrate_closed, residue_by_circle, rhombus_contour
 from .errors import DomainError
@@ -40,43 +39,25 @@ from .verifier import (
     transformation_residual,
 )
 
-DEFAULT_TOLERANCES = {
-    "eq2": 1e-10,
-    "lemma1": 1e-10,
-    "lemma2": 1e-8,
-    "lemma3": 1e-6,
-    "theorem": 1e-9,
-}
-DEFAULT_COUNTS = {"eq2": 25, "lemma1": 10, "theorem": 10}
-DEFAULT_N = {"lemma2": 3, "lemma3": 10}
-
 # canonical evaluation points for the fixed-point checks
 LEMMA2_POINT = (0.5, -0.25, 2.0)
 LEMMA3_POINT = (0.5, -0.25, 1.5)
 
+# wall_ms stays 0 unless run_suite is asked for timing
+VerificationReport = namedtuple(
+    "VerificationReport",
+    "check_name parameters residual tolerance passed terms_or_nodes wall_ms",
+    defaults=(0.0,),
+)
 
-@dataclass(frozen=True)
-class VerificationReport:
-    check_name: str
-    parameters: dict
-    residual: float
-    tolerance: float
-    passed: bool
-    terms_or_nodes: int
-    wall_ms: float = 0.0
 
-    @classmethod
-    def build(cls, check_name, parameters, residual, tolerance, terms_or_nodes):
-        residual = float(residual)
-        tolerance = float(tolerance)
-        return cls(
-            check_name=check_name,
-            parameters=dict(parameters),
-            residual=residual,
-            tolerance=tolerance,
-            passed=residual <= tolerance,
-            terms_or_nodes=int(terms_or_nodes),
-        )
+def _report(check_name, parameters, residual, tolerance, terms_or_nodes) -> VerificationReport:
+    residual = float(residual)
+    tolerance = float(tolerance)
+    return VerificationReport(
+        check_name, dict(parameters), residual, tolerance, residual <= tolerance,
+        int(terms_or_nodes),
+    )
 
 
 def _format_float(value: float) -> str:
@@ -103,7 +84,7 @@ def _to_json(value) -> str:
 
 def report_json_line(report: VerificationReport) -> str:
     """One report as a single JSON line."""
-    return _to_json(dataclasses.asdict(report))
+    return _to_json(report._asdict())
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +102,8 @@ def sample_grid(count: int, seed: int) -> list[tuple[complex, complex]]:
     return grid
 
 
-def sample_domain_points(count: int, seed: int, n: int = 1) -> list[DomainPoint]:
-    """Seeded DomainPoints kept away from the slow-convergence boundary."""
+def sample_domain_points(count: int, seed: int) -> list[DomainPoint]:
+    """Seeded DomainPoints (n = 1) kept away from the slow-convergence boundary."""
     rng = random.Random(seed)
     points = []
     for _ in range(count):
@@ -131,23 +112,19 @@ def sample_domain_points(count: int, seed: int, n: int = 1) -> list[DomainPoint]
                 a=rng.uniform(0.3, 0.7),
                 b=-rng.uniform(0.15, 0.35),
                 y=rng.uniform(1.2, 2.5),
-                n=n,
             )
         )
     return points
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: each generator takes (seed, size, tol), size being a point count or
+# the truncation index n
 # ---------------------------------------------------------------------------
-
-def _point_params(p: DomainPoint) -> dict:
-    return {"a": p.a, "b": p.b, "y": p.y, "n": p.n}
-
 
 def _suite_eq2(seed, count, tol):
     for index, (z, tau) in enumerate(sample_grid(count, seed)):
-        yield VerificationReport.build(
+        yield _report(
             "eq2_inversion_law",
             {"index": index, "z": format_complex(z), "tau": format_complex(tau)},
             transformation_residual(z, tau),
@@ -159,16 +136,14 @@ def _suite_eq2(seed, count, tol):
 def _suite_lemma1(seed, count, tol):
     for index, p in enumerate(sample_domain_points(count, seed)):
         residual = abs(inversion_log_ratio(p) - inversion_log_ratio_lambert(p))
-        params = {"index": index, **_point_params(p)}
-        yield VerificationReport.build(
-            "lemma1_log_series_equivalence", params, residual, tol, lambert_terms(p)
-        )
+        params = {"index": index, **p._asdict()}
+        yield _report("lemma1_log_series_equivalence", params, residual, tol, lambert_terms(p))
 
 
-def _suite_lemma2(n, tol):
+def _suite_lemma2(seed, n, tol):
     a, b, y = LEMMA2_POINT
     p = DomainPoint(a, b, y, n)
-    params = _point_params(p)
+    params = p._asdict()
     radius = 1.0 / (4.0 * p.N)
     calls = 0
 
@@ -184,18 +159,16 @@ def _suite_lemma2(n, tol):
 
     breakdown = ResidueBreakdown.compute(p)
     residual = abs(breakdown.total_times_2pi_i - closed_residue_sum(p))
-    yield VerificationReport.build(
-        "lemma2_breakdown_vs_closed_sum", params, residual, tol, 4 * n + 1
-    )
+    yield _report("lemma2_breakdown_vs_closed_sum", params, residual, tol, 4 * n + 1)
 
     oracle, nodes = by_circle(0.0)
-    yield VerificationReport.build(
+    yield _report(
         "lemma2_residue_zero_vs_circle", params, abs(residue_at_zero(p) - oracle), tol, nodes
     )
 
     for k in [k for k in range(-min(n, 2), min(n, 2) + 1) if k != 0]:
         oracle, nodes = by_circle(1j * k / p.N)
-        yield VerificationReport.build(
+        yield _report(
             "lemma2_residue_imag_vs_circle",
             {"k": k, **params},
             abs(residue_imag_pole(k, p) - oracle),
@@ -203,7 +176,7 @@ def _suite_lemma2(n, tol):
             nodes,
         )
         oracle, nodes = by_circle(k * p.y / p.N)
-        yield VerificationReport.build(
+        yield _report(
             "lemma2_residue_real_vs_circle",
             {"k": k, **params},
             abs(residue_real_pole(k, p) - oracle),
@@ -213,7 +186,7 @@ def _suite_lemma2(n, tol):
 
     calls = 0
     value, _ = integrate_closed(kernel, rhombus_contour(p.y), tol=1e-10)
-    yield VerificationReport.build(
+    yield _report(
         "lemma2_residue_theorem_contour", params, abs(value - closed_residue_sum(p)), tol, calls
     )
 
@@ -224,27 +197,35 @@ def _suite_lemma2(n, tol):
         - 0.5j * math.pi
     )
     residual = abs(closed_residue_sum(deep) - limit)
-    yield VerificationReport.build(
-        "lemma2_partial_sum_limit", _point_params(deep), residual, tol, deep.n
-    )
+    yield _report("lemma2_partial_sum_limit", deep._asdict(), residual, tol, deep.n)
 
 
-def _suite_lemma3(n, tol):
+def _suite_lemma3(seed, n, tol):
     a, b, y = LEMMA3_POINT
     p = DomainPoint(a, b, y, n)
     for edge in EDGES:
         residual = edge_limit_residual(edge, 0.5, p)
-        params = {"edge": edge, "t": 0.5, **_point_params(p)}
-        yield VerificationReport.build("lemma3_edge_limit", params, residual, tol, n)
+        params = {"edge": edge, "t": 0.5, **p._asdict()}
+        yield _report("lemma3_edge_limit", params, residual, tol, n)
 
 
 def _suite_theorem(seed, count, tol):
     for index, p in enumerate(sample_domain_points(count, seed)):
-        params = {"index": index, **_point_params(p)}
-        yield VerificationReport.build(
-            "theorem_log_identity", params, log_identity_residual(p), tol,
-            lambert_terms(p),
+        params = {"index": index, **p._asdict()}
+        yield _report(
+            "theorem_log_identity", params, log_identity_residual(p), tol, lambert_terms(p)
         )
+
+
+# name -> (generator, default tol, default size, whether --count (else --n)
+# sets the size); in the order of theta.SUITES
+_SUITES = {
+    "eq2": (_suite_eq2, 1e-10, 25, True),
+    "lemma1": (_suite_lemma1, 1e-10, 10, True),
+    "lemma2": (_suite_lemma2, 1e-8, 3, False),
+    "lemma3": (_suite_lemma3, 1e-6, 10, False),
+    "theorem": (_suite_theorem, 1e-9, 10, True),
+}
 
 
 def run_suite(
@@ -274,26 +255,21 @@ def run_suite(
     if suite == "all":
         reports = []
         for name in SUITES:
+            # through the module global, with the name first: a caller may
+            # wrap run_suite and see each suite's own call
             reports.extend(run_suite(name, seed=seed, count=count, tol=tol, n=n, timing=timing))
         return reports
-    tol = DEFAULT_TOLERANCES[suite] if tol is None else tol
-    count = DEFAULT_COUNTS.get(suite) if count is None else count
-    if suite == "eq2":
-        reports = _suite_eq2(seed, count, tol)
-    elif suite == "lemma1":
-        reports = _suite_lemma1(seed, count, tol)
-    elif suite == "lemma2":
-        reports = _suite_lemma2(n or DEFAULT_N["lemma2"], tol)
-    elif suite == "lemma3":
-        reports = _suite_lemma3(n or DEFAULT_N["lemma3"], tol)
-    else:
-        reports = _suite_theorem(seed, count, tol)
+    generate, default_tol, default_size, sized_by_count = _SUITES[suite]
+    size = count if sized_by_count else n
+    reports = generate(
+        seed, default_size if size is None else size, default_tol if tol is None else tol
+    )
     if not timing:
         return list(reports)
     timed = []
     started = time.perf_counter()
     for report in reports:
-        timed.append(dataclasses.replace(report, wall_ms=(time.perf_counter() - started) * 1e3))
+        timed.append(report._replace(wall_ms=(time.perf_counter() - started) * 1e3))
         started = time.perf_counter()
     return timed
 

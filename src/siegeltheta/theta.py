@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError
@@ -54,6 +55,7 @@ __all__ = [
 
 _PI = math.pi
 _IPI = 1j * math.pi
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
@@ -101,6 +103,11 @@ def _as_z(z) -> complex:
     if not (math.isfinite(x) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got {z!r}")
     return complex(math.fmod(x, 2.0), z.imag) if abs(x) >= 2.0 else z
+
+
+def _bound_from_log(log_bound: float) -> float:
+    # a tail bound from its log: inf past the binary64 range, and for NaN
+    return math.exp(log_bound) if log_bound <= _LOG_MAX else math.inf
 
 
 def _require_finite(value: complex, what: str) -> complex:
@@ -160,7 +167,7 @@ def _product_length(log_abs_q: float, log_abs_w: float, cfg: EvalConfig) -> int:
     length = target / log_q2
     # NaN, from a huge Im z whose log|w| overflows, fails this test too
     if not length <= cfg.max_terms:
-        achieved = math.exp(min(700.0, cfg.max_terms * log_q2 + log_c))
+        achieved = _bound_from_log(cfg.max_terms * log_q2 + log_c)
         raise ConvergenceError(
             f"product tail bound {achieved:.3e} > eps={cfg.eps:.3e} "
             f"at max_terms={cfg.max_terms}",
@@ -229,26 +236,32 @@ def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
     log_q = -_PI * tau.imag
     log_growth = 2.0 * _PI * abs(z.imag)
     log_eps = math.log(cfg.eps)
+    unconverged = (f"series tail bound not below eps={cfg.eps:.3e} within "
+                   f"max_terms={cfg.max_terms}")
+    # the ratio bound below falls with n; not negative at the last term, it
+    # leaves every tail bound infinite
+    if not (2 * cfg.max_terms + 2) * log_q + log_growth < 0.0:
+        raise ConvergenceError(unconverged, achieved=math.inf)
     total = 0.0j
     sign = 1.0
-    for n in range(cfg.max_terms):
-        half = n + 0.5
-        total += 2.0 * sign * cmath.exp(_IPI * tau * half * half) * cmath.sin(
-            (2 * n + 1) * _PI * z
-        )
-        sign = -sign
-        # bound on term n+1 and on the ratio of successive term bounds
-        log_next = math.log(2.0) + (half + 1.0) ** 2 * log_q + (2 * n + 3) * _PI * abs(z.imag)
-        log_ratio = (2 * n + 4) * log_q + log_growth
-        if log_ratio < 0.0:
-            log_tail = log_next - math.log1p(-math.exp(log_ratio))
-            if log_tail < log_eps:
-                return _require_finite(total, "theta1 series")
-    raise ConvergenceError(
-        f"series tail bound not below eps={cfg.eps:.3e} within "
-        f"max_terms={cfg.max_terms}",
-        achieved=math.exp(min(700.0, log_next)),
-    )
+    try:  # cmath.sin and cmath.exp raise on overflow
+        for n in range(cfg.max_terms):
+            half = n + 0.5
+            total += 2.0 * sign * cmath.exp(_IPI * tau * half * half) * cmath.sin(
+                (2 * n + 1) * _PI * z
+            )
+            sign = -sign
+            # bound on term n+1 and on the ratio of successive term bounds
+            log_next = (math.log(2.0) + (half + 1.0) ** 2 * log_q
+                        + (2 * n + 3) * _PI * abs(z.imag))
+            log_ratio = (2 * n + 4) * log_q + log_growth
+            if log_ratio < 0.0:
+                log_tail = log_next - math.log1p(-math.exp(log_ratio))
+                if log_tail < log_eps:
+                    return _require_finite(total, "theta1 series")
+    except OverflowError:
+        raise OverflowError("theta1 series overflowed the binary64 range") from None
+    raise ConvergenceError(unconverged, achieved=_bound_from_log(log_next))
 
 
 def _theta3_product(z, tau, cfg: EvalConfig):
@@ -299,10 +312,10 @@ SUITES = ("eq2", "lemma1", "lemma2", "lemma3", "theorem")
 SWEEP_TARGETS = ("edge_limit", "reduction_gain", "lambert_tail")
 
 
-def format_complex(value: complex, digits: int = 15) -> str:
-    """Render re+-im i with the given number of significant digits."""
+def format_complex(value: complex) -> str:
+    """Render re+-im i with 15 significant digits."""
     value = complex(value)
-    return f"{value.real:.{digits}g}{value.imag:+.{digits}g}i"
+    return f"{value.real:.15g}{value.imag:+.15g}i"
 
 
 _S = math.sqrt(0.5)

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
+from .contour import rhombus_contour
 from .errors import ConvergenceError, DomainError, PoleProximityError
 from .theta import inversion_rhs, require_tau, theta1
 
@@ -59,33 +60,34 @@ _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class DomainPoint:
+class DomainPoint(namedtuple("DomainPoint", "a b y n")):
     """Evaluation point (z = a + ib, tau = iy) with truncation index n.
 
     The constraints b < 0 < a < 1 and y > |b| make every series involved
     converge; N = n + 1/2 places the kernel's poles strictly off the
-    half-integer lattice used by the contour.
+    half-integer lattice used by the contour.  Immutable, and validated on
+    every construction, _replace included.
     """
 
-    a: float
-    b: float
-    y: float
-    n: int = 1
+    # no __slots__: the cached properties below need an instance __dict__
 
-    def __post_init__(self):
-        for name in ("a", "b", "y"):
-            value = getattr(self, name)
+    def __new__(cls, a: float, b: float, y: float, n: int = 1):
+        for name, value in (("a", a), ("b", b), ("y", y)):
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise DomainError(f"{name} must be a finite real, got {value!r}")
-        if not self.b < 0.0:
-            raise DomainError(f"b must be negative, got {self.b!r}")
-        if not 0.0 < self.a < 1.0:
-            raise DomainError(f"a must lie in (0, 1), got {self.a!r}")
-        if not self.y > abs(self.b):
-            raise DomainError(f"y must exceed |b|, got y={self.y!r}, b={self.b!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        if not b < 0.0:
+            raise DomainError(f"b must be negative, got {b!r}")
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"a must lie in (0, 1), got {a!r}")
+        if not y > abs(b):
+            raise DomainError(f"y must exceed |b|, got y={y!r}, b={b!r}")
+        if not (isinstance(n, int) and n >= 1):
+            raise DomainError(f"n must be a positive integer, got {n!r}")
+        return super().__new__(cls, a, b, y, n)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through this: validate there too
+        return cls(*iterable)
 
     @property
     def z(self) -> complex:
@@ -100,7 +102,7 @@ class DomainPoint:
         # residue_kernel's zeta-free factors, each grouped as the kernel's
         # formula associates it so that hoisting them changes no bit.
         # cached_property writes the instance __dict__, so ==, hash, repr
-        # and asdict still see the four fields only
+        # and _asdict still see the four fields only
         cap, y = self.N, self.y
         return (cap, y, _PI * 1j * cap, _PI * cap, -2j * _PI * (cap / y),
                 1.0 - self.z, _TWO_PI * cap, 1e-12 / cap)
@@ -319,14 +321,13 @@ def residue_real_pole(k: int, p: DomainPoint) -> complex:
     return first + second
 
 
-@dataclass(frozen=True)
-class ResidueBreakdown:
-    """All residues enclosed by the rhombus for a given n, plus their total."""
+class ResidueBreakdown(
+    namedtuple("ResidueBreakdown", "at_zero at_imag at_real total_times_2pi_i")
+):
+    """All residues enclosed by the rhombus for a given n, plus their total;
+    at_imag and at_real are tuples of (k, residue) pairs."""
 
-    at_zero: complex
-    at_imag: tuple[tuple[int, complex], ...]
-    at_real: tuple[tuple[int, complex], ...]
-    total_times_2pi_i: complex
+    __slots__ = ()
 
     @classmethod
     def compute(cls, p: DomainPoint) -> "ResidueBreakdown":
@@ -355,28 +356,26 @@ def closed_residue_sum(p: DomainPoint) -> complex:
 
 EDGES = ("E1", "E2", "E3", "E4")
 
-_EDGE_TARGET = {"E1": -0.125, "E2": 0.125, "E3": -0.125, "E4": 0.125}
+def _edge_index(edge: str) -> int:
+    try:
+        return EDGES.index(edge)
+    except ValueError:
+        raise DomainError(f"unknown edge {edge!r}; expected one of {EDGES}") from None
 
 
 def edge_endpoints(edge: str, y: float) -> tuple[complex, complex]:
-    """Start and end of a named rhombus edge: E1 (-i,y), E2 (y,i), E3 (i,-y), E4 (-y,-i)."""
-    if edge == "E1":
-        return -1j, complex(y)
-    if edge == "E2":
-        return complex(y), 1j
-    if edge == "E3":
-        return 1j, complex(-y)
-    if edge == "E4":
-        return complex(-y), -1j
-    raise DomainError(f"unknown edge {edge!r}; expected one of {EDGES}")
+    """Start and end of a named rhombus edge: E1 (-i,y), E2 (y,i), E3 (i,-y), E4 (-y,-i).
+
+    Edge E(k+1) runs from vertex k of `rhombus_contour(y)` to the next one.
+    """
+    k = _edge_index(edge)
+    vertices = rhombus_contour(y)
+    return vertices[k], vertices[(k + 1) % len(vertices)]
 
 
 def edge_limit_target(edge: str) -> float:
     """Limit of zeta * kernel(zeta) on the named edge: +1/8 on E2/E4, -1/8 on E1/E3."""
-    try:
-        return _EDGE_TARGET[edge]
-    except KeyError:
-        raise DomainError(f"unknown edge {edge!r}; expected one of {EDGES}") from None
+    return 0.125 if _edge_index(edge) % 2 else -0.125
 
 
 def edge_limit_value(edge: str, t: float, p: DomainPoint) -> complex:

@@ -9,7 +9,9 @@ import pytest
 from siegeltheta import (
     DomainError, EvalConfig, format_complex, theta1, theta1_reduced, theta2, theta3,
 )
+from siegeltheta import suites
 from siegeltheta.cli import main, parse_complex
+from siegeltheta.theta import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -142,14 +144,16 @@ def test_eval_large_re_z_prints_the_reduced_value(capsys, argv, value):
         ["theta1", "--z=1e308i"],
         ["theta3", "--z=1e308+1e308i"],
         ["theta1", "--z=-1e308i", "--reduce"],
+        ["theta1", "--z=0.3+1e300i"],
     ],
 )
 def test_eval_huge_im_z_exits_3(capsys, argv):
-    # was a raw "cannot convert float NaN to integer" with exit 1
+    # was a raw "cannot convert float NaN to integer" with exit 1, then a
+    # bound of 1.014e+304 (exp(700)) that was never obtained
     code, out, err = run_cli(capsys, "eval", *argv, "--tau=i")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: product tail bound")
+    assert err == "error: product tail bound inf > eps=1.000e-12 at max_terms=5000\n"
 
 
 def test_eval_reduce_takes_the_t_step(capsys):
@@ -166,6 +170,10 @@ def test_eval_reduce_exact_zero_is_unsigned(capsys):
     # both report the one factor the product used before it hit the zero
     argv = ["eval", "theta1", "--z=0", "--tau=0.3+0.5i"]
     assert run_cli(capsys, *argv, "--reduce") == (0, "0+0i terms=1\n", "")
+    assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
+    # Re z = 3 is reduced to 1 first, so the inverted point is -100i, not the
+    # -300i whose product overflowed
+    argv = ["eval", "theta1", "--reduce", "--z=3", "--tau=0.01i"]
     assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
 
 
@@ -225,6 +233,10 @@ def test_verify_reports_follow_schema(capsys):
             "passed", "terms_or_nodes", "wall_ms",
         }
         assert record["passed"] == (record["residual"] <= record["tolerance"])
+
+
+def test_suite_table_follows_the_cli_choices():
+    assert tuple(suites._SUITES) == SUITES
 
 
 def test_verify_all_is_byte_deterministic(capsys):
@@ -306,6 +318,19 @@ def test_cli_import_loads_no_thread_pool_or_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0] []"
+    # the proof replay's records are namedtuples too
+    probe = (
+        "import sys\n"
+        "from siegeltheta.cli import main\n"
+        "code = main(['verify', 'lemma3'])\n"
+        "print(code, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_verify_failing_tolerance_exits_1(capsys):

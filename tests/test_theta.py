@@ -186,15 +186,30 @@ def test_tiny_im_tau_is_a_convergence_error():
         theta1(0.3, 1e-320j)
 
 
-@pytest.mark.parametrize("z", [1e308j, 1e308 + 1e308j, 0.3 - 1e308j])
+@pytest.mark.parametrize("z", [1e308j, 1e308 + 1e308j, 0.3 - 1e308j, 0.3 + 1e300j])
 @pytest.mark.parametrize(
-    "func", [theta1, theta2, theta3, theta4, theta1_reduced, product_terms]
+    "func", [theta1, theta2, theta3, theta4, theta1_reduced, product_terms, theta1_series]
 )
 def test_huge_im_z_is_a_convergence_error(func, z):
     # 2 log|w| overflows to -inf and the term count to NaN, which compares
-    # False with the cap; it used to reach ceil() as a raw ValueError
-    with pytest.raises(ConvergenceError):
+    # False with the cap; it used to reach ceil() as a raw ValueError.  The
+    # tail bound is beyond binary64 (or NaN), so achieved is inf, not the
+    # exp(700) it was clamped to
+    with pytest.raises(ConvergenceError) as info:
         func(z, 1j)
+    assert info.value.achieved == math.inf
+
+
+@pytest.mark.parametrize("z", [1e308j, 0.3 + 1e300j])
+def test_series_refuses_a_huge_im_z_before_any_term(monkeypatch, z):
+    # its ratio bound never turns negative: it used to raise a bare
+    # OverflowError from the first sine, or to run all 5000 terms
+    def no_term(w):
+        raise AssertionError("a series term was evaluated")
+
+    monkeypatch.setattr(cmath, "sin", no_term)
+    with pytest.raises(ConvergenceError):
+        theta1_series(z, 1j)
 
 
 def _jtheta(n, z, tau):
@@ -321,6 +336,9 @@ def test_overflow_names_the_product():
     # subnormal Im tau: -1/tau itself is infinite
     with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
         theta1_reduced(0.3, 1e-320j)
+    # the ratio bound turns negative within max_terms, but sin(3 pi z) overflows
+    with pytest.raises(OverflowError, match="theta1 series overflowed the binary64"):
+        theta1_series(0.3 + 200j, 1j)
 
 
 def test_reduced_cross_evaluation():

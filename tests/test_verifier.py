@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 
@@ -53,6 +52,21 @@ def test_domain_point_validation():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
     assert p.z == 0.5 - 0.25j
     assert p.N == 3.5
+    # _replace and _make build new points, validated the same way
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        p._replace(n=0)
+    with pytest.raises(DomainError, match="b must be negative"):
+        DomainPoint._make((0.5, 0.1, 2.0, 1))
+    assert p._replace(n=4) == DomainPoint(0.5, -0.25, 2.0, 4)
+
+
+def test_domain_point_repr_hash_and_equality():
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+    assert repr(p) == "DomainPoint(a=0.5, b=-0.25, y=2.0, n=3)"
+    assert hash(p) == hash((0.5, -0.25, 2.0, 3))
+    assert p == DomainPoint(a=0.5, b=-0.25, y=2.0, n=3)
+    assert p != DomainPoint(0.5, -0.25, 2.0, 4)
+    assert p == (0.5, -0.25, 2.0, 3)  # a namedtuple equals its plain tuple
 
 
 @pytest.mark.parametrize("p", REFERENCE_POINTS, ids=lambda p: f"y={p.y}")
@@ -175,9 +189,9 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
 
 def test_kernel_constants_leave_the_point_unchanged():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
-    before = (repr(p), hash(p), dataclasses.asdict(p))
+    before = (repr(p), hash(p), p._asdict())
     residue_kernel(0.1 + 0.2j, p)
-    assert (repr(p), hash(p), dataclasses.asdict(p)) == before
+    assert (repr(p), hash(p), p._asdict()) == before
     assert p == DomainPoint(0.5, -0.25, 2.0, 3)
 
 
