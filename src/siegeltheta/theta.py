@@ -14,10 +14,14 @@ The inversion law
     theta1(z/tau, -1/tau) = -i (-i tau)^(1/2) exp(pi i z^2 / tau) theta1(z, tau)
 
 is exposed both as an identity (`inversion_rhs`) and as an accelerator
-(`theta1_reduced`).  That first takes one T step, tau -> tau - k with k the
-integer nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
+(`theta1_reduced`).  That takes a T step, tau -> tau - k with k the integer
+nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
 (DLMF 20.7.26); then, when the shifted |tau| < 1, the product converges much
-faster at -1/tau, so the law is solved for theta1(z, tau) and evaluated there.
+faster at -1/tau, so the law is solved for theta1(z, tau) and evaluated
+there.  T and S steps repeat, with z shifted by the lattice Z + tau Z
+between them, while each strictly raises Im tau and the running divisor
+stays within binary64; the product is then taken where they stopped,
+usually with at most 8 factors.
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
@@ -56,6 +60,13 @@ __all__ = [
 _PI = math.pi
 _IPI = 1j * math.pi
 _LOG_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon / 2.0  # unit roundoff
+# theta1_reduced declines a value whose first-order rounding bound exceeds this
+_ROUNDING_LIMIT = 5e-10
+# "near a zero of theta1": below this |z| its first factor 1 - e^(-2 pi i z)
+# is formed by expm1, and theta1_reduced shifts z by a lattice point this
+# close to it (relative to max(1, |z|)) exactly
+_NEAR_ZERO = 1e-4
 
 
 class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
@@ -204,9 +215,25 @@ def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: fl
     return prod, terms
 
 
+def _one_minus_exp(x: complex) -> complex:
+    # 1 - e^x without the cancellation near x = 0, from expm1 and
+    # cos b - 1 = -2 sin^2(b/2)
+    a, b = x.real, x.imag
+    half_sin = math.sin(0.5 * b)
+    return complex(2.0 * half_sin * half_sin - math.expm1(a) * math.cos(b),
+                   -math.exp(a) * math.sin(b))
+
+
 def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
     try:  # cmath.exp raises on overflow, in a factor or in the prefactor
-        prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
+        if 0.0 < abs(z) < _NEAR_ZERO:
+            # the first factor 1 - w^-2 cancels near z = 0: it is taken out of
+            # the product (whose trail 0 leaves the n >= 1 factors) and formed
+            # without the cancellation
+            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, 0.0)
+            prod *= _one_minus_exp(-2.0 * _IPI * z)
+        else:
+            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
         if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
             return prod, terms
         prefactor = -1j * cmath.exp(_IPI * (z + tau / 4.0))
@@ -338,39 +365,215 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     )
 
 
-def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
-    """Evaluate theta1 after one T step and, when it helps, one S step.
+def _is_finite(value: complex) -> bool:
+    return math.isfinite(value.real) and math.isfinite(value.imag)
 
-    T: tau is shifted by k = round(Re tau) into |Re tau| <= 1/2 (exactly, in
-    binary64) and the result is multiplied by e^(i pi k/4).  S: when the
-    shifted |tau| < 1, Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the
-    product at the inverted point needs far fewer terms; the inversion law
-    is then solved for theta1(z, tau).  Otherwise this is a plain product
-    evaluation.  `reduced` is true when either step was taken; there is no
-    further T/S iteration, so a point whose shifted tau lies near the real
-    axis away from 0 can still need many terms.  OverflowError: the inverted
-    point, the value or the inversion prefactor left the binary64 range.
+
+def _divides(divisor: complex) -> bool:
+    # a running divisor that has not left the binary64 range
+    return divisor != 0 and _is_finite(divisor)
+
+
+def _reduce_re_z(z: complex):
+    """(z - m, m odd) with m = round(Re z): theta1(z) = (-1)^m theta1(z - m).
+
+    Exact: Re z and m are within a factor 2 of each other unless m = 0.
     """
-    cfg = cfg or _DEFAULT_CFG
-    tau = require_tau(tau)
-    z = _as_z(z)
+    m = round(z.real)
+    return (complex(z.real - m, z.imag), m % 2 == 1) if m else (z, False)
+
+
+def _s_factor(z: complex, tau: complex) -> complex:
+    # the inversion prefactor, infinite where cmath.exp overflows
+    try:
+        return _inversion_prefactor(z, tau)
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
+def _s_errors(z: complex, tau: complex, dz: float, dtau: float):
+    """First-order rounding bounds across one S step at (z, tau).
+
+    dz and dtau bound the absolute errors z and tau carry in.  Returns the
+    relative error of the inversion prefactor (from them and from its own
+    exp of pi z^2/tau) and the absolute errors of z/tau and -1/tau.
+    """
+    size = abs(tau)
+    ratio = abs(z) / size
+    exponent = _PI * ratio * abs(z)
+    log_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
+                 + _EPS * (exponent + 4.0))
+    return (log_error, (dz + ratio * dtau) / size + _EPS * ratio,
+            (dtau / size + _EPS) / size)
+
+
+def _further_step(z: complex, tau: complex, divisor: complex, dz: float, dtau: float):
+    """One more T step, z shift and S step from theta1(z, tau) / divisor.
+
+    T: tau -> tau - k, k = round(Re tau); the divisor takes e^(-i pi k/4).
+    The z shift: z -> z - n tau, n = round(Im z / Im tau), by the
+    quasi-periodicity theta1(z + n tau) = (-1)^n e^(-i pi (n^2 tau + 2 n z)) theta1(z)
+    (DLMF 20.2.12), taken after T so that n tau has the shifted Re tau; then
+    Re z into [-1/2, 1/2].  S: (z, tau) -> (z/tau, -1/tau) with the inversion
+    prefactor.  dz and dtau bound the absolute rounding errors of z and tau.
+    Returns the new (z, tau, divisor, dz, dtau) and the relative error the
+    step adds to the divisor, or None where the step would not raise Im tau
+    (|tau - k| >= 1, or rounding near the unit circle, where S maps tau onto
+    itself) or where the divisor leaves binary64.
+    """
+    k = round(tau.real)
+    tau = complex(tau.real - k, tau.imag)  # exact
+    if abs(tau) >= 1.0:
+        return None
+    if k:
+        divisor *= _T_FACTORS[-k % 8]
+    ratio = z.imag / tau.imag
+    if not math.isfinite(ratio):
+        return None
+    n = round(ratio)
+    log_error = 0.0
+    if n:
+        # (-1)^n e^(i pi (2 n z - n^2 tau)), with the phase taken mod 2
+        power = n * (2.0 * z - n * tau) + n
+        if not _is_finite(power):
+            return None
+        try:
+            divisor *= cmath.exp(_IPI * complex(math.fmod(power.real, 2.0), power.imag))
+        except OverflowError:
+            return None
+        shift = abs(n * tau)
+        log_error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau + _EPS * (2.0 * abs(z) + shift))
+        dz += abs(n) * dtau + _EPS * (abs(z) + shift)
+        z = z - n * tau
+    z, odd = _reduce_re_z(z)
+    divisor *= _s_factor(z, tau)
+    if odd:
+        divisor = -divisor
+    # both finite: Im tau is a normal number here (the first S step checked
+    # it), |Re z| <= 1/2 and |Im z| <= Im tau/2
+    inverted_z, inverted_tau = z / tau, -1.0 / tau
+    if not (inverted_tau.imag > tau.imag and _divides(divisor)):
+        return None
+    s_error, dz, dtau = _s_errors(z, tau, dz, dtau)
+    return inverted_z, inverted_tau, divisor, dz, dtau, log_error + s_error
+
+
+def _reduced(z: complex, tau: complex, cfg: EvalConfig) -> ThetaEval:
+    """theta1_reduced past its lattice shift: the T and S steps at (z, tau)."""
+    zero = z == 0  # no other z gives an exact zero (see theta1_reduced)
     shift = round(tau.real)
     tau = complex(tau.real - shift, tau.imag)  # exact; keeps a -0.0 real part
     if abs(tau) >= 1.0:
         value, terms = _theta1_product(z, tau, cfg)
-        if shift and value:  # an exact zero keeps its +0 parts, as in theta1
+        if not value:  # an exact zero keeps its +0 parts, as in theta1
+            if not zero:
+                raise OverflowError("reduced theta1 underflowed the binary64 range")
+        elif shift:
             value = _require_finite(_T_FACTORS[shift % 8] * value, "reduced theta1")
         return ThetaEval(value, terms, bool(shift))
+    z, odd = _reduce_re_z(z)
     # a subnormal Im tau sends -1/tau (and z/tau) past the binary64 range
     inverted_z = _require_finite(z / tau, "reduced theta1")
     inverted_tau = _require_finite(-1.0 / tau, "reduced theta1")
-    inner, terms = _theta1_product(inverted_z, inverted_tau, cfg)
-    if inner == 0:  # an exact zero keeps its +0 parts, as in theta1
-        return ThetaEval(inner, terms, True)
-    prefactor = _inversion_prefactor(z, tau)
+    divisor = _s_factor(z, tau)
     if shift:
-        prefactor *= _T_FACTORS[-shift % 8]
-    if prefactor == 0:
+        divisor *= _T_FACTORS[-shift % 8]
+    if odd:
+        divisor = -divisor
+    error, dz, dtau = _s_errors(z, tau, 0.0, 0.0)
+    z, tau = inverted_z, inverted_tau
+    while _divides(divisor) and (step := _further_step(z, tau, divisor, dz, dtau)):
+        z, tau, divisor, dz, dtau, step_error = step
+        error += step_error
+    inner, terms = _theta1_product(z, tau, cfg)
+    if not _divides(divisor):
         raise OverflowError("reduced theta1 overflowed the binary64 range")
-    value = inner / prefactor
-    return ThetaEval(_require_finite(value, "reduced theta1"), terms, True)
+    if inner == 0:  # an exact zero keeps its +0 parts, as in theta1
+        if not zero:
+            raise OverflowError("reduced theta1 underflowed the binary64 range")
+        return ThetaEval(0j, terms, True)
+    # the product's own sensitivity where Im tau is large: d log theta1/d tau
+    # is about i pi/4, and |d log theta1/dz| = |pi cot(pi z)| about pi
+    error += _PI * (0.25 * dtau + 2.0 * dz)
+    if error > _ROUNDING_LIMIT:
+        raise ConvergenceError(
+            f"reduction rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
+    return ThetaEval(_require_finite(inner / divisor, "reduced theta1"), terms, True)
+
+
+def _nearest_lattice_point(z: complex, tau: complex, near: float):
+    """(m, n) where z lies within near of m + n tau, a zero of theta1, and
+    e^(pi n^2 Im tau) is within binary64; None elsewhere."""
+    ratio = z.imag / tau.imag
+    if not _PI * ratio * ratio * tau.imag < _LOG_MAX:  # also for an inf ratio
+        return None
+    n = round(ratio)
+    offset = z - n * tau
+    m = round(offset.real)
+    return (m, n) if abs(offset - m) < near else None
+
+
+def _lattice_shift(z: complex, tau: complex, m: int, n: int):
+    """(d, factor) with d = z - m - n tau rounded once from its exact value
+    and theta1(z, tau) = factor theta1(d, tau), where by quasi-periodicity
+    factor = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d)) (DLMF 20.2.12).
+
+    Near a zero, z - m - n tau in binary64 would keep few of the digits that
+    the relative accuracy of theta1 rests on.
+    """
+    from fractions import Fraction  # exact; needed only near a zero
+
+    re_tau = Fraction(tau.real)
+    d = complex(float(Fraction(z.real) - m - n * re_tau),
+                float(Fraction(z.imag) - n * Fraction(tau.imag)))
+    # the phase n^2 Re tau + m + n is taken mod 2 exactly
+    phase = float((n * n * re_tau + m + n) % 2) + 2.0 * n * d.real
+    try:
+        factor = cmath.exp(-_IPI * complex(phase, n * n * tau.imag + 2.0 * n * d.imag))
+    except OverflowError:
+        raise OverflowError("reduced theta1 overflowed the binary64 range") from None
+    return d, factor
+
+
+def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
+    """Evaluate theta1 after T and S steps, repeated while they raise Im tau.
+
+    T: tau is shifted by k = round(Re tau) into |Re tau| <= 1/2 (exactly, in
+    binary64) and the result is multiplied by e^(i pi k/4).  S: when the
+    shifted |tau| < 1, Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the
+    product at the inverted point needs fewer terms; Re z is reduced exactly
+    into [-1/2, 1/2] (theta1(z + 1) = -theta1(z)) and the inversion law is
+    solved for theta1(z, tau).  Otherwise this is a plain product evaluation.
+    After the first S step, further T, z-shift and S steps follow (see
+    `_further_step`) while each strictly raises Im tau and keeps the running
+    divisor finite and nonzero; the product is then taken at the last point
+    reached, and no T factor is applied that no S step follows.  `reduced` is
+    true when a T or S step was taken.
+
+    Near a zero m + n tau, z is first replaced by the exact offset
+    z - m - n tau (see `_lattice_shift`), so the value keeps its relative
+    accuracy there, and an exact zero is returned only where z lies on the
+    zero lattice exactly.
+
+    OverflowError: the inverted point, the value, the first inversion
+    prefactor or the lattice-shift factor left the binary64 range, or the
+    value underflowed to zero.  ConvergenceError: the product needs more
+    than max_terms factors, or a first-order bound on the rounding error the
+    steps carry into the value exceeds _ROUNDING_LIMIT (its `achieved`), as
+    it does for many points close to the real axis (Im tau below about
+    1e-4), where each step amplifies the rounding of the one before.
+    """
+    cfg = cfg or _DEFAULT_CFG
+    tau = require_tau(tau)
+    z = _as_z(z)
+    near = _NEAR_ZERO * max(1.0, abs(z))
+    # math.remainder is Im z - n Im tau, exact: most points stop at it
+    if abs(math.remainder(z.imag, tau.imag)) < near:
+        point = _nearest_lattice_point(z, tau, near)
+        if point and point != (0, 0):
+            d, factor = _lattice_shift(z, tau, *point)
+            value, terms, reduced = _reduced(d, tau, cfg)
+            if value:  # an exact zero keeps its +0 parts, as in theta1
+                value = _require_finite(factor * value, "reduced theta1")
+            return ThetaEval(value, terms, reduced)
+    return _reduced(z, tau, cfg)

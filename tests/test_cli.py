@@ -177,6 +177,14 @@ def test_eval_reduce_exact_zero_is_unsigned(capsys):
     assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
 
 
+def test_eval_reduce_reduces_re_z_before_the_s_step(capsys):
+    # Re z = 1.9 becomes -0.1 (and the sign flips) before the S step; the
+    # inverted point used to be -190i, whose product overflowed (exit 3).
+    # Reference -1.4790346159618202e-21 from perfbench/reference.py
+    argv = ["eval", "theta1", "--reduce", "--z=1.9", "--tau=0.01i"]
+    assert run_cli(capsys, *argv) == (0, "-1.47903461596183e-21+0i terms=1\n", "")
+
+
 def test_eval_theta2_exact_zero_is_unsigned(capsys):
     # theta2 = -theta1(z - 1/2) must not negate the zero into -0-0i
     argv = ["eval", "theta2", "--z=0.5", "--tau=0.3+0.5i"]

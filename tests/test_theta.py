@@ -20,6 +20,7 @@ from siegeltheta import (
     theta3,
     theta4,
 )
+from siegeltheta import theta
 from siegeltheta.suites import sample_grid
 from siegeltheta.theta import _theta1_product, _theta3_product
 
@@ -319,13 +320,96 @@ def test_reduced_without_t_step_is_bit_identical(tau):
          + 3.909572254933307553878147796092063348666j, 4),
         (0.1 + 0.2j, -1.37 + 0.003j,
          2191899574035986539.812634204089102315875
-         + 2262457886676065464.786944985958599969730j, 241),
+         + 2262457886676065464.786944985958599969730j, 4),
     ],
 )
 def test_reduced_t_step_reaches_near_axis_points(z, tau, want, terms):
     got = theta1_reduced(z, tau)
     assert got.reduced and got.terms_used == terms
     assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_reduced_checks_the_prefactor_before_a_zero():
+    # the inner product underflows to 0 while the inversion prefactor leaves
+    # binary64; it used to return ThetaEval(0j, 1, True).  Reference value
+    # from perfbench/reference.py
+    z, tau = -0.16961737446217284 + 0.3750290720711368j, 1.999716563545936 + 0.0004451271398338911j
+    want = 1.2039694918084507e27 + 9.098230483765345e27j
+    try:
+        got = theta1_reduced(z, tau).value
+    except OverflowError:
+        return
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_reduced_underflow_is_no_zero():
+    # the product at the inverted point (300, 1000i) underflows to 0 while
+    # theta1 is -1.7266e-230i: an error, not the exact zero it used to return
+    with pytest.raises(OverflowError, match="reduced theta1 underflowed the binary64"):
+        theta1_reduced(0.3j, 0.001j)
+
+
+@pytest.mark.parametrize(
+    "z, tau",
+    [
+        (1j, 0.1j),  # 5.5e-17 from the zero 10 tau: 0.1 is not 1/10
+        (1.9999999999999998, 1j),  # 2^-52 from the zero 2
+        (0.7 + 1e-13 + 0.05j, 0.7 + 0.05j),  # 1e-13 from the zero tau
+        (1.4326302389936072e-236j, 1j),  # 1 - e^(-2 pi i z) rounds to 0
+    ],
+)
+def test_reduced_keeps_relative_accuracy_near_a_zero(z, tau):
+    want = _jtheta(1, z, tau)
+    got = theta1_reduced(z, tau).value
+    assert got != 0 and abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_reduced_exact_zero_only_on_the_lattice():
+    tau = 0.25 + 0.5j  # dyadic: 3 tau - 2 is exact in binary64
+    assert theta1_reduced(3 * tau - 2, tau).value == 0
+    assert theta1_reduced(3 * tau - 2 + 1e-15, tau).value != 0
+
+
+def _count_steps(monkeypatch):
+    steps = []
+    further_step = theta._further_step
+
+    def counted(*args):
+        steps.append(args[1])
+        return further_step(*args)
+
+    monkeypatch.setattr(theta, "_further_step", counted)
+    return steps
+
+
+def test_reduction_stops_where_s_maps_tau_onto_itself(monkeypatch):
+    # |tau| rounds below 1 and -1/tau rounds back to about tau: without the
+    # strict rise of Im tau the steps would never end
+    steps = _count_steps(monkeypatch)
+    tau = 0.1813811251676833 + 0.9834128773983515j
+    got = theta1_reduced(0.3, tau)
+    assert len(steps) <= 2
+    want = _jtheta(1, 0.3, tau)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "tau", [0.6180339887498949 + 1e-12j, 0.4142135623730951 + 1e-200j, 0.5 + 1e-300j]
+)
+def test_reduction_near_the_real_axis_ends_quickly(monkeypatch, tau):
+    # near a quadratic irrational each step multiplies Im tau by only about
+    # 5.8 (sqrt 2) or 2.6 (golden ratio), and the rounding of the steps
+    # swamps Im tau long before the end, which the rounding bound reports
+    steps = _count_steps(monkeypatch)
+    with pytest.raises((ConvergenceError, OverflowError)):
+        theta1_reduced(0.3, tau)
+    assert len(steps) < 400
+
+
+def test_reduction_rounding_bound_is_a_convergence_error():
+    with pytest.raises(ConvergenceError, match="reduction rounding bound") as info:
+        theta1_reduced(0.3, 0.6180339887498949 + 1e-12j)
+    assert info.value.achieved > 5e-10
 
 
 def test_overflow_names_the_product():
