@@ -25,7 +25,8 @@ usually with at most 8 factors.
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
-for a large |Re z|.
+for a large |Re z|.  Near a zero of theta1 other than 0, theta1, theta2 and
+theta1_reduced then replace z by its exact offset from that zero.
 
 All arithmetic is binary64; products are truncated by an a priori
 geometric tail bound controlled through `EvalConfig`.
@@ -199,8 +200,8 @@ def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: fl
     """Truncated prod (1-q^(2n)) (1 + sign w^2 q^(2n+lead)) (1 + sign w^-2 q^(2n+trail))
     over n >= 1 and its length; an exactly zero factor (z on the zero
     lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3.  z is a
-    finite complex already (from _as_z, or checked by _require_finite)."""
-    tau = require_tau(tau)
+    finite complex already (from _as_z, or checked by _require_finite), and
+    tau is checked (by require_tau, or the result of steps from it)."""
     terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
     two_z = 2.0 * z
     prod = 1.0 + 0.0j
@@ -242,9 +243,56 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
     return _require_finite(prefactor * prod, "theta1 product"), terms
 
 
+def _off_zero(z: complex, tau: complex):
+    """(d, factor) with theta1(z, tau) = factor theta1(d, tau), where z lies
+    within _NEAR_ZERO max(1, |z|) of a zero m + n tau of theta1 other than 0
+    and e^(pi n^2 Im tau) is within binary64; (z, None) elsewhere.
+
+    d = z - m - n tau is rounded once from its exact value: in binary64 it
+    would keep few of the digits that the relative accuracy of theta1 rests
+    on.  By quasi-periodicity factor = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d))
+    (DLMF 20.2.12).  tau is checked.
+    """
+    near = _NEAR_ZERO * max(1.0, abs(z))
+    # math.remainder is Im z - n Im tau, exact: most points stop at it
+    if not abs(math.remainder(z.imag, tau.imag)) < near:
+        return z, None
+    ratio = z.imag / tau.imag
+    if not _PI * ratio * ratio * tau.imag < _LOG_MAX:  # also for an inf ratio
+        return z, None
+    n = round(ratio)
+    offset = z - n * tau
+    m = round(offset.real)
+    if not (m or n) or not abs(offset - m) < near:
+        return z, None
+    from fractions import Fraction  # exact; needed only near a zero
+
+    re_tau = Fraction(tau.real)
+    d = complex(float(Fraction(z.real) - m - n * re_tau),
+                float(Fraction(z.imag) - n * Fraction(tau.imag)))
+    # the phase n^2 Re tau + m + n is taken mod 2 exactly
+    phase = float((n * n * re_tau + m + n) % 2) + 2.0 * n * d.real
+    try:
+        factor = cmath.exp(-_IPI * complex(phase, n * n * tau.imag + 2.0 * n * d.imag))
+    except OverflowError:
+        raise OverflowError("theta1 lattice shift overflowed the binary64 range") from None
+    return d, factor
+
+
+def _theta1_value(z: complex, tau: complex, cfg: EvalConfig):
+    """_theta1_product at a checked (z, tau), with z first moved off a
+    nearby zero (see _off_zero)."""
+    z, factor = _off_zero(z, tau)
+    value, terms = _theta1_product(z, tau, cfg)
+    if factor is not None and value:  # an exact zero keeps its +0 parts
+        value = _require_finite(factor * value, "theta1 product")
+    return value, terms
+
+
 def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """First theta function, odd in z, from its product representation."""
-    value, _ = _theta1_product(_as_z(z), complex(tau), cfg or _DEFAULT_CFG)
+    """First theta function, odd in z, from its product representation,
+    taken at the exact offset from a nearby zero (see `_off_zero`)."""
+    value, _ = _theta1_value(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG)
     return value
 
 
@@ -300,20 +348,20 @@ def _theta3_product(z, tau, cfg: EvalConfig):
 
 
 def _theta2_product(z, tau, cfg: EvalConfig):
-    value, terms = _theta1_product(_as_z(z) - 0.5, complex(tau), cfg)
+    value, terms = _theta1_value(_as_z(z) - 0.5, require_tau(tau), cfg)
     # an exact zero keeps its +0 parts, as in theta1
     return (-value if value else value), terms
 
 
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Third theta function from the triple product."""
-    value, _ = _theta3_product(_as_z(z), tau, cfg or _DEFAULT_CFG)
+    value, _ = _theta3_product(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG)
     return value
 
 
 def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta4(z) = theta3(z + 1/2)."""
-    value, _ = _theta3_product(_as_z(z) + 0.5, tau, cfg or _DEFAULT_CFG)
+    value, _ = _theta3_product(_as_z(z) + 0.5, require_tau(tau), cfg or _DEFAULT_CFG)
     return value
 
 
@@ -327,10 +375,10 @@ def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
 # Re z reduced before any half-period shift; the count falls short of
 # product_terms when the product stops at an exact zero
 _PRODUCTS = {
-    "theta1": lambda z, tau, cfg: _theta1_product(_as_z(z), complex(tau), cfg),
+    "theta1": lambda z, tau, cfg: _theta1_value(_as_z(z), require_tau(tau), cfg),
     "theta2": _theta2_product,
-    "theta3": lambda z, tau, cfg: _theta3_product(_as_z(z), tau, cfg),
-    "theta4": lambda z, tau, cfg: _theta3_product(_as_z(z) + 0.5, tau, cfg),
+    "theta3": lambda z, tau, cfg: _theta3_product(_as_z(z), require_tau(tau), cfg),
+    "theta4": lambda z, tau, cfg: _theta3_product(_as_z(z) + 0.5, require_tau(tau), cfg),
 }
 
 # the CLI's verify and sweep choices, kept here with its eval choices so that
@@ -501,40 +549,6 @@ def _reduced(z: complex, tau: complex, cfg: EvalConfig) -> ThetaEval:
     return ThetaEval(_require_finite(inner / divisor, "reduced theta1"), terms, True)
 
 
-def _nearest_lattice_point(z: complex, tau: complex, near: float):
-    """(m, n) where z lies within near of m + n tau, a zero of theta1, and
-    e^(pi n^2 Im tau) is within binary64; None elsewhere."""
-    ratio = z.imag / tau.imag
-    if not _PI * ratio * ratio * tau.imag < _LOG_MAX:  # also for an inf ratio
-        return None
-    n = round(ratio)
-    offset = z - n * tau
-    m = round(offset.real)
-    return (m, n) if abs(offset - m) < near else None
-
-
-def _lattice_shift(z: complex, tau: complex, m: int, n: int):
-    """(d, factor) with d = z - m - n tau rounded once from its exact value
-    and theta1(z, tau) = factor theta1(d, tau), where by quasi-periodicity
-    factor = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d)) (DLMF 20.2.12).
-
-    Near a zero, z - m - n tau in binary64 would keep few of the digits that
-    the relative accuracy of theta1 rests on.
-    """
-    from fractions import Fraction  # exact; needed only near a zero
-
-    re_tau = Fraction(tau.real)
-    d = complex(float(Fraction(z.real) - m - n * re_tau),
-                float(Fraction(z.imag) - n * Fraction(tau.imag)))
-    # the phase n^2 Re tau + m + n is taken mod 2 exactly
-    phase = float((n * n * re_tau + m + n) % 2) + 2.0 * n * d.real
-    try:
-        factor = cmath.exp(-_IPI * complex(phase, n * n * tau.imag + 2.0 * n * d.imag))
-    except OverflowError:
-        raise OverflowError("reduced theta1 overflowed the binary64 range") from None
-    return d, factor
-
-
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     """Evaluate theta1 after T and S steps, repeated while they raise Im tau.
 
@@ -551,7 +565,7 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     true when a T or S step was taken.
 
     Near a zero m + n tau, z is first replaced by the exact offset
-    z - m - n tau (see `_lattice_shift`), so the value keeps its relative
+    z - m - n tau (see `_off_zero`), so the value keeps its relative
     accuracy there, and an exact zero is returned only where z lies on the
     zero lattice exactly.
 
@@ -563,17 +577,9 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     it does for many points close to the real axis (Im tau below about
     1e-4), where each step amplifies the rounding of the one before.
     """
-    cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
-    z = _as_z(z)
-    near = _NEAR_ZERO * max(1.0, abs(z))
-    # math.remainder is Im z - n Im tau, exact: most points stop at it
-    if abs(math.remainder(z.imag, tau.imag)) < near:
-        point = _nearest_lattice_point(z, tau, near)
-        if point and point != (0, 0):
-            d, factor = _lattice_shift(z, tau, *point)
-            value, terms, reduced = _reduced(d, tau, cfg)
-            if value:  # an exact zero keeps its +0 parts, as in theta1
-                value = _require_finite(factor * value, "reduced theta1")
-            return ThetaEval(value, terms, reduced)
-    return _reduced(z, tau, cfg)
+    z, factor = _off_zero(_as_z(z), tau)
+    result = _reduced(z, tau, cfg or _DEFAULT_CFG)
+    if factor is None or not result.value:  # an exact zero keeps its +0 parts
+        return result
+    return result._replace(value=_require_finite(factor * result.value, "reduced theta1"))

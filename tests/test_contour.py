@@ -11,7 +11,7 @@ from siegeltheta import (
     residue_by_circle,
     rhombus_contour,
 )
-from siegeltheta.contour import _GAUSS_RULE
+from siegeltheta.contour import _clenshaw_curtis
 
 TWO_PI_I = 2j * math.pi
 
@@ -40,24 +40,15 @@ def test_rhombus_rejects_bad_y():
         rhombus_contour(-1.0)
 
 
-def test_gauss_rule_table():
-    # symmetry and the exact even moments; a slip in the last few digits of a
-    # literal slips past these, so the numpy comparison below pins every bit
-    nodes, weights = zip(*_GAUSS_RULE)
-    assert len(nodes) == 15
-    assert all(x == -y for x, y in zip(nodes, reversed(nodes)))
-    assert all(w == v for w, v in zip(weights, reversed(weights)))
-    assert list(nodes) == sorted(nodes)
-    assert abs(math.fsum(weights) - 2.0) < 1e-15
-    for k in range(15):
-        moment = math.fsum(w * x ** (2 * k) for x, w in _GAUSS_RULE)
-        assert abs(moment - 2.0 / (2 * k + 1)) < 1e-15, k
-
-
-def test_gauss_rule_table_matches_numpy():
-    np = pytest.importorskip("numpy")
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    assert _GAUSS_RULE == tuple(zip(nodes.tolist(), weights.tolist()))
+def test_clenshaw_curtis_weights_integrate_polynomials_exactly():
+    # the rule with count + 1 nodes is exact up to degree count
+    for count in (16, 32, 64):
+        weights = _clenshaw_curtis(count)
+        nodes = [math.cos(math.pi * j / count) for j in range(count + 1)]
+        assert weights == weights[::-1]
+        for k in range(count + 1):
+            moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
+            assert abs(moment - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) < 1e-14, (count, k)
 
 
 def test_edge_integral_of_inverse():
@@ -116,7 +107,7 @@ def test_closed_needs_two_vertices():
 
 
 def test_edge_quadrature_reports_failure():
-    # a pole 1e-6 off the segment is not resolved to 1e-14 in 16 levels
+    # a pole 1e-6 off the segment is not resolved to 1e-14 by 2,049 nodes
     with pytest.raises(ConvergenceError) as info:
         integrate_edge(lambda w: 1.0 / (w - (0.5 + 1e-6j)), 0.0, 1.0, tol=1e-14)
     assert info.value.achieved > 1e-14
@@ -179,6 +170,50 @@ def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
     assert len(set(nodes)) == count
 
 
+def _edge_without_reuse(f, start, end, tol):
+    # every rule re-evaluates all of its nodes: the rule before nesting
+    mid, half = 0.5 * (start + end), 0.5 * (end - start)
+    count = 16
+    previous = None
+    for _ in range(8):
+        total = 0.0j
+        for j, weight in enumerate(_clenshaw_curtis(count)):
+            total += weight * f(mid + half * math.cos(math.pi * j / count))
+        approx = half * total
+        if previous is not None and abs(approx - previous) <= tol:
+            return approx, count + 1
+        previous = approx
+        count *= 2
+    raise AssertionError("reference rule did not settle")
+
+
+@pytest.mark.parametrize(
+    "f,start,end,tol",
+    [
+        (lambda w: cmath.exp(5 * w) * w, -1 + 0.2j, 2 - 0.5j, 1e-12),
+        (lambda w: 1.0 / w, 2.0, 1j, 1e-10),
+        (lambda w: 1.0 / (w - (0.5 + 0.1j)), 0.0, 1.0, 1e-12),
+        (lambda w: 1.0 / cmath.cos(w), -1.5j, 1.5, 1e-13),
+    ],
+)
+def test_edge_quadrature_reuses_nodes_bit_for_bit(f, start, end, tol):
+    expected, count = _edge_without_reuse(f, start, end, tol)
+    nodes = []
+
+    def counted(w):
+        nodes.append(w)
+        return f(w)
+
+    value, gap = integrate_edge(counted, start, end, tol)
+    assert repr(value) == repr(expected) and gap <= tol
+    # once per node of the last rule, every node a distinct point, and the
+    # last rule has 16 * 2^k + 1 nodes
+    assert len(nodes) == count > 33  # past the first doubling
+    assert len(set(nodes)) == count
+    doublings = (count - 1) // 16
+    assert (count - 1) % 16 == 0 and doublings & (doublings - 1) == 0
+
+
 def test_edge_quadrature_stops_at_a_non_finite_integrand():
     for value in (math.nan, math.inf, complex(0.0, -math.inf)):
         calls = []
@@ -189,7 +224,7 @@ def test_edge_quadrature_stops_at_a_non_finite_integrand():
 
         with pytest.raises(ConvergenceError, match="not finite"):
             integrate_edge(f, 0.0, 1.0)
-        assert len(calls) == 3 * len(_GAUSS_RULE)  # the first bisection only
+        assert len(calls) == 17  # the first rule only
 
 
 def test_residue_by_circle_stops_at_a_non_finite_estimate():

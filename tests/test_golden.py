@@ -4,9 +4,12 @@ The verify and sweep files under tests/golden/ were written by the CLI before
 the product, Lambert-term and suite-runner code was consolidated, the eval
 files before the tolerance configs were folded into constants; any refactor
 of those paths must reproduce them exactly.  The verify files were rewritten
-once on purpose, when the circle quadrature began to reuse the nodes of its
-previous rule: that moved terms_or_nodes (the kernel calls) of the lemma2
-circle records and no other byte.
+twice on purpose.  When the circle quadrature began to reuse the nodes of its
+previous rule, terms_or_nodes (the kernel calls) of the lemma2 circle records
+moved and no other byte.  When the rhombus edges moved from Gauss-Legendre
+bisection to nested Clenshaw-Curtis rules, the residual and terms_or_nodes
+of the lemma2_residue_theorem_contour record moved (1380 to 516 kernel
+calls) and no other byte.
 """
 
 from pathlib import Path

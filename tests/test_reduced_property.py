@@ -1,4 +1,5 @@
-"""theta1_reduced near the real axis against an independent reference.
+"""theta1_reduced near the real axis, and the plain theta1 and theta2
+products, against an independent reference.
 
 The oracle is perfbench/reference.py: the tau-form sine series of theta1
 summed in mpmath until two precisions agree to 30 digits, valid for every
@@ -17,9 +18,27 @@ reference = pytest.importorskip("perfbench.reference")
 
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from siegeltheta import ConvergenceError, DomainError, theta1_reduced  # noqa: E402
+from siegeltheta import (  # noqa: E402
+    ConvergenceError,
+    DomainError,
+    theta1,
+    theta1_reduced,
+    theta2,
+)
 
 REL_TOL = 1e-9
+
+
+def _check(kind, function, re_z, im_z, re_tau, log_im_tau):
+    z, tau = complex(re_z, im_z), complex(re_tau, 10.0**log_im_tau)
+    try:
+        got = function(z, tau)
+    except (DomainError, ConvergenceError, OverflowError):
+        return
+    assert not (math.isnan(got.real) or math.isnan(got.imag))
+    want = reference.theta_reference(kind, z, tau)
+    if want.in_range:
+        assert abs(got - want.value) <= REL_TOL * abs(want.value), (z, tau, got, want.value)
 
 
 @seed(20261018)
@@ -31,12 +50,20 @@ REL_TOL = 1e-9
     log_im_tau=st.floats(-8.0, 0.0),
 )
 def test_reduced_near_the_axis_matches_the_reference(re_z, im_z, re_tau, log_im_tau):
-    z, tau = complex(re_z, im_z), complex(re_tau, 10.0**log_im_tau)
-    try:
-        got = theta1_reduced(z, tau).value
-    except (DomainError, ConvergenceError, OverflowError):
-        return
-    assert not (math.isnan(got.real) or math.isnan(got.imag))
-    want = reference.theta_reference("theta1", z, tau)
-    if want.in_range:
-        assert abs(got - want.value) <= REL_TOL * abs(want.value), (z, tau, got, want.value)
+    _check("theta1", lambda z, tau: theta1_reduced(z, tau).value,
+           re_z, im_z, re_tau, log_im_tau)
+
+
+# the plain products need about 1/Im tau factors: Im tau stops at 1e-2
+@pytest.mark.parametrize("kind", ["theta1", "theta2"])
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    re_z=st.floats(-2.0, 2.0),
+    im_z=st.floats(-1.0, 1.0),
+    re_tau=st.floats(-2.0, 2.0),
+    log_im_tau=st.floats(-2.0, 0.0),
+)
+def test_plain_products_match_the_reference(kind, re_z, im_z, re_tau, log_im_tau):
+    function = {"theta1": theta1, "theta2": theta2}[kind]
+    _check(kind, function, re_z, im_z, re_tau, log_im_tau)

@@ -349,18 +349,35 @@ def test_reduced_underflow_is_no_zero():
         theta1_reduced(0.3j, 0.001j)
 
 
+_NEAR_ZERO_ENTRIES = {
+    "theta1_reduced": (1, lambda z, tau: theta1_reduced(z, tau).value),
+    "theta1": (1, theta1),
+    "theta2": (2, theta2),
+}
+
+
+def _near_zero_case(z, tau, entry="theta1_reduced"):
+    # the id names the entry unless it is theta1_reduced
+    return pytest.param(entry, z, tau, id=f"{z}-{tau}" if entry == "theta1_reduced"
+                        else f"{entry}-{z}-{tau}")
+
+
 @pytest.mark.parametrize(
-    "z, tau",
+    "entry, z, tau",
     [
-        (1j, 0.1j),  # 5.5e-17 from the zero 10 tau: 0.1 is not 1/10
-        (1.9999999999999998, 1j),  # 2^-52 from the zero 2
-        (0.7 + 1e-13 + 0.05j, 0.7 + 0.05j),  # 1e-13 from the zero tau
-        (1.4326302389936072e-236j, 1j),  # 1 - e^(-2 pi i z) rounds to 0
+        _near_zero_case(1j, 0.1j),  # 5.5e-17 from the zero 10 tau: 0.1 is not 1/10
+        _near_zero_case(1j, 0.1j, "theta1"),
+        _near_zero_case(1.9999999999999998, 1j),  # 2^-52 from the zero 2
+        _near_zero_case(1.9999999999999998, 1j, "theta1"),
+        _near_zero_case(0.7 + 1e-13 + 0.05j, 0.7 + 0.05j),  # 1e-13 from the zero tau
+        _near_zero_case(1.4326302389936072e-236j, 1j),  # 1 - e^(-2 pi i z) rounds to 0
+        _near_zero_case(1.5 - 1e-12, 1j, "theta2"),  # 1e-12 from the zero 3/2 of theta2
     ],
 )
-def test_reduced_keeps_relative_accuracy_near_a_zero(z, tau):
-    want = _jtheta(1, z, tau)
-    got = theta1_reduced(z, tau).value
+def test_reduced_keeps_relative_accuracy_near_a_zero(entry, z, tau):
+    n, function = _NEAR_ZERO_ENTRIES[entry]
+    want = _jtheta(n, z, tau)
+    got = function(z, tau)
     assert got != 0 and abs(got - want) <= 1e-12 * abs(want)
 
 

@@ -13,6 +13,7 @@ from siegeltheta import (
     edge_limit_residual,
     edge_limit_target,
     edge_limit_value,
+    integrate_closed,
     inversion_log_ratio,
     inversion_log_ratio_lambert,
     lambert_terms,
@@ -24,6 +25,7 @@ from siegeltheta import (
     residue_imag_pole,
     residue_kernel,
     residue_real_pole,
+    rhombus_contour,
     theta1,
     transformation_residual,
 )
@@ -369,3 +371,11 @@ def test_transformation_residual_general_tau():
     assert transformation_residual(0.25 - 0.15j, 0.4 + 0.9j) < 1e-10
     for z, tau in sample_grid(25, seed=5):
         assert transformation_residual(z, tau) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 10, 25, 100, 400])
+def test_rhombus_integral_matches_the_closed_residue_sum(n):
+    # the lemma2 contour check at its point, far below its 1e-8 tolerance
+    p = DomainPoint(0.5, -0.25, 2.0, n)
+    value, _ = integrate_closed(lambda zeta: residue_kernel(zeta, p), rhombus_contour(p.y))
+    assert abs(value - closed_residue_sum(p)) <= 2e-15
