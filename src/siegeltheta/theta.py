@@ -16,12 +16,14 @@ The inversion law
 is exposed both as an identity (`inversion_rhs`) and as an accelerator
 (`theta1_reduced`).  That takes a T step, tau -> tau - k with k the integer
 nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
-(DLMF 20.7.26); then, when the shifted |tau| < 1, the product converges much
-faster at -1/tau, so the law is solved for theta1(z, tau) and evaluated
-there.  T and S steps repeat, with z shifted by the lattice Z + tau Z
-between them, while each strictly raises Im tau and the running divisor
-stays within binary64; the product is then taken where they stopped,
-usually with at most 8 factors.
+(DLMF 20.7.26); then, when the shifted |tau| < 1, z is shifted by the
+lattice Z + tau Z, the product converges much faster at -1/tau, and the law
+is solved for theta1(z, tau) and evaluated there.  One step function takes
+each T step and the S step after it; steps repeat while S strictly raises
+Im tau and the running divisor stays within binary64, and the product is
+then taken where they stopped, at |Re tau| <= 1/2 and with at most 6
+factors over the benchmark's near-axis pools.  Where its factor 1 - w^-2
+overflows at a large Im z, the product is taken at -z (theta1 is odd).
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
@@ -80,8 +82,12 @@ class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
     __slots__ = ()
 
     def __new__(cls, eps: float = 1e-12, max_terms: int = 5000):
+        if not isinstance(eps, (int, float)):
+            raise DomainError(f"eps must be a real number, got {eps!r}")
         if not 0.0 < eps < 1.0:
             raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+        if not isinstance(max_terms, int):
+            raise DomainError(f"max_terms must be an integer, got {max_terms!r}")
         if max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
         return super().__new__(cls, eps, max_terms)
@@ -96,9 +102,13 @@ _DEFAULT_CFG = EvalConfig()
 ThetaEval = namedtuple("ThetaEval", "value terms_used reduced")
 
 
+def _is_finite(value: complex) -> bool:
+    return math.isfinite(value.real) and math.isfinite(value.imag)
+
+
 def _as_complex(value, name: str) -> complex:
     value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not _is_finite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -123,7 +133,7 @@ def _bound_from_log(log_bound: float) -> float:
 
 
 def _require_finite(value: complex, what: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not _is_finite(value):
         raise OverflowError(f"{what} overflowed the binary64 range")
     return value
 
@@ -237,10 +247,17 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
             prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
         if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
             return prod, terms
-        prefactor = -1j * cmath.exp(_IPI * (z + tau / 4.0))
+        value = -1j * cmath.exp(_IPI * (z + tau / 4.0)) * prod
+        if _is_finite(value):
+            return value, terms
     except OverflowError:
-        raise OverflowError("theta1 product overflowed the binary64 range") from None
-    return _require_finite(prefactor * prod, "theta1 product"), terms
+        pass
+    if z.imag > 0.0:
+        # |w^-2| = e^(2 pi Im z) overflows in 1 - w^-2 where theta1 itself
+        # may be in range; theta1 is odd, and at -z that factor is small
+        value, terms = _theta1_product(-z, tau, cfg)
+        return (-value if value else value), terms  # an exact zero keeps +0 parts
+    raise OverflowError("theta1 product overflowed the binary64 range")
 
 
 def _off_zero(z: complex, tau: complex):
@@ -413,169 +430,126 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     )
 
 
-def _is_finite(value: complex) -> bool:
-    return math.isfinite(value.real) and math.isfinite(value.imag)
-
-
-def _divides(divisor: complex) -> bool:
-    # a running divisor that has not left the binary64 range
-    return divisor != 0 and _is_finite(divisor)
-
-
-def _reduce_re_z(z: complex):
-    """(z - m, m odd) with m = round(Re z): theta1(z) = (-1)^m theta1(z - m).
-
-    Exact: Re z and m are within a factor 2 of each other unless m = 0.
-    """
-    m = round(z.real)
-    return (complex(z.real - m, z.imag), m % 2 == 1) if m else (z, False)
-
-
-def _s_factor(z: complex, tau: complex) -> complex:
-    # the inversion prefactor, infinite where cmath.exp overflows
-    try:
-        return _inversion_prefactor(z, tau)
-    except OverflowError:
-        return complex(math.inf, math.inf)
-
-
-def _s_errors(z: complex, tau: complex, dz: float, dtau: float):
-    """First-order rounding bounds across one S step at (z, tau).
-
-    dz and dtau bound the absolute errors z and tau carry in.  Returns the
-    relative error of the inversion prefactor (from them and from its own
-    exp of pi z^2/tau) and the absolute errors of z/tau and -1/tau.
-    """
-    size = abs(tau)
-    ratio = abs(z) / size
-    exponent = _PI * ratio * abs(z)
-    log_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
-                 + _EPS * (exponent + 4.0))
-    return (log_error, (dz + ratio * dtau) / size + _EPS * ratio,
-            (dtau / size + _EPS) / size)
-
-
-def _further_step(z: complex, tau: complex, divisor: complex, dz: float, dtau: float):
-    """One more T step, z shift and S step from theta1(z, tau) / divisor.
+def _step(z: complex, tau: complex, divisor: complex, dz: float, dtau: float, error: float):
+    """One T step from theta1(z, tau) / divisor, then, where the shifted
+    |tau| < 1, a z shift and an S step.
 
     T: tau -> tau - k, k = round(Re tau); the divisor takes e^(-i pi k/4).
     The z shift: z -> z - n tau, n = round(Im z / Im tau), by the
     quasi-periodicity theta1(z + n tau) = (-1)^n e^(-i pi (n^2 tau + 2 n z)) theta1(z)
     (DLMF 20.2.12), taken after T so that n tau has the shifted Re tau; then
-    Re z into [-1/2, 1/2].  S: (z, tau) -> (z/tau, -1/tau) with the inversion
-    prefactor.  dz and dtau bound the absolute rounding errors of z and tau.
-    Returns the new (z, tau, divisor, dz, dtau) and the relative error the
-    step adds to the divisor, or None where the step would not raise Im tau
-    (|tau - k| >= 1, or rounding near the unit circle, where S maps tau onto
-    itself) or where the divisor leaves binary64.
+    z -> z - m, m = round(Re z), by theta1(z + m) = (-1)^m theta1(z), exact
+    as Re z and a nonzero m are within a factor 2 of each other.  S:
+    (z, tau) -> (z/tau, -1/tau) with the inversion prefactor.  dz and dtau
+    bound the absolute rounding errors of z and tau, and error the relative
+    error of the divisor.
+
+    Returns the new (z, tau, divisor, dz, dtau, error) and True after an S
+    step.  Otherwise it returns the state after T alone, with None where S
+    would not raise Im tau (|tau - k| >= 1, or rounding near the unit
+    circle, where S maps tau onto itself) and False where the divisor or
+    the inverted point would leave binary64.
     """
     k = round(tau.real)
-    tau = complex(tau.real - k, tau.imag)  # exact
-    if abs(tau) >= 1.0:
-        return None
+    tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part
     if k:
         divisor *= _T_FACTORS[-k % 8]
-    ratio = z.imag / tau.imag
-    if not math.isfinite(ratio):
-        return None
-    n = round(ratio)
-    log_error = 0.0
-    if n:
-        # (-1)^n e^(i pi (2 n z - n^2 tau)), with the phase taken mod 2
-        power = n * (2.0 * z - n * tau) + n
-        if not _is_finite(power):
-            return None
-        try:
+    after_t = (z, tau, divisor, dz, dtau, error)
+    if abs(tau) >= 1.0:
+        return after_t, None
+    shift_error = 0.0
+    try:  # round (of an infinite ratio) and cmath.exp raise on overflow
+        n = round(z.imag / tau.imag)
+        if n:
+            # (-1)^n e^(i pi (2 n z - n^2 tau)), with the phase taken mod 2
+            power = n * (2.0 * z - n * tau) + n
+            if not _is_finite(power):
+                return after_t, False
             divisor *= cmath.exp(_IPI * complex(math.fmod(power.real, 2.0), power.imag))
-        except OverflowError:
-            return None
-        shift = abs(n * tau)
-        log_error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau + _EPS * (2.0 * abs(z) + shift))
-        dz += abs(n) * dtau + _EPS * (abs(z) + shift)
-        z = z - n * tau
-    z, odd = _reduce_re_z(z)
-    divisor *= _s_factor(z, tau)
-    if odd:
+            shift = abs(n * tau)
+            shift_error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau
+                                          + _EPS * (2.0 * abs(z) + shift))
+            dz += abs(n) * dtau + _EPS * (abs(z) + shift)
+            z = z - n * tau
+        m = round(z.real)
+        z = complex(z.real - m, z.imag)
+        divisor *= _inversion_prefactor(z, tau)
+    except OverflowError:
+        return after_t, False
+    if m % 2:
         divisor = -divisor
-    # both finite: Im tau is a normal number here (the first S step checked
-    # it), |Re z| <= 1/2 and |Im z| <= Im tau/2
     inverted_z, inverted_tau = z / tau, -1.0 / tau
-    if not (inverted_tau.imag > tau.imag and _divides(divisor)):
-        return None
-    s_error, dz, dtau = _s_errors(z, tau, dz, dtau)
-    return inverted_z, inverted_tau, divisor, dz, dtau, log_error + s_error
+    if not (divisor != 0 and _is_finite(divisor) and _is_finite(inverted_z)
+            and _is_finite(inverted_tau)):
+        return after_t, False
+    if not inverted_tau.imag > tau.imag:
+        return after_t, None
+    # first-order rounding bounds across S: the relative error of the
+    # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
+    # absolute errors of z/tau and -1/tau
+    size = abs(tau)
+    ratio = abs(z) / size
+    exponent = _PI * ratio * abs(z)
+    s_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
+               + _EPS * (exponent + 4.0))
+    return (inverted_z, inverted_tau, divisor, (dz + ratio * dtau) / size + _EPS * ratio,
+            (dtau / size + _EPS) / size, error + (shift_error + s_error)), True
 
 
 def _reduced(z: complex, tau: complex, cfg: EvalConfig) -> ThetaEval:
     """theta1_reduced past its lattice shift: the T and S steps at (z, tau)."""
     zero = z == 0  # no other z gives an exact zero (see theta1_reduced)
-    shift = round(tau.real)
-    tau = complex(tau.real - shift, tau.imag)  # exact; keeps a -0.0 real part
-    if abs(tau) >= 1.0:
-        value, terms = _theta1_product(z, tau, cfg)
-        if not value:  # an exact zero keeps its +0 parts, as in theta1
-            if not zero:
-                raise OverflowError("reduced theta1 underflowed the binary64 range")
-        elif shift:
-            value = _require_finite(_T_FACTORS[shift % 8] * value, "reduced theta1")
-        return ThetaEval(value, terms, bool(shift))
-    z, odd = _reduce_re_z(z)
-    # a subnormal Im tau sends -1/tau (and z/tau) past the binary64 range
-    inverted_z = _require_finite(z / tau, "reduced theta1")
-    inverted_tau = _require_finite(-1.0 / tau, "reduced theta1")
-    divisor = _s_factor(z, tau)
-    if shift:
-        divisor *= _T_FACTORS[-shift % 8]
-    if odd:
-        divisor = -divisor
-    error, dz, dtau = _s_errors(z, tau, 0.0, 0.0)
-    z, tau = inverted_z, inverted_tau
-    while _divides(divisor) and (step := _further_step(z, tau, divisor, dz, dtau)):
-        z, tau, divisor, dz, dtau, step_error = step
-        error += step_error
-    inner, terms = _theta1_product(z, tau, cfg)
-    if not _divides(divisor):
+    state, inverted = _step(z, tau, 1.0 + 0.0j, 0.0, 0.0, 0.0)
+    if inverted is False:  # the input itself has no earlier point to stop at
         raise OverflowError("reduced theta1 overflowed the binary64 range")
-    if inner == 0:  # an exact zero keeps its +0 parts, as in theta1
+    while inverted:
+        state, inverted = _step(*state)
+    reduced_z, reduced_tau, divisor, dz, dtau, error = state
+    value, terms = _theta1_product(reduced_z, reduced_tau, cfg)
+    if not value:  # an exact zero keeps its +0 parts, as in theta1
         if not zero:
             raise OverflowError("reduced theta1 underflowed the binary64 range")
-        return ThetaEval(0j, terms, True)
+        return ThetaEval(value, terms, reduced_tau != tau)
+    if reduced_tau == tau:  # no step was taken: the product as it is
+        return ThetaEval(value, terms, False)
     # the product's own sensitivity where Im tau is large: d log theta1/d tau
     # is about i pi/4, and |d log theta1/dz| = |pi cot(pi z)| about pi
     error += _PI * (0.25 * dtau + 2.0 * dz)
     if error > _ROUNDING_LIMIT:
         raise ConvergenceError(
             f"reduction rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
-    return ThetaEval(_require_finite(inner / divisor, "reduced theta1"), terms, True)
+    return ThetaEval(_require_finite(value / divisor, "reduced theta1"), terms, True)
 
 
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
-    """Evaluate theta1 after T and S steps, repeated while they raise Im tau.
+    """Evaluate theta1 after T and S steps, repeated while S raises Im tau.
 
-    T: tau is shifted by k = round(Re tau) into |Re tau| <= 1/2 (exactly, in
-    binary64) and the result is multiplied by e^(i pi k/4).  S: when the
-    shifted |tau| < 1, Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the
-    product at the inverted point needs fewer terms; Re z is reduced exactly
-    into [-1/2, 1/2] (theta1(z + 1) = -theta1(z)) and the inversion law is
-    solved for theta1(z, tau).  Otherwise this is a plain product evaluation.
-    After the first S step, further T, z-shift and S steps follow (see
-    `_further_step`) while each strictly raises Im tau and keeps the running
-    divisor finite and nonzero; the product is then taken at the last point
-    reached, and no T factor is applied that no S step follows.  `reduced` is
-    true when a T or S step was taken.
+    Every step (see `_step`) begins with T: tau is shifted by k = round(Re tau)
+    into |Re tau| <= 1/2 (exactly, in binary64) and the result gains the
+    factor e^(i pi k/4).  S follows when the shifted |tau| < 1, where
+    Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the product at the
+    inverted point needs fewer terms: z is shifted by n tau into
+    |Im z| <= Im(tau)/2, Re z is reduced exactly into [-1/2, 1/2]
+    (theta1(z + 1) = -theta1(z)), and the inversion law is solved for
+    theta1(z, tau).  Steps repeat while S strictly raises Im tau and keeps
+    the running divisor and the inverted point within binary64; the product
+    is then taken where they stopped, always at |Re tau| <= 1/2.  A point
+    that takes no step is a plain product evaluation, bit for bit.
+    `reduced` is true when a T or S step was taken.
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
     accuracy there, and an exact zero is returned only where z lies on the
     zero lattice exactly.
 
-    OverflowError: the inverted point, the value, the first inversion
-    prefactor or the lattice-shift factor left the binary64 range, or the
-    value underflowed to zero.  ConvergenceError: the product needs more
-    than max_terms factors, or a first-order bound on the rounding error the
-    steps carry into the value exceeds _ROUNDING_LIMIT (its `achieved`), as
-    it does for many points close to the real axis (Im tau below about
-    1e-4), where each step amplifies the rounding of the one before.
+    OverflowError: the value, the near-zero lattice-shift factor, or the
+    first step's inverted point or divisor (the steps have no earlier point
+    to stop at there) left the binary64 range, or the value underflowed to
+    zero.  ConvergenceError: the product needs more than max_terms factors,
+    or a first-order bound on the rounding error the steps carry into the
+    value exceeds _ROUNDING_LIMIT (its `achieved`), as it does for many
+    points close to the real axis (Im tau below about 1e-4), where each step
+    amplifies the rounding of the one before.
     """
     tau = require_tau(tau)
     z, factor = _off_zero(_as_z(z), tau)

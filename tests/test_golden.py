@@ -9,9 +9,22 @@ previous rule, terms_or_nodes (the kernel calls) of the lemma2 circle records
 moved and no other byte.  When the rhombus edges moved from Gauss-Legendre
 bisection to nested Clenshaw-Curtis rules, the residual and terms_or_nodes
 of the lemma2_residue_theorem_contour record moved (1380 to 516 kernel
-calls) and no other byte.
+calls) and no other byte.  The eval files eval_reduce_t_step.txt and
+eval_reduce_t_and_s_step.txt were rewritten on purpose when theta1_reduced
+took one step function for every T/S step: the first step now shifts z by
+n tau as well, and a last T step is kept where no S step follows it.  Both
+moved in their last digits only, and both stay within 1e-12 of the 40-digit
+values in test_theta.py.
+
+Run as a script to rewrite golden files from the current CLI, only those
+named on the command line:
+
+    PYTHONPATH=src python tests/test_golden.py eval_reduce_t_step.txt
 """
 
+import contextlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +61,23 @@ def test_cli_output_matches_golden_file(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def rewrite(names):
+    """Write each named golden file from its CASES argv; reject unknown names."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown or not names:
+        sys.exit(f"unknown golden files: {' '.join(unknown)}" if unknown
+                 else "name the golden files to rewrite")
+    for name in names:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(CASES[name])
+        if code != 0:
+            sys.exit(f"{name}: siegeltheta exited {code}")
+        (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
+        print(f"rewrote {name}")
+
+
+if __name__ == "__main__":
+    rewrite(sys.argv[1:])

@@ -300,14 +300,20 @@ def test_reduced_t_step_factor(k, tau0):
 
 @pytest.mark.parametrize("tau", [0.5 + 0.6j, -0.5 + 0.6j, 0.5 + 1.2j, -0.5 + 1.2j, 0.3 + 0.5j])
 def test_reduced_without_t_step_is_bit_identical(tau):
-    # |Re tau| <= 1/2 takes no T step: the plain product or the bare S step
+    # |Re tau| <= 1/2 takes no T step first: the plain product or an S step.
+    # At +-0.5+0.6i a T step (k = -+1) follows the S step, so the bare S
+    # step is no longer its value bit for bit; 0.3+0.5i takes one too
+    # (k = -1) and still matches it
     z = 0.3 + 0.1j
+    got = theta1_reduced(z, tau).value
     if abs(tau) >= 1:
-        want = theta1(z, tau)
+        assert got == theta1(z, tau)
+    elif abs(tau.real) == 0.5:
+        want = _jtheta(1, z, tau)
+        assert abs(got - want) <= 1e-13 * abs(want)
     else:
         prefactor = -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(1j * math.pi * z * z / tau)
-        want = theta1(z / tau, -1.0 / tau) / prefactor
-    assert theta1_reduced(z, tau).value == want
+        assert got == theta1(z / tau, -1.0 / tau) / prefactor
 
 
 @pytest.mark.parametrize(
@@ -321,6 +327,17 @@ def test_reduced_without_t_step_is_bit_identical(tau):
         (0.1 + 0.2j, -1.37 + 0.003j,
          2191899574035986539.812634204089102315875
          + 2262457886676065464.786944985958599969730j, 4),
+        # 40-digit values of mpmath.jtheta.  The first step's z shift brings
+        # Im z/Im tau back here, where the product used to overflow; at the
+        # second point the product needs the odd-symmetry retry as well
+        (0.44642555931921546 - 0.4403184370644956j,
+         0.0028105819243204877 + 0.0015202489789186127j,
+         -3.493721322034862155542777252755190984736e+163
+         + 1.794936541863905341838335373995904965478e+163j, 1),
+        (0.5901740808703522 - 0.30990042279417246j,
+         0.0005167646119268454 + 0.0016548368183709101j,
+         1.986245202043355322021394046665994651963e+54
+         - 4.076503896149906800080638802371488589835e+53j, 1),
     ],
 )
 def test_reduced_t_step_reaches_near_axis_points(z, tau, want, terms):
@@ -389,13 +406,13 @@ def test_reduced_exact_zero_only_on_the_lattice():
 
 def _count_steps(monkeypatch):
     steps = []
-    further_step = theta._further_step
+    step = theta._step
 
     def counted(*args):
         steps.append(args[1])
-        return further_step(*args)
+        return step(*args)
 
-    monkeypatch.setattr(theta, "_further_step", counted)
+    monkeypatch.setattr(theta, "_step", counted)
     return steps
 
 
@@ -408,6 +425,30 @@ def test_reduction_stops_where_s_maps_tau_onto_itself(monkeypatch):
     assert len(steps) <= 2
     want = _jtheta(1, 0.3, tau)
     assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_every_reduced_product_has_re_tau_in_the_strip(monkeypatch):
+    # every step begins with its T step and keeps it where no S step
+    # follows, so the product is taken at |Re tau| <= 1/2
+    taus = []
+    product = theta._theta1_product
+
+    def recorded(z, tau, cfg):
+        taus.append(tau)
+        return product(z, tau, cfg)
+
+    monkeypatch.setattr(theta, "_theta1_product", recorded)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        # Im z within 5 sqrt(Im tau), where most values lie in binary64
+        tau = complex(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-5.0, 0.0))
+        z = complex(rng.uniform(-2.0, 2.0), 5.0 * math.sqrt(tau.imag) * rng.uniform(-1.0, 1.0))
+        try:
+            theta1_reduced(z, tau)
+        except (ConvergenceError, OverflowError):
+            pass
+    assert len(taus) >= 300
+    assert all(abs(tau.real) <= 0.5 for tau in taus)
 
 
 @pytest.mark.parametrize(
@@ -432,7 +473,8 @@ def test_reduction_rounding_bound_is_a_convergence_error():
 def test_overflow_names_the_product():
     with pytest.raises(OverflowError, match="theta3 product overflowed the binary64"):
         theta4(0.3 + 300j, 1j)
-    with pytest.raises(OverflowError, match="theta1 product overflowed the binary64"):
+    # the first inversion prefactor e^(pi i z^2/tau) overflows at the input
+    with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
         theta1_reduced(0.3, 1e-300j)
     # subnormal Im tau: -1/tau itself is infinite
     with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
@@ -464,8 +506,15 @@ def test_eval_config_validation():
         EvalConfig(eps=1.5)
     with pytest.raises(DomainError, match=r"^eps must lie in \(0, 1\), got nan$"):
         EvalConfig(float("nan"))
+    with pytest.raises(DomainError, match=r"^eps must be a real number, got '1e-12'$"):
+        EvalConfig(eps="1e-12")
     with pytest.raises(DomainError, match=r"^max_terms must be >= 1, got 0$"):
         EvalConfig(max_terms=0)
+    # a float cap is no term count: inf would lift it, nan would make its
+    # tail bound inf, and 2.5 used to fail inside theta1_series
+    for max_terms in (2.5, 1e9, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"^max_terms must be an integer, got "):
+            EvalConfig(max_terms=max_terms)
     # _replace builds a new config, which is validated the same way
     with pytest.raises(DomainError, match=r"^max_terms must be >= 1, got -1$"):
         EvalConfig()._replace(max_terms=-1)
