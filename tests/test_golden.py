@@ -79,5 +79,11 @@ def rewrite(names):
         print(f"rewrote {name}")
 
 
+def test_rewrite_rejects_unknown_names_before_writing():
+    # every name is checked before any file is written
+    with pytest.raises(SystemExit, match="^unknown golden files: bogus.txt$"):
+        rewrite(["eval_reduce_t_step.txt", "bogus.txt"])
+
+
 if __name__ == "__main__":
     rewrite(sys.argv[1:])
