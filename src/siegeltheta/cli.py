@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite_complex
 # eval loads only theta; verify and sweep import the suites module when they run
 from .theta import _PRODUCTS, SUITES, SWEEP_TARGETS, EvalConfig, format_complex, theta1_reduced
 
@@ -21,15 +21,12 @@ def parse_complex(text: str) -> complex:
 
     Whitespace inside the literal is rejected.
     """
-    if not text or any(ch.isspace() for ch in text):
-        raise DomainError(f"invalid complex literal {text!r}")
-    try:
-        value = complex(text.replace("i", "j").replace("I", "J"))
-    except ValueError:
-        raise DomainError(f"invalid complex literal {text!r}") from None
-    if not (abs(value.real) < float("inf") and abs(value.imag) < float("inf")):
-        raise DomainError(f"non-finite complex literal {text!r}")
-    return value
+    if not any(ch.isspace() for ch in text):
+        try:  # the message names the literal as given, not its j form
+            return finite_complex(text.replace("i", "j").replace("I", "J"), "literal")
+        except DomainError:
+            pass
+    raise DomainError(f"invalid complex literal {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ import cmath
 import math
 from collections.abc import Callable, Sequence
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite_complex, finite_real
 
 __all__ = [
     "integrate_closed",
@@ -26,20 +26,9 @@ _EDGE_LEVELS = 7
 _WEIGHTS: dict[int, tuple[float, ...]] = {}
 
 
-def _require_tol(tol: float) -> None:
-    if not tol > 0.0:  # also rejects NaN
-        raise DomainError(f"tol must be positive, got {tol!r}")
-
-
-def _finite_point(value, name: str) -> complex:
-    value = complex(value)
-    if not _is_finite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _is_finite(value: complex) -> bool:
-    return math.isfinite(value.real) and math.isfinite(value.imag)
+def _positive(value, name: str) -> None:
+    if not finite_real(value, name) > 0.0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 def _clenshaw_curtis(count: int) -> tuple[float, ...]:
@@ -82,7 +71,7 @@ def _nested(term, estimate, count: int, nodes: int, levels: int, tol: float, wha
             fresh = [term(j, count) for j in range(1, count, 2)]
             values = [v for pair in zip(values, fresh) for v in pair] + values[len(fresh):]
         approx = estimate(values, count)
-        if not _is_finite(approx):
+        if not (math.isfinite(approx.real) and math.isfinite(approx.imag)):
             raise ConvergenceError(f"{what} estimate is not finite at {len(values)} nodes")
         if previous is not None:
             gap = abs(approx - previous)
@@ -97,8 +86,7 @@ def _nested(term, estimate, count: int, nodes: int, levels: int, tol: float, wha
 
 def rhombus_contour(y: float) -> tuple[complex, ...]:
     """Vertices of the closed rhombus -i -> y -> i -> -y, counterclockwise."""
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
-        raise DomainError(f"y must be a positive finite real, got {y!r}")
+    _positive(y, "y")
     return (-1j, complex(y), 1j, complex(-y))
 
 
@@ -112,9 +100,9 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
     ConvergenceError past 2,049 nodes or at an estimate that is not
     finite, DomainError for a non-finite start or end.
     """
-    _require_tol(tol)
-    start = _finite_point(start, "start")
-    end = _finite_point(end, "end")
+    _positive(tol, "tol")
+    start = finite_complex(start, "start")
+    end = finite_complex(end, "end")
     mid = 0.5 * (start + end)
     half = 0.5 * (end - start)
 
@@ -154,10 +142,9 @@ def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -
     half the distance to the nearest other singularity.  DomainError for a
     non-finite center.
     """
-    _require_tol(tol)
-    center = _finite_point(center, "center")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError(f"radius must be a positive finite real, got {radius!r}")
+    _positive(tol, "tol")
+    center = finite_complex(center, "center")
+    _positive(radius, "radius")
 
     def term(j, count):
         # the angle 2 pi j / count is exact under doubling j and count together

@@ -24,3 +24,38 @@ class ConvergenceError(SiegelThetaError):
 
 class PoleProximityError(SiegelThetaError):
     """Evaluation was requested too close to a pole to be meaningful."""
+
+
+# The argument checks every public entry runs: each returns the value it was
+# given (as a complex, for finite_complex) or raises DomainError naming it.
+# An int past binary64 counts as the inf it rounds to, also in the message,
+# which could not print an int of more than 4,300 digits.
+
+def finite_complex(value, name: str) -> complex:
+    """value as a complex with finite parts."""
+    try:
+        value = complex(value)
+    except OverflowError:
+        value = complex(math.inf if value > 0 else -math.inf)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a complex number, got {value!r}") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def finite_real(value, name: str):
+    """value, an int or a float that is finite in binary64, unconverted."""
+    try:
+        if isinstance(value, (int, float)) and math.isfinite(value):
+            return value
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    raise DomainError(f"{name} must be a finite real, got {value!r}")
+
+
+def positive_int(value, name: str) -> int:
+    """value, an int >= 1."""
+    if not (isinstance(value, int) and value >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return value

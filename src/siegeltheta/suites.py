@@ -10,7 +10,7 @@ import time
 from collections import namedtuple
 
 from .contour import integrate_closed, residue_by_circle, rhombus_contour
-from .errors import DomainError
+from .errors import DomainError, finite_real, positive_int
 from .theta import (
     SUITES,
     SWEEP_TARGETS,
@@ -95,7 +95,7 @@ def sample_grid(count: int, seed: int) -> list[tuple[complex, complex]]:
     """Seeded (z, tau) pairs with Im tau in [0.3, 3] and general Re tau."""
     rng = random.Random(seed)
     grid = []
-    for _ in range(count):
+    for _ in range(positive_int(count, "count")):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
         tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
         grid.append((z, tau))
@@ -106,7 +106,7 @@ def sample_domain_points(count: int, seed: int) -> list[DomainPoint]:
     """Seeded DomainPoints (n = 1) kept away from the slow-convergence boundary."""
     rng = random.Random(seed)
     points = []
-    for _ in range(count):
+    for _ in range(positive_int(count, "count")):
         points.append(
             DomainPoint(
                 a=rng.uniform(0.3, 0.7),
@@ -244,14 +244,11 @@ def run_suite(
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
-    if count is not None and count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
-    if n is not None and n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    if tol is not None:
-        tol = float(tol)
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise DomainError(f"tol must be finite and >= 0, got {tol!r}")
+    for name, value in (("count", count), ("n", n)):
+        if value is not None:
+            positive_int(value, name)
+    if tol is not None and not finite_real(tol, "tol") >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
     if suite == "all":
         reports = []
         for name in SUITES:
@@ -278,39 +275,33 @@ def run_suite(
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _geometric(start: float, stop: float, steps: int) -> list[float]:
-    if start > stop:
+def _grid(target: str, start, stop, steps, default_start: float, default_stop: float,
+          geometric: bool) -> list[float]:
+    """steps values (10 by default) from start to stop, spaced evenly, or
+    by a constant ratio where geometric; [] where start > stop."""
+    first = default_start if start is None else float(finite_real(start, f"{target} start"))
+    last = default_stop if stop is None else float(finite_real(stop, f"{target} stop"))
+    count = 10 if steps is None else positive_int(steps, f"{target} steps")
+    if geometric and not first > 0.0:
+        raise DomainError(f"{target} start must be a positive Im tau, got {first!r}")
+    if first > last:
         return []
-    if steps <= 1 or start == stop:
-        return [start]
-    ratio = (stop / start) ** (1.0 / (steps - 1))
-    return [start * ratio**i for i in range(steps)]
-
-
-def _linear(start: float, stop: float, steps: int) -> list[float]:
-    if start > stop:
-        return []
-    if steps <= 1 or start == stop:
-        return [start]
-    step = (stop - start) / (steps - 1)
-    return [start + step * i for i in range(steps)]
+    if count == 1 or first == last:
+        return [first]
+    if geometric:
+        ratio = (last / first) ** (1.0 / (count - 1))
+        return [first * ratio**i for i in range(count)]
+    step = (last - first) / (count - 1)
+    return [first + step * i for i in range(count)]
 
 
 def _integer_bound(name: str, value, default: int) -> int:
-    if value is not None and not (math.isfinite(value) and value == int(value)):
-        raise DomainError(f"edge_limit {name} must be a finite integer, got {value!r}")
-    return default if value is None else int(value)
-
-
-def _real_bounds(target: str, start, stop, steps, default_start: float, default_stop: float):
-    first = default_start if start is None else float(start)
-    last = default_stop if stop is None else float(stop)
-    count = 10 if steps is None else int(steps)
-    if not (math.isfinite(first) and math.isfinite(last)):
-        raise DomainError(f"{target} start and stop must be finite, got {first!r}, {last!r}")
-    if count < 1:
-        raise DomainError(f"{target} steps must be >= 1, got {count!r}")
-    return first, last, count
+    # the CLI passes --start and --stop as floats: an integer-valued one is taken
+    if value is None:
+        return default
+    if finite_real(value, f"edge_limit {name}") != int(value):
+        raise DomainError(f"edge_limit {name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def sweep_rows(target, start=None, stop=None, steps=None):
@@ -328,10 +319,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         return header, rows
 
     if target == "reduction_gain":
-        first, last, count = _real_bounds(target, start, stop, steps, 0.01, 1.0)
-        if not first > 0.0:
-            raise DomainError(f"reduction_gain start must be a positive Im tau, got {first!r}")
-        values = _geometric(first, last, count)
+        values = _grid(target, start, stop, steps, 0.01, 1.0, geometric=True)
         header = ["im_tau", "z", "eps", "terms_direct", "terms_reduced", "gain", "abs_diff"]
         z = 0.3
         eps = 1e-12
@@ -349,7 +337,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         return header, rows
 
     if target == "lambert_tail":
-        values = _linear(*_real_bounds(target, start, stop, steps, 1.1, 5.0))
+        values = _grid(target, start, stop, steps, 1.1, 5.0, geometric=False)
         header = ["y", "a", "b", "eps", "terms", "residual"]
         rows = []
         for y in values:

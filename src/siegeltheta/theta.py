@@ -41,7 +41,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, finite_complex, finite_real, positive_int
 
 __all__ = [
     "EvalConfig",
@@ -63,6 +63,7 @@ __all__ = [
 _PI = math.pi
 _IPI = 1j * math.pi
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
 _EPS = sys.float_info.epsilon / 2.0  # unit roundoff
 # theta1_reduced declines a value whose first-order rounding bound exceeds this
 _ROUNDING_LIMIT = 5e-10
@@ -82,15 +83,9 @@ class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
     __slots__ = ()
 
     def __new__(cls, eps: float = 1e-12, max_terms: int = 5000):
-        if not isinstance(eps, (int, float)):
-            raise DomainError(f"eps must be a real number, got {eps!r}")
-        if not 0.0 < eps < 1.0:
+        if not 0.0 < finite_real(eps, "eps") < 1.0:
             raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
-        if not isinstance(max_terms, int):
-            raise DomainError(f"max_terms must be an integer, got {max_terms!r}")
-        if max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-        return super().__new__(cls, eps, max_terms)
+        return super().__new__(cls, eps, positive_int(max_terms, "max_terms"))
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through this: validate there too
@@ -106,24 +101,14 @@ def _is_finite(value: complex) -> bool:
     return math.isfinite(value.real) and math.isfinite(value.imag)
 
 
-def _as_complex(value, name: str) -> complex:
-    value = complex(value)
-    if not _is_finite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _as_z(z) -> complex:
-    """_as_complex(z, "z") with Re z reduced exactly into (-2, 2).
+    """finite_complex(z, "z") with Re z reduced exactly into (-2, 2).
 
     Every theta function has period 2 in z.  fmod is exact, and it is the
-    identity below 2, so only a large |Re z| changes.  The check is inlined,
-    as this runs once per evaluation.
+    identity below 2, so only a large |Re z| changes.
     """
-    z = complex(z)
+    z = finite_complex(z, "z")
     x = z.real
-    if not (math.isfinite(x) and math.isfinite(z.imag)):
-        raise DomainError(f"z must be finite, got {z!r}")
     return complex(math.fmod(x, 2.0), z.imag) if abs(x) >= 2.0 else z
 
 
@@ -140,7 +125,7 @@ def _require_finite(value: complex, what: str) -> complex:
 
 def require_tau(tau) -> complex:
     """Validate membership of tau in the upper half-plane and return it."""
-    tau = _as_complex(tau, "tau")
+    tau = finite_complex(tau, "tau")
     if tau.imag <= 0.0:
         raise DomainError(f"tau={tau!r} is not in the upper half-plane")
     return tau
@@ -157,8 +142,8 @@ def principal_pow(base, exponent) -> complex:
     A real negative base gets arg = +pi even when its imaginary part is a
     negative zero.
     """
-    base = _as_complex(base, "base")
-    exponent = _as_complex(exponent, "exponent")
+    base = finite_complex(base, "base")
+    exponent = finite_complex(exponent, "exponent")
     if base == 0:
         raise DomainError("principal power of a zero base is undefined")
     if base.imag == 0.0:
@@ -202,7 +187,7 @@ def product_terms(z, tau, cfg: EvalConfig | None = None) -> int:
     """Product length the truncation bound dictates at (z, tau)."""
     cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
-    z = _as_complex(z, "z")
+    z = finite_complex(z, "z")
     return _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
 
 
@@ -236,25 +221,29 @@ def _one_minus_exp(x: complex) -> complex:
 
 
 def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
-    try:  # cmath.exp raises on overflow, in a factor or in the prefactor
-        if 0.0 < abs(z) < _NEAR_ZERO:
-            # the first factor 1 - w^-2 cancels near z = 0: it is taken out of
-            # the product (whose trail 0 leaves the n >= 1 factors) and formed
-            # without the cancellation
-            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, 0.0)
-            prod *= _one_minus_exp(-2.0 * _IPI * z)
-        else:
-            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
-        if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
-            return prod, terms
-        value = -1j * cmath.exp(_IPI * (z + tau / 4.0)) * prod
-        if _is_finite(value):
-            return value, terms
-    except OverflowError:
-        pass
+    exponent = _IPI * (z + tau / 4.0)  # of the prefactor -i e^(i pi (z + tau/4))
+    # where it underflows at Im z > 0, 1 - w^-2 restores the size: go to -z
+    if not (z.imag > 0.0 and exponent.real < _LOG_MIN):
+        try:  # cmath.exp raises on overflow, in a factor or in the prefactor
+            if 0.0 < abs(z) < _NEAR_ZERO:
+                # the first factor 1 - w^-2 cancels near z = 0: it is taken out
+                # of the product (whose trail 0 leaves the n >= 1 factors) and
+                # formed without the cancellation
+                prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, 0.0)
+                prod *= _one_minus_exp(-2.0 * _IPI * z)
+            else:
+                prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
+            if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
+                return prod, terms
+            value = -1j * cmath.exp(exponent) * prod
+            if _is_finite(value):
+                return value, terms
+        except OverflowError:
+            pass
     if z.imag > 0.0:
-        # |w^-2| = e^(2 pi Im z) overflows in 1 - w^-2 where theta1 itself
-        # may be in range; theta1 is odd, and at -z that factor is small
+        # |w^-2| = e^(2 pi Im z) overflows in 1 - w^-2, or the prefactor
+        # underflows, where theta1 itself may be in range; theta1 is odd, and
+        # at -z that factor is small
         value, terms = _theta1_product(-z, tau, cfg)
         return (-value if value else value), terms  # an exact zero keeps +0 parts
     raise OverflowError("theta1 product overflowed the binary64 range")
@@ -424,7 +413,7 @@ def _inversion_prefactor(z: complex, tau: complex) -> complex:
 def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau)."""
     tau = require_tau(tau)
-    z = _as_complex(z, "z")
+    z = finite_complex(z, "z")
     return _require_finite(
         _inversion_prefactor(z, tau) * theta1(z, tau, cfg), "inversion right side"
     )

@@ -31,7 +31,8 @@ from collections import namedtuple
 from functools import cached_property
 
 from .contour import rhombus_contour
-from .errors import ConvergenceError, DomainError, PoleProximityError
+from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_complex,
+                     finite_real, positive_int)
 from .theta import inversion_rhs, require_tau, theta1
 
 __all__ = [
@@ -73,17 +74,14 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
 
     def __new__(cls, a: float, b: float, y: float, n: int = 1):
         for name, value in (("a", a), ("b", b), ("y", y)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite real, got {value!r}")
+            finite_real(value, name)
         if not b < 0.0:
             raise DomainError(f"b must be negative, got {b!r}")
         if not 0.0 < a < 1.0:
             raise DomainError(f"a must lie in (0, 1), got {a!r}")
         if not y > abs(b):
             raise DomainError(f"y must exceed |b|, got y={y!r}, b={b!r}")
-        if not (isinstance(n, int) and n >= 1):
-            raise DomainError(f"n must be a positive integer, got {n!r}")
-        return super().__new__(cls, a, b, y, n)
+        return super().__new__(cls, a, b, y, positive_int(n, "n"))
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through this: validate there too
@@ -218,12 +216,10 @@ _KERNEL_OVERFLOW = "residue kernel overflowed the binary64 range"
 def _pole_distance(zeta: complex, cap: float, y: float) -> float:
     # distance from zeta to {ik/cap} U {ky/cap}, k in Z, through the
     # nearest index on each axis
-    try:
+    try:  # zeta is finite; round raises on an infinite index
         k_imag = round(zeta.imag * cap)
         k_real = round(zeta.real * cap / y)
-    except (ValueError, OverflowError):  # NaN or infinite index
-        if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
-            raise DomainError(f"zeta must be finite, got {zeta!r}") from None
+    except OverflowError:
         raise OverflowError(_KERNEL_OVERFLOW) from None
     d_imag = math.hypot(zeta.real, zeta.imag - k_imag / cap)
     d_real = math.hypot(zeta.real - k_real * y / cap, zeta.imag)
@@ -236,7 +232,7 @@ def pole_distance(zeta: complex, p: DomainPoint) -> float:
     DomainError for a non-finite zeta; OverflowError where zeta is so large
     that the nearest pole's index leaves the binary64 range.
     """
-    return _pole_distance(complex(zeta), p.N, p.y)
+    return _pole_distance(finite_complex(zeta, "zeta"), p.N, p.y)
 
 
 def _cot(w: complex) -> complex:
@@ -265,7 +261,7 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     per DomainPoint.
     """
     cap, y, pi_i_cap, pi_cap, b_scale, one_minus_z, two_pi_cap, guard = p._kernel_constants
-    zeta = complex(zeta)
+    zeta = finite_complex(zeta, "zeta")
     if _pole_distance(zeta, cap, y) < guard:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
     try:
@@ -293,10 +289,14 @@ def residue_at_zero(p: DomainPoint) -> complex:
     return 0.125j * (y - 1.0 / y) + 0.5 * z - 0.5j * z * z / y + 0.5j * z / y - 0.25
 
 
+def _pole_index(k) -> None:
+    if not (isinstance(k, int) and k):
+        raise DomainError(f"k must be a nonzero integer, got {k!r}")
+
+
 def residue_imag_pole(k: int, p: DomainPoint) -> complex:
     """Residue at ik/N for nonzero integer k (closed form, N-free)."""
-    if k == 0:
-        raise DomainError("k must be nonzero")
+    _pole_index(k)
     z, y = p.z, p.y
     first = 1.0 / math.tanh(_PI * k / y) / (8j * _PI * k)
     s = _TWO_PI * k / y
@@ -309,8 +309,7 @@ def residue_imag_pole(k: int, p: DomainPoint) -> complex:
 
 def residue_real_pole(k: int, p: DomainPoint) -> complex:
     """Residue at ky/N for nonzero integer k (closed form, N-free)."""
-    if k == 0:
-        raise DomainError("k must be nonzero")
+    _pole_index(k)
     z, y = p.z, p.y
     first = -1.0 / math.tanh(_PI * k * y) / (8j * _PI * k)
     s = _TWO_PI * k * y
@@ -385,7 +384,7 @@ def edge_limit_value(edge: str, t: float, p: DomainPoint) -> complex:
     0.05 away from the endpoints.
     """
     start, end = edge_endpoints(edge, p.y)
-    if not 0.05 <= t <= 0.95:
+    if not 0.05 <= finite_real(t, "t") <= 0.95:
         raise DomainError(f"t={t!r} must lie in [0.05, 0.95]")
     zeta = (1.0 - t) * start + t * end
     return zeta * residue_kernel(zeta, p)
@@ -409,7 +408,7 @@ def transformation_residual(z, tau, cfg=None) -> float:
     half-plane, not only tau = iy.
     """
     tau = require_tau(tau)
-    z = complex(z)
+    z = finite_complex(z, "z")
     rhs = inversion_rhs(z, tau, cfg)
     lhs = theta1(z / tau, -1.0 / tau, cfg)
     return abs(lhs - rhs) / max(1.0, abs(rhs))

@@ -40,7 +40,7 @@ def test_parse_complex(text, expected):
     assert parse_complex(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "1 + i", "abc", "0.5- 0.25i", "nan"])
+@pytest.mark.parametrize("text", ["", "1 + i", "abc", "0.5- 0.25i", "nan", "1e400i"])
 def test_parse_complex_rejects(text):
     with pytest.raises(DomainError):
         parse_complex(text)

@@ -239,17 +239,6 @@ def test_residue_by_circle_stops_at_a_non_finite_estimate():
     assert len(calls) == 15
 
 
-@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)])
-def test_quadrature_rejects_non_finite_points(bad):
-    f = lambda w: 1.0 / w
-    with pytest.raises(DomainError, match="start must be finite"):
-        integrate_edge(f, bad, 1.0)
-    with pytest.raises(DomainError, match="end must be finite"):
-        integrate_edge(f, 1.0, bad)
-    with pytest.raises(DomainError, match="center must be finite"):
-        residue_by_circle(f, bad, 0.5)
-
-
 def test_residue_by_circle_rejects_bad_radius():
     with pytest.raises(DomainError):
         residue_by_circle(lambda w: 1.0 / w, 0.0, 0.0)
