@@ -282,35 +282,38 @@ def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> compl
 
 def _off_zero(z: complex, tau: complex):
     """(d, log) with theta1(z, tau) = e^log theta1(d, tau), where z lies
-    within _NEAR_ZERO max(1, |z|) of a zero m + n tau of theta1 other than 0;
-    (z, 0j) elsewhere, and where pi n^2 Im tau reaches log(float max): so
-    many periods out, z is left to the product, which refuses a huge Im z.
+    within _NEAR_ZERO max(1, |z|) of a zero m + n tau of theta1 other than 0
+    and pi n^2 Im tau is finite; (z, 0j) elsewhere.
 
     d = z - m - n tau is rounded once from its exact value: in binary64 it
     would keep few of the digits that the relative accuracy of theta1 rests
     on.  By quasi-periodicity e^log = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d))
-    (DLMF 20.2.12).  tau is checked.
+    (DLMF 20.2.12), its phase taken mod 2 from the exact d.  tau is checked.
     """
     near = _NEAR_ZERO * max(1.0, abs(z))
     # math.remainder is Im z - n Im tau, exact: most points stop at it
     if not abs(math.remainder(z.imag, tau.imag)) < near:
         return z, 0j
     ratio = z.imag / tau.imag
-    if not _PI * ratio * ratio * tau.imag < _LOG_MAX:  # also for an inf ratio
+    if not math.isfinite(_PI * ratio * ratio * tau.imag):  # also for an inf ratio
         return z, 0j
     n = round(ratio)
     offset = z - n * tau
+    if not _is_finite(offset):
+        return z, 0j
     m = round(offset.real)
     if not (m or n) or not abs(offset - m) < near:
         return z, 0j
     from fractions import Fraction  # exact; needed only near a zero
 
     re_tau = Fraction(tau.real)
-    d = complex(float(Fraction(z.real) - m - n * re_tau),
-                float(Fraction(z.imag) - n * Fraction(tau.imag)))
-    # the phase n^2 Re tau + m + n is taken mod 2 exactly
-    phase = float((n * n * re_tau + m + n) % 2) + 2.0 * n * d.real
-    return d, -_IPI * complex(phase, n * n * tau.imag + 2.0 * n * d.imag)
+    re_d = Fraction(z.real) - m - n * re_tau
+    d = complex(float(re_d), float(Fraction(z.imag) - n * Fraction(tau.imag)))
+    # the rounding of n tau in offset can hide how far z is from m + n tau
+    if not abs(d) < near:
+        return z, 0j
+    phase = float((n * n * re_tau + m + n + 2 * n * re_d) % 2)
+    return d, -_IPI * complex(phase, n * (n * tau.imag) + 2.0 * n * d.imag)
 
 
 def _theta1_value(z: complex, tau: complex, cfg: EvalConfig):
@@ -474,11 +477,11 @@ def _step(z: complex, tau: complex, eighths: int, log: complex, dz: float, dtau:
     inverted_tau = -1.0 / tau
     if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
         return (z, tau, eighths, log, dz, dtau, error), False
-    ratio = z.imag / tau.imag
-    shift_error = 0.0
-    if not math.isfinite(ratio):
+    periods = z.imag / tau.imag
+    if not math.isfinite(periods):
         raise OverflowError("reduced theta1 overflowed the binary64 range")
-    n = round(ratio)
+    n = round(periods)
+    shift_error = 0.0
     if n:
         power = n * (2.0 * z - n * tau)
         if not _is_finite(power):

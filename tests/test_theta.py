@@ -199,6 +199,10 @@ def test_tiny_im_tau_is_a_convergence_error():
     # subnormal Im tau: the term count itself is inf
     with pytest.raises(ConvergenceError):
         theta1(0.3, 1e-320j)
+    # the lattice shift n tau of a nearby zero overflows: a raw OverflowError
+    # from round(inf) once
+    with pytest.raises(ConvergenceError):
+        theta1(1e-10j, 1e300 + 1e-20j)
 
 
 @pytest.mark.parametrize("z", [1e308j, 1e308 + 1e308j, 0.3 - 1e308j, 0.3 + 1e300j])
@@ -421,6 +425,10 @@ def _near_zero_case(z, tau, entry="theta1_reduced"):
         # 1e-13 from the zero tau, with no step taken: the shift's log still applies
         _near_zero_case(0.2 + 1.5j + 1e-13, 0.2 + 1.5j),
         _near_zero_case(1.4326302389936072e-236j, 1j),  # 1 - e^(-2 pi i z) rounds to 0
+        # 1e-10 from the zero 100 tau, whose shift factor e^(pi 100^2 Im tau)
+        # = e^722 lies beyond binary64 while theta1 is 1.7e292
+        _near_zero_case(2.3j + 1e-10, 0.023j),
+        _near_zero_case(2.3j + 1e-10, 0.023j, "theta1"),
         _near_zero_case(1.5 - 1e-12, 1j, "theta2"),  # 1e-12 from the zero 3/2 of theta2
     ],
 )
@@ -510,6 +518,12 @@ def test_overflow_names_the_product():
     # below the binary64 range, farther than its rounding bound reaches
     with pytest.raises(OverflowError, match="reduced theta1 underflowed the binary64"):
         theta1_reduced(0.3, 1e-300j)
+    # 5.5e-16 from the zero 100 tau, where theta1 is about 1e1348; the
+    # product at z itself hit an exact zero
+    with pytest.raises(OverflowError, match="theta1 product overflowed the binary64"):
+        theta1(10j, 0.1j)
+    with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
+        theta1_reduced(10j, 0.1j)
     # subnormal Im tau: -1/tau itself is infinite
     with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
         theta1_reduced(0.3, 1e-320j)
