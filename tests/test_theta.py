@@ -199,8 +199,8 @@ def test_tiny_im_tau_is_a_convergence_error():
     # subnormal Im tau: the term count itself is inf
     with pytest.raises(ConvergenceError):
         theta1(0.3, 1e-320j)
-    # the lattice shift n tau of a nearby zero overflows: a raw OverflowError
-    # from round(inf) once
+    # the lattice shift n tau of a nearby zero overflows; it used to escape
+    # as a raw OverflowError from round(inf)
     with pytest.raises(ConvergenceError):
         theta1(1e-10j, 1e300 + 1e-20j)
 
