@@ -13,7 +13,7 @@ import sys
 
 from .errors import ConvergenceError, DomainError, finite_complex
 # eval loads only theta; verify and sweep import the suites module when they run
-from .theta import _PRODUCTS, SUITES, SWEEP_TARGETS, EvalConfig, format_complex, theta1_reduced
+from .theta import _PRODUCTS, SUITES, SWEEP_TARGETS, EvalConfig, format_complex
 
 
 def parse_complex(text: str) -> complex:
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--max-terms", type=int, default=5000)
     ev.add_argument(
         "--reduce", action="store_true",
-        help="apply inversion-based argument reduction (theta1 only)",
+        help="accepted and ignored: theta1 and theta2 always take the modular reduction",
     )
     ev.set_defaults(handler=_cmd_eval)
 
@@ -75,13 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args) -> int:
     z = parse_complex(args.z)
     tau = parse_complex(args.tau)
-    if args.reduce and args.function != "theta1":
-        raise DomainError("--reduce is only available for theta1")
     cfg = EvalConfig(eps=args.eps, max_terms=args.max_terms)
-    if args.function == "theta1" and args.reduce:
-        value, terms, _ = theta1_reduced(z, tau, cfg)
-    else:
-        value, terms = _PRODUCTS[args.function](z, tau, cfg)
+    value, terms = _PRODUCTS[args.function](z, tau, cfg)
     print(f"{format_complex(value)} terms={terms}")
     return 0
 

@@ -15,9 +15,9 @@ from .theta import (
     SUITES,
     SWEEP_TARGETS,
     EvalConfig,
+    _theta1_plain,
     format_complex,
     product_terms,
-    theta1,
     theta1_reduced,
 )
 from .verifier import (
@@ -332,7 +332,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
             rows.append([
                 im_tau, z, eps, direct_terms, reduced.terms_used,
                 direct_terms / reduced.terms_used,
-                abs(reduced.value - theta1(z, tau, cfg)),
+                abs(reduced.value - _theta1_plain(z, tau, cfg)),
             ])
         return header, rows
 
@@ -342,7 +342,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         rows = []
         for y in values:
             p = DomainPoint(0.5, -0.25, y)
-            product = theta1(p.z, complex(0.0, y))
+            product = _theta1_plain(p.z, complex(0.0, y))
             expanded = cmath.exp(log_theta1_lambert(p))
             residual = abs(expanded - product) / max(1.0, abs(product))
             rows.append([y, p.a, p.b, LAMBERT_EPS, lambert_terms(p), residual])

@@ -13,30 +13,36 @@ The inversion law
 
     theta1(z/tau, -1/tau) = -i (-i tau)^(1/2) exp(pi i z^2 / tau) theta1(z, tau)
 
-is exposed both as an identity (`inversion_rhs`) and as an accelerator
-(`theta1_reduced`).  That takes a T step, tau -> tau - k with k the integer
-nearest Re tau, through theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
-(DLMF 20.7.26); then, when the shifted |tau| < 1, z is shifted by the
-lattice Z + tau Z, the product converges much faster at -1/tau, and the law
-is solved for theta1(z, tau) and evaluated there.  One step function takes
-each T step and the S step after it; steps repeat while S strictly raises
-Im tau, and the product is then taken where they stopped, at
-|Re tau| <= 1/2 and with at most 6 factors over the benchmark's near-axis
-pools.  The steps carry their multiplier as an exact eighth root of unity
-and a log.  Where the product's factor 1 - w^-2 overflows at a large Im z,
-the product is taken at -z (theta1 is odd).
+is exposed both as an identity (`inversion_rhs`) and as an accelerator:
+theta1, theta2 and theta1_reduced take one route.  That takes a T step,
+tau -> tau - k with k the integer nearest Re tau, through
+theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26); then, when
+the shifted |tau| < 1, z is shifted by the lattice Z + tau Z, the product
+converges much faster at -1/tau, and the law is solved for theta1(z, tau)
+and evaluated there.  One step function takes each T step and the S step
+after it; steps repeat while S strictly raises Im tau, and the product is
+then taken where they stopped, at |Re tau| <= 1/2 and with at most 6
+factors over the benchmark's near-axis pools, and at Im z <= 0 (theta1 is
+odd), where its truncation drops less.  The steps carry their multiplier as
+an exact eighth root of unity and a log.
 
-theta1, theta2 and theta1_reduced form their value in one place, `_scaled`:
-the product's prefactor -i e^(i pi (z + tau/4)) is kept as its exponent,
-the logs of the steps and of a lattice shift are added to it, and the value
-is formed directly where that prefactor is a normal binary64 number, and
+The plain product at (z, tau) itself, with no step, serves only the proof
+replay: `inversion_rhs`, and through it the verifier, check the law on it,
+so that check does not rest on the law.  Where its factor 1 - w^-2
+overflows at a large Im z, it is taken at -z.  theta3 and theta4 keep their
+own product.
+
+theta1 and the plain product form their value in one place, `_scaled`: the
+product's prefactor -i e^(i pi (z + tau/4)) is kept as its exponent, the
+logs of the steps and of a lattice shift are added to it, and the value is
+formed directly where that prefactor is a normal binary64 number, and
 through one exp of the summed logs elsewhere.  That is also the one place
 that decides a value has overflowed or underflowed the binary64 range.
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
 for a large |Re z|.  Near a zero of theta1 other than 0, theta1, theta2 and
-theta1_reduced then replace z by its exact offset from that zero.
+the plain product then replace z by its exact offset from that zero.
 
 All arithmetic is binary64; products are truncated by an a priori
 geometric tail bound controlled through `EvalConfig`.
@@ -257,8 +263,8 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
 
 
 def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> complex:
-    """unit e^exponent prod: the one place where theta1, theta2 and
-    theta1_reduced decide that a value has left binary64.
+    """unit e^exponent prod: the one place where theta1 and the plain
+    product decide that a value has left binary64.
 
     Where e^exponent is a normal binary64 number the value is formed
     directly, so a plain product keeps its bits; elsewhere, and where that
@@ -316,21 +322,24 @@ def _off_zero(z: complex, tau: complex):
     return d, -_IPI * complex(phase, n * (n * tau.imag) + 2.0 * n * d.imag)
 
 
-def _theta1_value(z: complex, tau: complex, cfg: EvalConfig):
-    """theta1 and the product's terms at a checked (z, tau), with z first
-    moved off a nearby zero (see _off_zero)."""
-    z, log = _off_zero(z, tau)
-    unit, exponent, prod, terms = _theta1_product(z, tau, cfg)
+def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
+    """theta1 from its product at (z, tau) itself, with no T or S step,
+    taken at the exact offset from a nearby zero (see `_off_zero`).
+
+    The proof replay's reference: `inversion_rhs` and the verifier check the
+    inversion law on it, so that check does not rest on the law.
+    """
+    tau = require_tau(tau)
+    z, log = _off_zero(_as_z(z), tau)
+    unit, exponent, prod, _ = _theta1_product(z, tau, cfg or _DEFAULT_CFG)
     if log:
         exponent += log
-    return _scaled(unit, exponent, prod, "theta1 product"), terms
+    return _scaled(unit, exponent, prod, "theta1 product")
 
 
 def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """First theta function, odd in z, from its product representation,
-    taken at the exact offset from a nearby zero (see `_off_zero`)."""
-    value, _ = _theta1_value(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG)
-    return value
+    """First theta function, odd in z: theta1_reduced(z, tau, cfg).value."""
+    return _theta1_steps(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG)[0]
 
 
 def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -384,10 +393,10 @@ def _theta3_product(z, tau, cfg: EvalConfig):
     return _require_finite(prod, "theta3 product"), terms
 
 
-def _theta2_product(z, tau, cfg: EvalConfig):
-    value, terms = _theta1_value(_as_z(z) - 0.5, require_tau(tau), cfg)
-    # an exact zero keeps its +0 parts, as in theta1
-    return (-value if value else value), terms
+def _theta2_steps(z, tau, cfg: EvalConfig):
+    value, terms, _ = _theta1_steps(_as_z(z) - 0.5, require_tau(tau), cfg)
+    # 0 - value, not -value: a zero part, and an exact zero, keep +0
+    return 0.0 - value, terms
 
 
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -404,16 +413,17 @@ def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
 
 def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta2(z) = -theta1(z - 1/2)."""
-    value, _ = _theta2_product(z, tau, cfg or _DEFAULT_CFG)
+    value, _ = _theta2_steps(z, tau, cfg or _DEFAULT_CFG)
     return value
 
 
 # each function's (value, product factors used) at a caller's (z, tau), with
-# Re z reduced before any half-period shift; the count falls short of
-# product_terms when the product stops at an exact zero
+# Re z reduced before any half-period shift; theta1 and theta2 count the
+# factors at the reduced point, and the count falls short of the product's
+# length when it stops at an exact zero
 _PRODUCTS = {
-    "theta1": lambda z, tau, cfg: _theta1_value(_as_z(z), require_tau(tau), cfg),
-    "theta2": _theta2_product,
+    "theta1": lambda z, tau, cfg: _theta1_steps(_as_z(z), require_tau(tau), cfg)[:2],
+    "theta2": _theta2_steps,
     "theta3": lambda z, tau, cfg: _theta3_product(_as_z(z), require_tau(tau), cfg),
     "theta4": lambda z, tau, cfg: _theta3_product(_as_z(z) + 0.5, require_tau(tau), cfg),
 }
@@ -442,7 +452,8 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     tau = require_tau(tau)
     z = finite_complex(z, "z")
     return _require_finite(
-        -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau) * theta1(z, tau, cfg),
+        -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau)
+        * _theta1_plain(z, tau, cfg),
         "inversion right side"
     )
 
@@ -527,9 +538,10 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     theta1(z, tau).  The steps carry their multiplier as an exact unit and
     a log, so they stop only where S would not raise Im tau, and the product
     is taken there, always at |Re tau| <= 1/2; one exp of the summed logs
-    then forms the value (see `_scaled`).  A point that takes no step is a
-    plain product evaluation, bit for bit.  `reduced` is true when a T or S
-    step was taken.
+    then forms the value (see `_scaled`).  The product is taken at Im z <= 0,
+    through theta1(-z) = -theta1(z).  A point that takes no step is a plain
+    product evaluation there, bit for bit.  `reduced` is true when a T or S
+    step was taken.  theta1 and theta2 take these steps too.
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
@@ -545,16 +557,25 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     amplifies the rounding of the one before.
     """
     tau = require_tau(tau)
-    z, log = _off_zero(_as_z(z), tau)
+    return ThetaEval(*_theta1_steps(_as_z(z), tau, cfg or _DEFAULT_CFG))
+
+
+def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig):
+    """theta1_reduced's (value, terms, reduced) at a checked (z, tau)."""
+    z, log = _off_zero(z, tau)
     state, inverted = (z, tau, 0, log, 0.0, 0.0, 0.0), True
     while inverted:
         state, inverted = _step(*state)
     reduced_z, reduced_tau, eighths, log, dz, dtau, error = state
-    unit, exponent, prod, terms = _theta1_product(reduced_z, reduced_tau, cfg or _DEFAULT_CFG)
+    if reduced_z.imag > 0.0:
+        # theta1 is odd; at -z the product's largest dropped factor is
+        # |q|^2 smaller for the same length
+        reduced_z, eighths = -reduced_z, eighths + 4
+    unit, exponent, prod, terms = _theta1_product(reduced_z, reduced_tau, cfg)
     if not prod and z:  # an exact zero only on the zero lattice
         raise OverflowError("reduced theta1 underflowed the binary64 range")
     reduced = reduced_tau != tau
-    if reduced:
+    if eighths % 8:
         unit *= _T_FACTORS[eighths % 8]
     if log:
         exponent += log
@@ -569,4 +590,4 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
                 _LOG_TINY - error <= exponent.real + math.log(abs(prod)) <= _LOG_MAX + error):
             raise ConvergenceError(
                 f"reduction rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
-    return ThetaEval(_scaled(unit, exponent, prod, "reduced theta1"), terms, reduced)
+    return _scaled(unit, exponent, prod, "reduced theta1"), terms, reduced

@@ -33,7 +33,7 @@ from functools import cached_property
 from .contour import rhombus_contour
 from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_complex,
                      finite_real, positive_int)
-from .theta import inversion_rhs, require_tau, theta1
+from .theta import _theta1_plain as theta1, inversion_rhs, require_tau
 
 __all__ = [
     "EDGES",

@@ -71,18 +71,15 @@ def test_eval_value_round_trips(capsys):
 
 
 def test_eval_reduce_matches_direct(capsys):
+    # --reduce selects nothing: eval theta1 always takes the steps, and
+    # counts the factors at the reduced point, not the plain product's 246
+    from siegeltheta import product_terms
+
     code, plain, _ = run_cli(capsys, "eval", "theta1", "--z", "0.3", "--tau", "0.02i")
     assert code == 0
-    code, reduced, _ = run_cli(
-        capsys, "eval", "theta1", "--z", "0.3", "--tau", "0.02i", "--reduce"
-    )
-    assert code == 0
-    v1 = parse_complex(plain.split()[0])
-    v2 = parse_complex(reduced.split()[0])
-    assert abs(v1 - v2) < 1e-10
-    terms_plain = int(plain.split()[1].split("=")[1])
-    terms_reduced = int(reduced.split()[1].split("=")[1])
-    assert terms_reduced < terms_plain
+    assert run_cli(capsys, "eval", "theta1", "--z", "0.3", "--tau", "0.02i", "--reduce") == (
+        0, plain, "")
+    assert int(plain.split()[1].split("=")[1]) < product_terms(0.3, 0.02j)
 
 
 def test_eval_lower_half_plane_exits_2(capsys):
@@ -92,12 +89,13 @@ def test_eval_lower_half_plane_exits_2(capsys):
 
 
 def test_eval_nonconvergence_exits_3(capsys):
+    # theta3 keeps its own product, which needs about 1/Im tau factors
     code, _, err = run_cli(
-        capsys, "eval", "theta1", "--z", "0.3", "--tau", "0.0001i",
+        capsys, "eval", "theta3", "--z", "0.3", "--tau", "0.0001i",
         "--max-terms", "100",
     )
     assert code == 3
-    assert "error" in err
+    assert err.startswith("error: product tail bound")
 
 
 @pytest.mark.parametrize(
@@ -157,17 +155,19 @@ def test_eval_huge_im_z_exits_3(capsys, argv):
 
 
 def test_eval_reduce_takes_the_t_step(capsys):
+    # the plain product declined this point (exit 3); with or without
+    # --reduce, eval now takes the T step and then the S step
     argv = ["eval", "theta1", "--z=0.3", "--tau=2.02+0.0005i"]
     code, out, _ = run_cli(capsys, *argv, "--reduce")
     assert code == 0
     assert out.split()[1] == "terms=4"
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 3 and out == ""
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_eval_reduce_exact_zero_is_unsigned(capsys):
-    # the S branch returns the product's exact zero, as plain eval does, and
-    # both report the one factor the product used before it hit the zero
+    # the S branch returns the product's exact zero, with or without
+    # --reduce, and reports the one factor the product used before it hit
+    # the zero
     argv = ["eval", "theta1", "--z=0", "--tau=0.3+0.5i"]
     assert run_cli(capsys, *argv, "--reduce") == (0, "0+0i terms=1\n", "")
     assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
@@ -182,20 +182,23 @@ def test_eval_reduce_reduces_re_z_before_the_s_step(capsys):
     # inverted point used to be -190i, whose product overflowed (exit 3).
     # Reference -1.4790346159618202e-21 from perfbench/reference.py
     argv = ["eval", "theta1", "--reduce", "--z=1.9", "--tau=0.01i"]
-    assert run_cli(capsys, *argv) == (0, "-1.47903461596184e-21+0i terms=1\n", "")
+    assert run_cli(capsys, *argv) == (0, "-1.47903461596182e-21+0i terms=1\n", "")
 
 
 def test_eval_theta2_exact_zero_is_unsigned(capsys):
-    # theta2 = -theta1(z - 1/2) must not negate the zero into -0-0i
+    # theta2 = -theta1(z - 1/2) must not negate the zero into -0-0i, nor a
+    # zero imaginary part into -0i
     argv = ["eval", "theta2", "--z=0.5", "--tau=0.3+0.5i"]
     assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
+    argv = ["eval", "theta2", "--z=0.3", "--tau=2i"]
+    assert run_cli(capsys, *argv) == (0, "0.244375719531955+0i terms=3\n", "")
 
 
-def test_eval_reduce_requires_theta1(capsys):
-    code, _, err = run_cli(
-        capsys, "eval", "theta3", "--z", "0.1", "--tau", "i", "--reduce"
-    )
-    assert code == 2
+def test_eval_reduce_changes_no_byte_of_theta3(capsys):
+    argv = ["eval", "theta3", "--z", "0.1", "--tau", "i"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--reduce") == (0, out, "")
 
 
 def test_eval_theta4_matches_library(capsys):

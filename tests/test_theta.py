@@ -22,7 +22,7 @@ from siegeltheta import (
 )
 from siegeltheta import theta
 from siegeltheta.suites import sample_grid
-from siegeltheta.theta import _theta1_value, _theta3_product
+from siegeltheta.theta import _theta1_plain, _theta3_product
 
 # independently computed with a 40-digit reference implementation
 THETA1_HALF_I = 0.9135791381561168
@@ -153,7 +153,7 @@ def test_reduced_small_tau():
     value, terms, reduced = theta1_reduced(0.3, 0.02j, cfg)
     assert reduced
     assert terms < product_terms(0.3, 0.02j, cfg)
-    assert abs(value - theta1(0.3, 0.02j, cfg)) < 1e-10
+    assert abs(value - _theta1_plain(0.3, 0.02j, cfg)) < 1e-10
 
 
 def test_reduced_where_the_inverted_nome_underflows():
@@ -191,17 +191,26 @@ def test_reduced_answers_the_imaginary_axis_near_half_periods():
 
 
 def test_tiny_im_tau_is_a_convergence_error():
-    # |q| rounds to 1 here, so 1 - |q|^2 must not be formed from |q|
+    # the plain product: |q| rounds to 1 here, so 1 - |q|^2 must not be
+    # formed from |q|
     with pytest.raises(ConvergenceError):
-        theta1(0.3, 1e-17j)
+        _theta1_plain(0.3, 1e-17j)
     with pytest.raises(ConvergenceError):
         theta1_reduced(0.3, 0.5 + 1e-18j)
     # subnormal Im tau: the term count itself is inf
     with pytest.raises(ConvergenceError):
-        theta1(0.3, 1e-320j)
+        _theta1_plain(0.3, 1e-320j)
     # the lattice shift n tau of a nearby zero overflows; it used to escape
     # as a raw OverflowError from round(inf)
     with pytest.raises(ConvergenceError):
+        _theta1_plain(1e-10j, 1e300 + 1e-20j)
+    # theta1 takes the steps: about e^(-pi 0.09 1e17) and e^(-pi 0.01 1e20)
+    # lie below binary64, and -1/tau is not finite at a subnormal Im tau
+    with pytest.raises(OverflowError, match="reduced theta1 underflowed"):
+        theta1(0.3, 1e-17j)
+    with pytest.raises(OverflowError, match="reduced theta1 overflowed"):
+        theta1(0.3, 1e-320j)
+    with pytest.raises(OverflowError, match="reduced theta1 underflowed"):
         theta1(1e-10j, 1e300 + 1e-20j)
 
 
@@ -275,7 +284,7 @@ def test_every_entry_reduces_re_z(z, tau):
 def test_re_z_reduction_is_the_identity_below_2():
     tau, cfg = 0.1 + 1.2j, EvalConfig()
     for z in (1.999999 + 0.1j, -1.75 - 0.3j, 0.3 + 0.1j):
-        assert theta1(z, tau) == _theta1_value(z, tau, cfg)[0]
+        assert theta1(z, tau) == theta._theta1_steps(z, tau, cfg)[0]
         # reduced before the half-period shift, not after it
         assert theta4(z, tau) == _theta3_product(z + 0.5, tau, cfg)[0]
     # exact: 2^53 + 2 and 2 are one period apart, both reduce to 0
@@ -300,9 +309,11 @@ def test_theta2_exact_zero_keeps_positive_parts(tau):
 
 
 def test_reduced_passthrough_is_bit_identical():
-    result = theta1_reduced(0.4 + 0.1j, 3j)
+    # no step: the plain product at Im z <= 0, and at -z above it (theta1 is odd)
+    result = theta1_reduced(0.4 - 0.1j, 3j)
     assert not result.reduced
-    assert result.value == theta1(0.4 + 0.1j, 3j)
+    assert result.value == _theta1_plain(0.4 - 0.1j, 3j)
+    assert theta1_reduced(0.4 + 0.1j, 3j).value == -_theta1_plain(-0.4 - 0.1j, 3j)
 
 
 @pytest.mark.parametrize("tau0", [0.2 + 0.7j, -0.3 + 1.2j])
@@ -318,14 +329,14 @@ def test_reduced_t_step_factor(k, tau0):
 
 @pytest.mark.parametrize("tau", [0.5 + 0.6j, -0.5 + 0.6j, 0.5 + 1.2j, -0.5 + 1.2j, 0.3 + 0.5j])
 def test_reduced_without_t_step_is_bit_identical(tau):
-    # |Re tau| <= 1/2 takes no T step first: the plain product bit for bit,
-    # or an S step.  At +-0.5+0.6i a T step (k = -+1) follows the S step, and
-    # 0.3+0.5i takes one too (k = -1); the S step's prefactor enters through
-    # its log, so these are checked against mpmath
-    z = 0.3 + 0.1j
+    # |Re tau| <= 1/2 takes no T step first: the plain product bit for bit
+    # (at Im z <= 0), or an S step.  At +-0.5+0.6i a T step (k = -+1) follows
+    # the S step, and 0.3+0.5i takes one too (k = -1); the S step's prefactor
+    # enters through its log, so these are checked against mpmath
+    z = 0.3 - 0.1j
     got = theta1_reduced(z, tau).value
     if abs(tau) >= 1:
-        assert got == theta1(z, tau)
+        assert got == _theta1_plain(z, tau)
     else:
         want = _jtheta(1, z, tau)
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -519,11 +530,12 @@ def test_overflow_names_the_product():
     with pytest.raises(OverflowError, match="reduced theta1 underflowed the binary64"):
         theta1_reduced(0.3, 1e-300j)
     # 5.5e-16 from the zero 100 tau, where theta1 is about 1e1348; the
-    # product at z itself hit an exact zero
+    # plain product at z itself hit an exact zero
     with pytest.raises(OverflowError, match="theta1 product overflowed the binary64"):
-        theta1(10j, 0.1j)
-    with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
-        theta1_reduced(10j, 0.1j)
+        _theta1_plain(10j, 0.1j)
+    for function in (theta1, theta1_reduced):
+        with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
+            function(10j, 0.1j)
     # subnormal Im tau: -1/tau itself is infinite
     with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
         theta1_reduced(0.3, 1e-320j)
@@ -534,7 +546,7 @@ def test_overflow_names_the_product():
 
 def test_reduced_cross_evaluation():
     got = theta1_reduced(0.4, 0.1j)
-    direct = theta1(0.4, 0.1j)
+    direct = _theta1_plain(0.4, 0.1j)
     assert got.reduced
     assert abs(got.value - direct) < 1e-10
 
@@ -544,7 +556,7 @@ def test_reduction_consistency_small_imaginary_axis():
     for im in (0.01, 0.02, 0.05):
         reduced = theta1_reduced(0.3, im * 1j, cfg)
         assert reduced.terms_used < product_terms(0.3, im * 1j, cfg)
-        assert abs(reduced.value - theta1(0.3, im * 1j, cfg)) < 1e-9
+        assert abs(reduced.value - _theta1_plain(0.3, im * 1j, cfg)) < 1e-9
 
 
 def test_eval_config_validation():
@@ -602,5 +614,16 @@ def test_theta_eval_is_an_immutable_record():
 
 def test_nonconvergence_carries_bound():
     with pytest.raises(ConvergenceError) as info:
-        theta1(0.3, 0.001j, EvalConfig(max_terms=50))
+        _theta1_plain(0.3, 0.001j, EvalConfig(max_terms=50))
     assert info.value.achieved > 1e-12
+
+
+@pytest.mark.parametrize("function, want", [
+    (theta1, 8.412902317300808e-54), (theta2, 5.083094154391715e-122)])
+def test_the_steps_answer_where_the_plain_product_declines(function, want):
+    # the plain product needs about 1/Im tau factors here; theta1 and theta2
+    # take the steps and need a few.  References from perfbench/reference.py
+    with pytest.raises(ConvergenceError):
+        _theta1_plain(0.3, 0.001j)
+    got = function(0.3, 0.001j, EvalConfig(max_terms=50))
+    assert abs(got - want) <= 1e-12 * want

@@ -379,3 +379,20 @@ def test_rhombus_integral_matches_the_closed_residue_sum(n):
     p = DomainPoint(0.5, -0.25, 2.0, n)
     value, _ = integrate_closed(lambda zeta: residue_kernel(zeta, p), rhombus_contour(p.y))
     assert abs(value - closed_residue_sum(p)) <= 2e-15
+
+
+def test_the_proof_replay_never_takes_the_steps_it_checks(monkeypatch):
+    # the replay checks the inversion law on the plain product; a T or S
+    # step would apply that law to check it
+    from siegeltheta import run_suite, sweep_rows, theta
+
+    def no_step(*args):
+        raise AssertionError("the proof replay took a T/S step")
+
+    monkeypatch.setattr(theta, "_step", no_step)
+    reports = run_suite("all", seed=42)
+    assert reports and all(report.passed for report in reports)
+    for target in ("lambert_tail", "edge_limit"):
+        assert sweep_rows(target)[1]
+    for z, tau in sample_grid(25, seed=5):
+        assert transformation_residual(z, tau) < 1e-10
