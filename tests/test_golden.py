@@ -20,6 +20,13 @@ value: eval_reduce_s_step.txt (its -0i became +0i), the last digits of
 eval_reduce_t_and_s_step.txt, and the abs_diff column of
 sweep_reduction_gain.csv and sweep_reduction_gain.json in 6 of their 10
 rows (the reduced side of that difference moved; the direct side did not).
+Four files were rewritten on purpose when theta1, theta2 and eval began to
+take theta1_reduced's steps, with the product at the reduced point taken at
+Im z <= 0: eval_theta1_fundamental.txt, eval_theta2_fundamental.txt and
+eval_reduce_fundamental.txt moved from 1.5e-13 to 4.2e-14 relative of the
+values of perfbench/reference.py, and eval_theta1_eps_max_terms.txt from
+1.5e-7 to 2.8e-13, with 2 factors where the plain product took 5.  The
+verify and sweep files, which the plain product serves, kept every byte.
 
 Run as a script to rewrite golden files from the current CLI, only those
 named on the command line:
