@@ -94,7 +94,9 @@ def test_reduced_near_the_axis_matches_the_reference(re_z, im_z, re_tau, im_tau)
     _check("theta2", theta2, re_z, im_z, re_tau, im_tau)
 
 
-# the plain product needs about 1/Im tau factors: Im tau stops at 1e-2
+# the plain theta1 product needs about 1/Im tau factors: Im tau stops at
+# 1e-2; theta2, which takes the steps, is also checked on this range
+@pytest.mark.parametrize("kind", ["theta1", "theta2"])
 @seed(20261018)
 @settings(max_examples=40, deadline=None, database=None)
 @given(
@@ -104,5 +106,6 @@ def test_reduced_near_the_axis_matches_the_reference(re_z, im_z, re_tau, im_tau)
     im_tau=_log_uniform(-2.0, 0.0),
 )
 @_at_underflows
-def test_plain_product_matches_the_reference(re_z, im_z, re_tau, im_tau):
-    _check("theta1", _theta1_plain, re_z, im_z, re_tau, im_tau)
+def test_plain_products_match_the_reference(kind, re_z, im_z, re_tau, im_tau):
+    function = {"theta1": _theta1_plain, "theta2": theta2}[kind]
+    _check(kind, function, re_z, im_z, re_tau, im_tau)
