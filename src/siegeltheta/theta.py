@@ -1,13 +1,18 @@
-"""Jacobi theta functions from their infinite products.
+"""Jacobi theta functions from a short sine series and from their products.
 
-theta1 is evaluated from
+theta1 is evaluated from its sine series (DLMF 20.2.1), written as
 
-    theta1(z, tau) = -i w q^(1/4) prod_{n>=1} (1-q^(2n)) (1-w^2 q^(2n)) (1-w^-2 q^(2n-2)),
+    theta1(z, tau) = i e^(i pi (tau/4 - z)) (1 - w^2)
+                     sum_k (-1)^k q^(k^2+k) w^(-2k) (1 + w^2 + ... + w^(4k))
 
-with q = exp(pi i tau), w = exp(pi i z) and tau in the upper half-plane.
-theta3 uses the analogous triple product; theta2 and theta4 are derived
-through the half-period shifts theta2(z) = -theta1(z - 1/2) and
-theta4(z) = theta3(z + 1/2).
+with q = exp(pi i tau), w = exp(pi i z), tau in the upper half-plane and
+z first shifted by the lattice Z + tau Z into |Im z| <= Im tau/2, at
+Im z >= 0 (theta1 is odd).  Term k is then at most (2k+1) e^(-pi Im tau k^2),
+so the series is cut by a closed-form tail bound relative to the value,
+and its growth e^(pi Im z) q^(1/4) is kept as a log (Deconinck et al.,
+Math. Comp. 73, 2004).  theta2 is derived through the half-period shift
+theta2(z) = -theta1(z - 1/2); theta3 uses the triple product and theta4 the
+shift theta4(z) = theta3(z + 1/2).
 
 The inversion law
 
@@ -17,35 +22,39 @@ is exposed both as an identity (`inversion_rhs`) and as an accelerator:
 theta1, theta2 and theta1_reduced take one route.  That takes a T step,
 tau -> tau - k with k the integer nearest Re tau, through
 theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26); then, when
-the shifted |tau| < 1, z is shifted by the lattice Z + tau Z, the product
-converges much faster at -1/tau, and the law is solved for theta1(z, tau)
-and evaluated there.  One step function takes each T step and the S step
-after it; steps repeat while S strictly raises Im tau, and the product is
-then taken where they stopped, at |Re tau| <= 1/2 and with at most 6
-factors over the benchmark's near-axis pools, and at Im z <= 0 (theta1 is
-odd), where its truncation drops less.  The steps carry their multiplier as
-an exact eighth root of unity and a log.
+the shifted |tau| < 1, z is shifted by the lattice, and the law is solved
+for theta1(z, tau) and evaluated at (z/tau, -1/tau).  One step function
+takes each T step and the S step after it; steps repeat while S strictly
+raises Im tau, and the series is then summed where they stopped, at
+|Re tau| <= 1/2 and |tau| >= 1, so Im tau >= sqrt(3)/2, |q| <= 0.066 and at
+most 4 terms reach the default tolerance.  The steps carry their multiplier
+as an exact eighth root of unity and a log.  theta1_series is the same
+series at (z, tau) itself, with no step.
 
-The plain product at (z, tau) itself, with no step, serves only the proof
-replay: `inversion_rhs`, and through it the verifier, check the law on it,
-so that check does not rest on the law.  Where its factor 1 - w^-2
-overflows at a large Im z, it is taken at -z.  theta3 and theta4 keep their
-own product.
+The plain product
+
+    theta1(z, tau) = -i w q^(1/4) prod_{n>=1} (1-q^(2n)) (1-w^2 q^(2n)) (1-w^-2 q^(2n-2))
+
+at (z, tau) itself, with no step, serves only the proof replay:
+`inversion_rhs`, and through it the verifier, check the law on it, so that
+check does not rest on the law, and the tests check the series against
+it.  Where its factor 1 - w^-2 overflows at a large Im z, it is taken at -z.
 
 theta1 and the plain product form their value in one place, `_scaled`: the
-product's prefactor -i e^(i pi (z + tau/4)) is kept as its exponent, the
-logs of the steps and of a lattice shift are added to it, and the value is
-formed directly where that prefactor is a normal binary64 number, and
-through one exp of the summed logs elsewhere.  That is also the one place
-that decides a value has overflowed or underflowed the binary64 range.
+prefactor is kept as its exponent, the logs of the steps and of a lattice
+shift are added to it, and the value is formed directly where that
+prefactor is a normal binary64 number, and through one exp of the summed
+logs elsewhere.  That is also the one place that decides a value has
+overflowed or underflowed the binary64 range.
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
-for a large |Re z|.  Near a zero of theta1 other than 0, theta1, theta2 and
-the plain product then replace z by its exact offset from that zero.
+for a large |Re z|.  Near a zero of theta1 other than 0, theta1, theta2,
+theta1_series and the plain product then replace z by its exact offset from
+that zero.
 
-All arithmetic is binary64; products are truncated by an a priori
-geometric tail bound controlled through `EvalConfig`.
+All arithmetic is binary64; the series and the products are truncated by
+a priori tail bounds controlled through `EvalConfig`.
 """
 
 from __future__ import annotations
@@ -80,19 +89,29 @@ _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
 _EPS = sys.float_info.epsilon / 2.0  # unit roundoff
 _LOG_TINY = _LOG_MIN + math.log(_EPS)  # below it a value rounds to zero
-# theta1_reduced declines a value whose first-order rounding bound exceeds this
+# theta1, theta1_reduced and theta1_series decline a value whose first-order
+# rounding bound exceeds this
 _ROUNDING_LIMIT = 5e-10
-# "near a zero of theta1": below this |z| its first factor 1 - e^(-2 pi i z)
-# is formed by expm1, and theta1_reduced shifts z by a lattice point this
-# close to it (relative to max(1, |z|)) exactly
+_LOG_TWO = math.log(2.0)
+_LOG_THREE = math.log(3.0)
+_LOG_SIX = math.log(6.0)
+# at Im tau >= _SHORT the series' sum is at least 1/3 in modulus (see _series)
+_SHORT = 0.5
+# below _SHORT, a sum that the rounding bound accepts is at least this in
+# modulus: its bound is at least _EPS / |sum|
+_LOG_SUM_FLOOR = math.log(_EPS / _ROUNDING_LIMIT)
+# "near a zero of theta1": below this |z| the plain product's first factor
+# 1 - e^(-2 pi i z) is formed by expm1, and z is shifted by a lattice point
+# this close to it (relative to max(1, |z|)) exactly
 _NEAR_ZERO = 1e-4
 
 
 class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
-    """Truncation control for the theta products and series; immutable.
+    """Truncation control for the theta series and products; immutable.
 
-    eps: target absolute tolerance for the truncation tail bound.
-    max_terms: hard cap on the number of product/series terms.
+    eps: target of the truncation tail bound, relative to the value for the
+    series and to the product for the products.
+    max_terms: hard cap on the number of series terms or product factors.
     """
 
     __slots__ = ()
@@ -112,10 +131,6 @@ _DEFAULT_CFG = EvalConfig()
 ThetaEval = namedtuple("ThetaEval", "value terms_used reduced")
 
 
-def _is_finite(value: complex) -> bool:
-    return math.isfinite(value.real) and math.isfinite(value.imag)
-
-
 def _as_z(z) -> complex:
     """finite_complex(z, "z") with Re z reduced exactly into (-2, 2).
 
@@ -133,7 +148,7 @@ def _bound_from_log(log_bound: float) -> float:
 
 
 def _require_finite(value: complex, what: str) -> complex:
-    if not _is_finite(value):
+    if not cmath.isfinite(value):
         raise OverflowError(f"{what} overflowed the binary64 range")
     return value
 
@@ -252,7 +267,7 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
             prod *= _one_minus_exp(-2.0 * _IPI * z)
         else:
             prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
-        if _is_finite(prod):
+        if cmath.isfinite(prod):
             return -1j, _IPI * (z + tau / 4.0), prod, terms
     except OverflowError:
         pass
@@ -272,10 +287,10 @@ def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> compl
     exact zero keeps its +0 parts.
     """
     if not prod:
-        return prod
+        return 0j
     if _LOG_MIN <= exponent.real <= _LOG_MAX:
         value = unit * cmath.exp(exponent) * prod
-        if value and _is_finite(value):
+        if value and cmath.isfinite(value):
             return value
     log = exponent + cmath.log(prod)
     if not log.real <= _LOG_MAX:  # also for NaN
@@ -305,7 +320,7 @@ def _off_zero(z: complex, tau: complex):
         return z, 0j
     n = round(ratio)
     offset = z - n * tau
-    if not _is_finite(offset):
+    if not cmath.isfinite(offset):
         return z, 0j
     m = round(offset.real)
     if not (m or n) or not abs(offset - m) < near:
@@ -343,46 +358,168 @@ def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
 
 
 def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """theta1 from the sine series 2 sum (-1)^n q^((n+1/2)^2) sin((2n+1) pi z).
+    """theta1 from its sine series at (z, tau) itself, with no T or S step.
 
-    Entirely independent of the product route, which makes it the natural
-    cross-check oracle.  Truncation stops once a geometric bound on the
-    remaining terms drops below cfg.eps.  That bound is absolute, so where
-    |theta1| is tiny this is no relative oracle: at (0.3, 0.001i) theta1 is
-    about 8.4e-54 and this returns about 3e-13.
+    The series kernel of theta1 (see `_series`), taken after the exact
+    offset from a nearby zero (see `_off_zero`): it stops on a tail bound
+    relative to the value, so it is a relative oracle wherever it answers,
+    and independent of the plain product.  ConvergenceError: more than
+    max_terms terms, a lattice shift that is not finite, or, where the sum
+    cancels (at (0.3, 0.001i) theta1 is about 8.4e-54 and its terms about
+    1), a first-order rounding bound above _ROUNDING_LIMIT.  OverflowError
+    as for theta1_reduced.
     """
-    cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
-    z = _as_z(z)
-    log_q = -_PI * tau.imag
-    log_growth = 2.0 * _PI * abs(z.imag)
-    log_eps = math.log(cfg.eps)
-    unconverged = (f"series tail bound not below eps={cfg.eps:.3e} within "
-                   f"max_terms={cfg.max_terms}")
-    # the ratio bound below falls with n; not negative at the last term, it
-    # leaves every tail bound infinite
-    if not (2 * cfg.max_terms + 2) * log_q + log_growth < 0.0:
-        raise ConvergenceError(unconverged, achieved=math.inf)
-    total = 0.0j
-    sign = 1.0
-    try:  # cmath.sin and cmath.exp raise on overflow
-        for n in range(cfg.max_terms):
-            half = n + 0.5
-            total += 2.0 * sign * cmath.exp(_IPI * tau * half * half) * cmath.sin(
-                (2 * n + 1) * _PI * z
-            )
-            sign = -sign
-            # bound on term n+1 and on the ratio of successive term bounds
-            log_next = (math.log(2.0) + (half + 1.0) ** 2 * log_q
-                        + (2 * n + 3) * _PI * abs(z.imag))
-            log_ratio = (2 * n + 4) * log_q + log_growth
-            if log_ratio < 0.0:
-                log_tail = log_next - math.log1p(-math.exp(log_ratio))
-                if log_tail < log_eps:
-                    return _require_finite(total, "theta1 series")
+    z, log = _off_zero(_as_z(z), tau)
+    eighths, exponent, prod, _, error = _series(z, tau, cfg or _DEFAULT_CFG)
+    return _finish(z, eighths, exponent + log, prod, error, "theta1 series")
+
+
+def _shift(z: complex, tau: complex, dz: float, dtau: float):
+    """The lattice shift z -> z - n tau - m into |Im z| <= Im tau/2 and
+    |Re z| <= 1/2: (shifted z, n + m, power, dz, error) with
+    theta1(z) = (-1)^(n+m) e^(-i pi power) theta1(shifted z).
+
+    n = round(Im z / Im tau), by the quasi-periodicity
+    theta1(z) = (-1)^n e^(-i pi (2 n z - n^2 tau)) theta1(z - n tau)
+    (DLMF 20.2.12), whose power has its phase taken mod 2; then
+    m = round(Re z), by theta1(z + m) = (-1)^m theta1(z), exact as Re z and
+    a nonzero m are within a factor 2 of each other.  dz and dtau bound the
+    absolute rounding errors of z and tau; the new dz bounds the shifted
+    z's, and error the relative error of the shift's factor.  OverflowError
+    where Im z / Im tau or the power is not finite.
+    """
+    periods = z.imag / tau.imag
+    if not math.isfinite(periods):
+        raise OverflowError("reduced theta1 overflowed the binary64 range")
+    n = round(periods)
+    power, error = 0j, 0.0
+    if n:
+        power = n * (2.0 * z - n * tau)
+        if not cmath.isfinite(power):
+            raise OverflowError("reduced theta1 overflowed the binary64 range")
+        power = complex(math.fmod(power.real, 2.0), power.imag)
+        shift = abs(n * tau)
+        error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau + _EPS * (2.0 * abs(z) + shift))
+        dz += abs(n) * dtau + _EPS * (abs(z) + shift)
+        z = z - n * tau
+    m = round(z.real)
+    return complex(z.real - m, z.imag), n + m, power, dz, error
+
+
+def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: float = 0.0):
+    """(eighths, exponent, prod, terms, error) with
+    theta1(z, tau) = e^(i pi eighths/4) e^exponent prod, from the sine
+    series 2 sum (-1)^k q^((k+1/2)^2) sin((2k+1) pi z) (DLMF 20.2.1).
+
+    z is first shifted into |Im z| <= Im tau/2 (see `_shift`) and taken at
+    Im z >= 0 (theta1 is odd).  With w = e^(i pi z) there,
+
+        theta1 = i e^(i pi (tau/4 - z)) (1 - w^2)
+                 sum_k (-1)^k q^(k^2+k) w^(-2k) (1 + w^2 + ... + w^(4k)).
+
+    The growth e^(pi Im z) q^(1/4) stays in the exponent, 1 - w^2 is formed
+    without cancellation (`_one_minus_exp`), and prod is it times the sum.
+    Term k is at most (2k+1) e^(-a k^2 - c k) <= e^(-a k^2 - (c - log 3) k),
+    with a = pi Im tau and c = pi (Im tau - 2 Im z) >= 0; once
+    (2k+1) a >= log 6 these bounds fall by half from one term to the next,
+    so the tail from term K is at most twice term K's bound, and K is the
+    root of a quadratic.  At Im tau >= 1/2 the terms after the first are at
+    most 0.64 in all, so the sum is at least 1/3; below, a sum that the
+    rounding bound accepts is at least e^_LOG_SUM_FLOOR.  The tail is made
+    smaller than that floor times eps, so it is below eps relative to the
+    value.  After the T/S steps Im tau >= sqrt(3)/2, and 4 terms at most
+    reach the default eps.
+
+    dz and dtau bound the absolute rounding errors of z and tau.  error is
+    a first-order bound on the relative rounding error of the value: the
+    shift's, dz and dtau carried through theta1, and the sum's, relative to
+    a sum that is not smaller than its terms by more than a factor 5 at
+    Im tau >= 1/2 (where the terms' sizes are not formed) and by a closed
+    bound on their sum below.  ConvergenceError: more than max_terms terms,
+    or a shift that is not finite (achieved inf).
+    """
+    try:
+        z, turns, power, dz, error = _shift(z, tau, dz, dtau)
     except OverflowError:
-        raise OverflowError("theta1 series overflowed the binary64 range") from None
-    raise ConvergenceError(unconverged, achieved=_bound_from_log(log_next))
+        raise ConvergenceError(
+            f"series shift by {z.imag / tau.imag:.3e} periods of tau is not finite",
+            achieved=math.inf) from None
+    eighths = 4 * turns + 2  # the signs of the shift and the prefactor's i
+    if z.imag < 0.0:
+        z, eighths = -z, eighths + 4
+    short = tau.imag >= _SHORT
+    a = _PI * tau.imag
+    b = _PI * (tau.imag - 2.0 * z.imag) - _LOG_THREE
+    # log of 2 / the sum's floor; the length solves a K^2 + b K = target
+    log_scale = _LOG_TWO + (_LOG_THREE if short else -_LOG_SUM_FLOOR)
+    target = log_scale - math.log(cfg.eps)
+    if b > 0.0:
+        length = 2.0 * target / (b + math.sqrt(b * b + 4.0 * a * target))
+    else:
+        half = -0.5 * b / a
+        length = half + math.sqrt(half * half + target / a)
+    if not short:
+        length = max(length, 0.5 * (_LOG_SIX / a - 1.0))
+    # compared before ceil, which fails on the inf a subnormal Im tau gives
+    if not length <= cfg.max_terms:
+        m = cfg.max_terms
+        achieved = (_bound_from_log(log_scale - m * (a * m + b))
+                    if (2 * m + 1) * a >= _LOG_SIX else math.inf)
+        raise ConvergenceError(
+            f"series tail bound {achieved:.3e} > eps={cfg.eps:.3e} at max_terms={m}",
+            achieved=achieved,
+        )
+    terms = max(1, math.ceil(length))
+    x = 2.0 * _IPI * z
+    total = 1.0 + 0.0j
+    if terms > 1:
+        w2 = cmath.exp(x)
+        factor = -cmath.exp(2.0 * _IPI * (tau - z))  # -q^2 w^-2, then times q^2
+        q2 = cmath.exp(2.0 * _IPI * tau)
+        w4, rise = w2 * w2, 1.0 + w2
+        term = geometric = 1.0
+        odd = w2  # w^(4k-2)
+        for _ in range(1, terms):
+            term *= factor
+            factor *= q2
+            geometric += odd * rise
+            odd *= w4
+            total += term * geometric
+    if short:
+        cancel = 5.0  # the terms' moduli summed, over the sum's
+    else:  # their bounds summed: 2 + 1/a + (sqrt(pi)/2 + sqrt(2/e)) / sqrt(a)
+        modulus = abs(total)
+        cancel = (2.0 + (1.0 + 1.75 * math.sqrt(a)) / a) / modulus if modulus else math.inf
+    # term k carries about k (8 + k (3 + 2 pi (|Re tau| + |z|))) roundings,
+    # from its recurrences and the arguments of the exps; near the real
+    # axis d log theta1/d tau is about i pi/4, and |d log theta1/dz| about pi
+    error += (_PI * (0.25 * dtau + 2.0 * dz) + _EPS * cancel * terms
+              * (8.0 + terms * (3.0 + 2.0 * _PI * (abs(tau.real) + abs(z)))))
+    return (eighths, _IPI * (0.25 * tau - z - power), _one_minus_exp(x) * total, terms,
+            error)
+
+
+def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: float,
+            what: str) -> complex:
+    """The value e^(i pi eighths/4) e^exponent prod (see `_scaled`) of a
+    series whose relative rounding error is at most error, before the
+    rounding of the exponent's exp; z is the point before any shift.
+
+    ConvergenceError where the full bound exceeds _ROUNDING_LIMIT, unless
+    the value lies beyond binary64 by more than the bound (then it is
+    `_scaled`'s OverflowError).  An exact zero is returned only where z is
+    exactly 0, the zero lattice's point after the offset of `_off_zero`.
+    """
+    error += _EPS * abs(exponent)
+    if error > _ROUNDING_LIMIT and (
+            not prod
+            or _LOG_TINY - error <= exponent.real + math.log(abs(prod)) <= _LOG_MAX + error):
+        raise ConvergenceError(
+            f"{what} rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
+    if not prod and z:
+        raise OverflowError(f"{what} underflowed the binary64 range")
+    return _scaled(_T_FACTORS[eighths % 8], exponent, prod, what)
 
 
 def _theta3_product(z, tau, cfg: EvalConfig):
@@ -417,11 +554,11 @@ def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     return value
 
 
-# each function's (value, product factors used) at a caller's (z, tau), with
-# Re z reduced before any half-period shift; theta1 and theta2 count the
-# factors at the reduced point, and the count falls short of the product's
-# length when it stops at an exact zero
-_PRODUCTS = {
+# each function's (value, terms used) at a caller's (z, tau), with Re z
+# reduced before any half-period shift: theta1 and theta2 count the series
+# terms summed at the reduced point, theta3 and theta4 the product's
+# factors, which fall short of its length when it stops at an exact zero
+_EVALUATORS = {
     "theta1": lambda z, tau, cfg: _theta1_steps(_as_z(z), require_tau(tau), cfg)[:2],
     "theta2": _theta2_steps,
     "theta3": lambda z, tau, cfg: _theta3_product(_as_z(z), require_tau(tau), cfg),
@@ -461,15 +598,11 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
 def _step(z: complex, tau: complex, eighths: int, log: complex, dz: float, dtau: float,
           error: float):
     """One T step from theta1(z0, tau0) = e^(i pi eighths/4) e^log theta1(z, tau),
-    then, where S raises Im tau, a z shift and an S step.
+    then, where S raises Im tau, a lattice shift and an S step.
 
     T: tau -> tau - k, k = round(Re tau), by theta1(z, tau + k) =
-    e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26).  The z shift: z -> z - n tau,
-    n = round(Im z / Im tau), by the quasi-periodicity
-    theta1(z) = (-1)^n e^(-i pi (2 n z - n^2 tau)) theta1(z - n tau)
-    (DLMF 20.2.12), taken after T so that n tau has the shifted Re tau; then
-    z -> z - m, m = round(Re z), by theta1(z + m) = (-1)^m theta1(z), exact
-    as Re z and a nonzero m are within a factor 2 of each other.  S:
+    e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26).  The lattice shift (see
+    `_shift`) is taken after T, so that n tau has the shifted Re tau.  S:
     (z, tau) -> (z/tau, -1/tau) by the inversion law.  The unit is kept
     exact as its count of eighth turns, and the rest of the multiplier as
     its log.  dz and dtau bound the absolute rounding errors of z and tau,
@@ -488,29 +621,13 @@ def _step(z: complex, tau: complex, eighths: int, log: complex, dz: float, dtau:
     inverted_tau = -1.0 / tau
     if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
         return (z, tau, eighths, log, dz, dtau, error), False
-    periods = z.imag / tau.imag
-    if not math.isfinite(periods):
-        raise OverflowError("reduced theta1 overflowed the binary64 range")
-    n = round(periods)
-    shift_error = 0.0
-    if n:
-        power = n * (2.0 * z - n * tau)
-        if not _is_finite(power):
-            raise OverflowError("reduced theta1 overflowed the binary64 range")
-        # the phase is taken mod 2
-        log -= _IPI * complex(math.fmod(power.real, 2.0), power.imag)
-        shift = abs(n * tau)
-        shift_error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau + _EPS * (2.0 * abs(z) + shift))
-        dz += abs(n) * dtau + _EPS * (abs(z) + shift)
-        z = z - n * tau
-    m = round(z.real)
-    z = complex(z.real - m, z.imag)
-    # the signs of both shifts, and 1/(-i) = i of the inversion prefactor
+    z, turns, power, dz, shift_error = _shift(z, tau, dz, dtau)
+    # the signs of the shift, and 1/(-i) = i of the inversion prefactor
     # -i (-i tau)^(1/2) e^(i pi z^2/tau)
-    eighths += 4 * (n + m) + 2
-    log -= 0.5 * cmath.log(-1j * tau) + _IPI * z * z / tau
+    eighths += 4 * turns + 2
+    log -= 0.5 * cmath.log(-1j * tau) + _IPI * (power + z * z / tau)
     inverted_z = z / tau
-    if not (_is_finite(log) and _is_finite(inverted_z) and _is_finite(inverted_tau)):
+    if not (cmath.isfinite(log) and cmath.isfinite(inverted_z) and cmath.isfinite(inverted_tau)):
         raise OverflowError("reduced theta1 overflowed the binary64 range")
     # first-order rounding bounds across S: the relative error of the
     # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
@@ -531,17 +648,18 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     Every step (see `_step`) begins with T: tau is shifted by k = round(Re tau)
     into |Re tau| <= 1/2 (exactly, in binary64) and the result gains the
     factor e^(i pi k/4).  S follows when the shifted |tau| < 1 and
-    Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the product at the
+    Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the series at the
     inverted point needs fewer terms: z is shifted by n tau into
     |Im z| <= Im(tau)/2, Re z is reduced exactly into [-1/2, 1/2]
     (theta1(z + 1) = -theta1(z)), and the inversion law is solved for
     theta1(z, tau).  The steps carry their multiplier as an exact unit and
-    a log, so they stop only where S would not raise Im tau, and the product
-    is taken there, always at |Re tau| <= 1/2; one exp of the summed logs
-    then forms the value (see `_scaled`).  The product is taken at Im z <= 0,
-    through theta1(-z) = -theta1(z).  A point that takes no step is a plain
-    product evaluation there, bit for bit.  `reduced` is true when a T or S
-    step was taken.  theta1 and theta2 take these steps too.
+    a log, so they stop only where S would not raise Im tau, and the series
+    (see `_series`) is summed there, always at |Re tau| <= 1/2 and
+    Im tau >= sqrt(3)/2, where at most 4 terms reach the default eps; one
+    exp of the summed logs then forms the value (see `_scaled`).  A point
+    that takes no step is theta1_series there, bit for bit.  terms_used
+    counts the series terms summed.  `reduced` is true when a T or S step
+    was taken.  theta1 and theta2 take these steps too.
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
@@ -550,11 +668,13 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
 
     OverflowError: the value lies beyond the binary64 range or underflows
     to zero, or the input's first step is not finite (a subnormal Im tau,
-    say).  ConvergenceError: the product needs more than max_terms factors,
-    or a first-order bound on the rounding error the steps carry into the
-    value exceeds _ROUNDING_LIMIT (its `achieved`), as it does for many
-    points close to the real axis (Im tau below about 1e-4), where each step
-    amplifies the rounding of the one before.
+    say).  ConvergenceError: the series needs more than max_terms terms,
+    Im z is so large that its lattice shift is not finite (`achieved` inf),
+    or a first-order bound on the rounding error that the steps and the
+    series' shift carry into the value exceeds _ROUNDING_LIMIT (its
+    `achieved`), as it does for many points close to the real axis
+    (Im tau below about 1e-4), where each step amplifies the rounding of
+    the one before.
     """
     tau = require_tau(tau)
     return ThetaEval(*_theta1_steps(_as_z(z), tau, cfg or _DEFAULT_CFG))
@@ -567,27 +687,7 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig):
     while inverted:
         state, inverted = _step(*state)
     reduced_z, reduced_tau, eighths, log, dz, dtau, error = state
-    if reduced_z.imag > 0.0:
-        # theta1 is odd; at -z the product's largest dropped factor is
-        # |q|^2 smaller for the same length
-        reduced_z, eighths = -reduced_z, eighths + 4
-    unit, exponent, prod, terms = _theta1_product(reduced_z, reduced_tau, cfg)
-    if not prod and z:  # an exact zero only on the zero lattice
-        raise OverflowError("reduced theta1 underflowed the binary64 range")
-    reduced = reduced_tau != tau
-    if eighths % 8:
-        unit *= _T_FACTORS[eighths % 8]
-    if log:
-        exponent += log
-    if reduced and prod:
-        # the product's own sensitivity where Im tau is large: d log theta1/d tau
-        # is about i pi/4, and |d log theta1/dz| = |pi cot(pi z)| about pi; and
-        # the rounding of the final exp's argument
-        error += _PI * (0.25 * dtau + 2.0 * dz) + _EPS * abs(exponent)
-        # a value beyond binary64 by more than the bound is _scaled's
-        # OverflowError: the bound is one on the error of log |theta1|
-        if error > _ROUNDING_LIMIT and (
-                _LOG_TINY - error <= exponent.real + math.log(abs(prod)) <= _LOG_MAX + error):
-            raise ConvergenceError(
-                f"reduction rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
-    return _scaled(unit, exponent, prod, "reduced theta1"), terms, reduced
+    turns, exponent, prod, terms, series_error = _series(reduced_z, reduced_tau, cfg, dz, dtau)
+    value = _finish(z, eighths + turns, exponent + log, prod, error + series_error,
+                    "reduced theta1")
+    return value, terms, reduced_tau != tau

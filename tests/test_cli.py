@@ -151,26 +151,30 @@ def test_eval_huge_im_z_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, "eval", *argv, "--tau=i")
     assert code == 3
     assert out == ""
-    assert err == "error: product tail bound inf > eps=1.000e-12 at max_terms=5000\n"
+    if argv[0] == "theta3":
+        assert err == "error: product tail bound inf > eps=1.000e-12 at max_terms=5000\n"
+    else:  # theta1's series cannot shift z by that many periods of tau
+        periods = parse_complex(argv[1][len("--z="):]).imag
+        assert err == f"error: series shift by {periods:.3e} periods of tau is not finite\n"
 
 
 def test_eval_reduce_takes_the_t_step(capsys):
     # the plain product declined this point (exit 3); with or without
-    # --reduce, eval now takes the T step and then the S step
+    # --reduce, eval now takes the T step and then the S step, and sums 3
+    # series terms there
     argv = ["eval", "theta1", "--z=0.3", "--tau=2.02+0.0005i"]
     code, out, _ = run_cli(capsys, *argv, "--reduce")
     assert code == 0
-    assert out.split()[1] == "terms=4"
+    assert out.split()[1] == "terms=3"
     assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_eval_reduce_exact_zero_is_unsigned(capsys):
-    # the S branch returns the product's exact zero, with or without
-    # --reduce, and reports the one factor the product used before it hit
-    # the zero
+    # the S branch returns the series' exact zero, with or without
+    # --reduce, and reports the series terms summed at the reduced point
     argv = ["eval", "theta1", "--z=0", "--tau=0.3+0.5i"]
-    assert run_cli(capsys, *argv, "--reduce") == (0, "0+0i terms=1\n", "")
-    assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
+    assert run_cli(capsys, *argv, "--reduce") == (0, "0+0i terms=3\n", "")
+    assert run_cli(capsys, *argv) == (0, "0+0i terms=3\n", "")
     # Re z = 3 is reduced to 1 first, so the inverted point is -100i, not the
     # -300i whose product overflowed
     argv = ["eval", "theta1", "--reduce", "--z=3", "--tau=0.01i"]
@@ -189,9 +193,9 @@ def test_eval_theta2_exact_zero_is_unsigned(capsys):
     # theta2 = -theta1(z - 1/2) must not negate the zero into -0-0i, nor a
     # zero imaginary part into -0i
     argv = ["eval", "theta2", "--z=0.5", "--tau=0.3+0.5i"]
-    assert run_cli(capsys, *argv) == (0, "0+0i terms=1\n", "")
+    assert run_cli(capsys, *argv) == (0, "0+0i terms=3\n", "")
     argv = ["eval", "theta2", "--z=0.3", "--tau=2i"]
-    assert run_cli(capsys, *argv) == (0, "0.244375719531955+0i terms=3\n", "")
+    assert run_cli(capsys, *argv) == (0, "0.244375719531955+0i terms=2\n", "")
 
 
 def test_eval_reduce_changes_no_byte_of_theta3(capsys):

@@ -1,19 +1,23 @@
-"""theta1_reduced and theta2 near the real axis, and the plain theta1
-product that the proof replay checks the inversion law on, against an
-independent reference.
+"""theta1_reduced, theta1 and theta2 near the real axis, and the plain
+theta1 product that the proof replay checks the inversion law on and the
+series theta1_series, against an independent reference; and the length of
+the series kernel wherever the T/S steps can stop.
 
 The oracle is perfbench/reference.py: the tau-form sine series of theta1
 summed in mpmath until two precisions agree to 30 digits, valid for every
 Re tau (mpmath.jtheta takes the nome and is right only for -1 < Re tau <= 1).
 Each call either answers within 1e-9 of it, relatively, or raises one of
 the documented errors; no answer is NaN.  An OverflowError must name the
-side of the binary64 range on which the reference lies outside it.
+side of the binary64 range on which the reference lies outside it.  The
+reference is not asked about a point whose largest term exceeds 10^1000:
+its precision, and so its cost, grows with that term.
 
 Both gates also run at the points below, where the theta1 product's
 prefactor e^(i pi (z + tau/4)) underflows at Im z > 0 while the value is in
 range; a product taken with that prefactor is zero or off by up to 7%.
 """
 
+import functools
 import math
 
 import pytest
@@ -27,15 +31,20 @@ from hypothesis import example, given, seed, settings, strategies as st  # noqa:
 from siegeltheta import (  # noqa: E402
     ConvergenceError,
     DomainError,
+    theta1,
     theta1_reduced,
+    theta1_series,
     theta2,
 )
+from siegeltheta import theta  # noqa: E402
 from siegeltheta.theta import _theta1_plain  # noqa: E402
 
 REL_TOL = 1e-9
-# the reference is not asked to confirm an OverflowError where its largest
-# term exceeds 10^1000: its precision, and so its cost, grows with that term
+# the reference is not asked about a point where its largest term exceeds
+# 10^1000: its precision, and so its cost, grows with that term
 _LOG_LARGEST_AFFORDABLE = 1000.0 * math.log(10.0)
+# theta1 and theta1_reduced ask about the same point
+_reference = functools.lru_cache(maxsize=64)(reference.theta_reference)
 # (re_z, im_z, re_tau, im_tau) where the prefactor underflows
 _UNDERFLOWS = [
     (0.3, 100.0, 0.0, 900.0),
@@ -69,12 +78,14 @@ def _check(kind, function, re_z, im_z, re_tau, im_tau):
         if reference._log_largest_term(kind, z, tau) <= _LOG_LARGEST_AFFORDABLE:
             # below 10^-305 log10_abs is only an upper bound, which still
             # has the sign that an underflow needs
-            want = reference.theta_reference(kind, z, tau)
+            want = _reference(kind, z, tau)
             assert not want.in_range and (want.log10_abs > 0) == over, (
                 z, tau, str(exc), want.log10_abs)
         return
     assert not (math.isnan(got.real) or math.isnan(got.imag))
-    want = reference.theta_reference(kind, z, tau)
+    if reference._log_largest_term(kind, z, tau) > _LOG_LARGEST_AFFORDABLE:
+        return
+    want = _reference(kind, z, tau)
     if want.in_range:
         assert abs(got - want.value) <= REL_TOL * abs(want.value), (z, tau, got, want.value)
 
@@ -88,15 +99,19 @@ def _check(kind, function, re_z, im_z, re_tau, im_tau):
     im_tau=_log_uniform(-8.0, 0.0),
 )
 @_at_underflows
+# in range, but the reference would need a largest term near e^(1e6)
+@example(re_z=0.0, im_z=0.5, re_tau=0.0, im_tau=8.129461005539912e-07)
 def test_reduced_near_the_axis_matches_the_reference(re_z, im_z, re_tau, im_tau):
     _check("theta1", lambda z, tau: theta1_reduced(z, tau).value,
            re_z, im_z, re_tau, im_tau)
+    _check("theta1", theta1, re_z, im_z, re_tau, im_tau)
     _check("theta2", theta2, re_z, im_z, re_tau, im_tau)
 
 
 # the plain theta1 product needs about 1/Im tau factors: Im tau stops at
-# 1e-2; theta2, which takes the steps, is also checked on this range
-@pytest.mark.parametrize("kind", ["theta1", "theta2"])
+# 1e-2; theta2, which takes the steps, and theta1_series, which takes none
+# and declines where its sum cancels, are also checked on this range
+@pytest.mark.parametrize("kind", ["theta1", "theta2", "theta1_series"])
 @seed(20261018)
 @settings(max_examples=40, deadline=None, database=None)
 @given(
@@ -107,5 +122,24 @@ def test_reduced_near_the_axis_matches_the_reference(re_z, im_z, re_tau, im_tau)
 )
 @_at_underflows
 def test_plain_products_match_the_reference(kind, re_z, im_z, re_tau, im_tau):
-    function = {"theta1": _theta1_plain, "theta2": theta2}[kind]
-    _check(kind, function, re_z, im_z, re_tau, im_tau)
+    reference_kind, function = {"theta1": ("theta1", _theta1_plain), "theta2": ("theta2", theta2),
+                                "theta1_series": ("theta1", theta1_series)}[kind]
+    _check(reference_kind, function, re_z, im_z, re_tau, im_tau)
+
+
+# where the T/S steps stop: |Re tau| <= 1/2 and |tau| >= 1, so Im tau is at
+# least sqrt(3)/2; z anywhere
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    re_tau=st.floats(-0.5, 0.5),
+    lift=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    re_z=st.floats(-2.0, 2.0),
+    im_z=st.floats(-100.0, 100.0),
+)
+# the corner e^(2 pi i/3), with Im z at half a period
+@example(re_tau=-0.5, lift=0.0, re_z=0.3, im_z=0.4330127018922193)
+def test_series_takes_at_most_5_terms_at_every_reduced_point(re_tau, lift, re_z, im_z):
+    tau = complex(re_tau, math.sqrt(1.0 - re_tau * re_tau) * 10.0**lift)
+    terms = theta._series(complex(re_z, im_z), tau, theta._DEFAULT_CFG)[3]
+    assert 1 <= terms <= 5

@@ -83,16 +83,26 @@ def test_series_frozen_value():
 
 
 def test_product_series_agree_at_quarter():
-    assert abs(theta1(0.25, 1j) - theta1_series(0.25, 1j)) < 1e-12
+    # the plain product and the series are two independent routes
+    assert abs(_theta1_plain(0.25, 1j) - theta1_series(0.25, 1j)) < 1e-12
 
 
 def test_oracle_equivalence_grid():
-    # product vs series over Im tau in [0.5, 3], |Re z|, |Im z| <= 1
+    # plain product vs series over Im tau in [0.5, 3], |Re z|, |Im z| <= 1
     rng = random.Random(11)
     for _ in range(25):
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 3.0))
-        assert abs(theta1(z, tau) - theta1_series(z, tau)) < 1e-11
+        assert abs(_theta1_plain(z, tau) - theta1_series(z, tau)) < 1e-11
+
+
+def test_series_declines_where_its_sum_cancels():
+    # theta1(0.3, 0.001i) is about 8.4e-54 while the series' terms are
+    # about 1: the sum cancels past every digit, which the rounding bound
+    # reports (the series used to return about 3e-13 here)
+    with pytest.raises(ConvergenceError, match="theta1 series rounding bound") as info:
+        theta1_series(0.3, 0.001j)
+    assert info.value.achieved > 5e-10
 
 
 def test_theta1_odd():
@@ -230,13 +240,14 @@ def test_huge_im_z_is_a_convergence_error(func, z):
 
 @pytest.mark.parametrize("z", [1e308j, 0.3 + 1e300j])
 def test_series_refuses_a_huge_im_z_before_any_term(monkeypatch, z):
-    # its ratio bound never turns negative: it used to raise a bare
-    # OverflowError from the first sine, or to run all 5000 terms
+    # the lattice shift by Im z / Im tau periods is not finite: the series
+    # refuses before any exp (an older series raised a bare OverflowError
+    # from its first sine, or ran all 5000 terms)
     def no_term(w):
         raise AssertionError("a series term was evaluated")
 
-    monkeypatch.setattr(cmath, "sin", no_term)
-    with pytest.raises(ConvergenceError):
+    monkeypatch.setattr(cmath, "exp", no_term)
+    with pytest.raises(ConvergenceError, match="periods of tau is not finite"):
         theta1_series(z, 1j)
 
 
@@ -309,11 +320,14 @@ def test_theta2_exact_zero_keeps_positive_parts(tau):
 
 
 def test_reduced_passthrough_is_bit_identical():
-    # no step: the plain product at Im z <= 0, and at -z above it (theta1 is odd)
-    result = theta1_reduced(0.4 - 0.1j, 3j)
-    assert not result.reduced
-    assert result.value == _theta1_plain(0.4 - 0.1j, 3j)
-    assert theta1_reduced(0.4 + 0.1j, 3j).value == -_theta1_plain(-0.4 - 0.1j, 3j)
+    # no step: the series at (z, tau) bit for bit, at Im z >= 0 and at -z
+    # below it (theta1 is odd), and within roundoff of mpmath
+    for z in (0.4 - 0.1j, 0.4 + 0.1j):
+        result = theta1_reduced(z, 3j)
+        assert not result.reduced
+        assert result.value == theta1_series(z, 3j)
+        want = _jtheta(1, z, 3j)
+        assert abs(result.value - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("tau0", [0.2 + 0.7j, -0.3 + 1.2j])
@@ -329,33 +343,32 @@ def test_reduced_t_step_factor(k, tau0):
 
 @pytest.mark.parametrize("tau", [0.5 + 0.6j, -0.5 + 0.6j, 0.5 + 1.2j, -0.5 + 1.2j, 0.3 + 0.5j])
 def test_reduced_without_t_step_is_bit_identical(tau):
-    # |Re tau| <= 1/2 takes no T step first: the plain product bit for bit
-    # (at Im z <= 0), or an S step.  At +-0.5+0.6i a T step (k = -+1) follows
-    # the S step, and 0.3+0.5i takes one too (k = -1); the S step's prefactor
-    # enters through its log, so these are checked against mpmath
+    # |Re tau| <= 1/2 takes no T step first: the series at (z, tau) bit for
+    # bit, or an S step.  At +-0.5+0.6i a T step (k = -+1) follows the S
+    # step, and 0.3+0.5i takes one too (k = -1); the S step's prefactor
+    # enters through its log.  All are checked against mpmath
     z = 0.3 - 0.1j
     got = theta1_reduced(z, tau).value
     if abs(tau) >= 1:
-        assert got == _theta1_plain(z, tau)
-    else:
-        want = _jtheta(1, z, tau)
-        assert abs(got - want) <= 1e-13 * abs(want)
+        assert got == theta1_series(z, tau)
+    want = _jtheta(1, z, tau)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize(
     "z, tau, want, terms",
     [
         # 40-digit values of the tau-form sine series (mpmath); the plain
-        # product needs more than 5000 and 1761 terms
+        # product needs more than 5000 and 1761 terms, the series at the
+        # reduced point 3
         (0.3, 2.02 + 0.0005j,
          -3.791028042654440742505265875989960552053
-         + 3.909572254933307553878147796092063348666j, 4),
+         + 3.909572254933307553878147796092063348666j, 3),
         (0.1 + 0.2j, -1.37 + 0.003j,
          2191899574035986539.812634204089102315875
-         + 2262457886676065464.786944985958599969730j, 4),
+         + 2262457886676065464.786944985958599969730j, 3),
         # 40-digit values of mpmath.jtheta.  The first step's z shift brings
-        # Im z/Im tau back here, where the product used to overflow; at the
-        # second point the product needs the odd-symmetry retry as well
+        # Im z/Im tau back here, where the plain product used to overflow
         (0.44642555931921546 - 0.4403184370644956j,
          0.0028105819243204877 + 0.0015202489789186127j,
          -3.493721322034862155542777252755190984736e+163
@@ -481,15 +494,15 @@ def test_reduction_stops_where_s_maps_tau_onto_itself(monkeypatch):
 
 def test_every_reduced_product_has_re_tau_in_the_strip(monkeypatch):
     # every step begins with its T step and keeps it where no S step
-    # follows, so the product is taken at |Re tau| <= 1/2
+    # follows, so the series is taken at |Re tau| <= 1/2
     taus = []
-    product = theta._theta1_product
+    series = theta._series
 
-    def recorded(z, tau, cfg):
+    def recorded(z, tau, *args):
         taus.append(tau)
-        return product(z, tau, cfg)
+        return series(z, tau, *args)
 
-    monkeypatch.setattr(theta, "_theta1_product", recorded)
+    monkeypatch.setattr(theta, "_series", recorded)
     rng = random.Random(20261018)
     for _ in range(300):
         # Im z within 5 sqrt(Im tau), where most values lie in binary64
@@ -517,7 +530,7 @@ def test_reduction_near_the_real_axis_ends_quickly(monkeypatch, tau):
 
 
 def test_reduction_rounding_bound_is_a_convergence_error():
-    with pytest.raises(ConvergenceError, match="reduction rounding bound") as info:
+    with pytest.raises(ConvergenceError, match="reduced theta1 rounding bound") as info:
         theta1_reduced(0.3, 0.6180339887498949 + 1e-12j)
     assert info.value.achieved > 5e-10
 
