@@ -27,6 +27,18 @@ eval_reduce_fundamental.txt moved from 1.5e-13 to 4.2e-14 relative of the
 values of perfbench/reference.py, and eval_theta1_eps_max_terms.txt from
 1.5e-7 to 2.8e-13, with 2 factors where the plain product took 5.  The
 verify and sweep files, which the plain product serves, kept every byte.
+Eight files were rewritten on purpose when the steps began to sum a short
+sine series at the reduced point instead of the product:
+eval_theta1_fundamental.txt, eval_theta2_fundamental.txt and
+eval_reduce_fundamental.txt moved from 4.2e-14 to 8e-16 relative of the
+values of perfbench/reference.py, with 3 terms where the product took 4;
+eval_reduce_t_step.txt and eval_reduce_t_and_s_step.txt moved in their last
+digits, with 3 terms for 4; eval_theta1_eps_max_terms.txt moved from
+2.8e-13 to 8.2e-14 (eps = 1e-6); and in sweep_reduction_gain.csv and
+sweep_reduction_gain.json the abs_diff column moved in 5 of their 10 rows
+and, in the last row (Im tau = 1, no step), terms_reduced from 5 to 3 and
+gain with it.  The verify, edge_limit and lambert_tail files kept every
+byte.
 
 Run as a script to rewrite golden files from the current CLI, only those
 named on the command line:
