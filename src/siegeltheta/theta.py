@@ -85,6 +85,7 @@ __all__ = [
 
 _PI = math.pi
 _IPI = 1j * math.pi
+_TWO_IPI = 2j * math.pi
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
 _EPS = sys.float_info.epsilon / 2.0  # unit roundoff
@@ -470,13 +471,13 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
             f"series tail bound {achieved:.3e} > eps={cfg.eps:.3e} at max_terms={m}",
             achieved=achieved,
         )
-    terms = max(1, math.ceil(length))
-    x = 2.0 * _IPI * z
+    terms = math.ceil(length) or 1  # 0 only where b * b overflows
+    x = _TWO_IPI * z
     total = 1.0 + 0.0j
     if terms > 1:
         w2 = cmath.exp(x)
-        factor = -cmath.exp(2.0 * _IPI * (tau - z))  # -q^2 w^-2, then times q^2
-        q2 = cmath.exp(2.0 * _IPI * tau)
+        factor = -cmath.exp(_TWO_IPI * (tau - z))  # -q^2 w^-2, then times q^2
+        q2 = cmath.exp(_TWO_IPI * tau)
         w4, rise = w2 * w2, 1.0 + w2
         term = geometric = 1.0
         odd = w2  # w^(4k-2)
