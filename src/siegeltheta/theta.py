@@ -505,12 +505,13 @@ def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: f
             what: str) -> complex:
     """The value e^(i pi eighths/4) e^exponent prod (see `_scaled`) of a
     series whose relative rounding error is at most error, before the
-    rounding of the exponent's exp; z is the point before any shift.
+    rounding of the exponent's exp; z is the caller's point after the
+    offset of `_off_zero`, before any step or shift.
 
     ConvergenceError where the full bound exceeds _ROUNDING_LIMIT, unless
     the value lies beyond binary64 by more than the bound (then it is
     `_scaled`'s OverflowError).  An exact zero is returned only where z is
-    exactly 0, the zero lattice's point after the offset of `_off_zero`.
+    exactly 0, which is where the caller's point lies on the zero lattice.
     """
     error += _EPS * abs(exponent)
     if error > _ROUNDING_LIMIT and (
