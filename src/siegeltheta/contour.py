@@ -71,7 +71,7 @@ def _nested(term, estimate, count: int, nodes: int, levels: int, tol: float, wha
             fresh = [term(j, count) for j in range(1, count, 2)]
             values = [v for pair in zip(values, fresh) for v in pair] + values[len(fresh):]
         approx = estimate(values, count)
-        if not (math.isfinite(approx.real) and math.isfinite(approx.imag)):
+        if not cmath.isfinite(approx):
             raise ConvergenceError(f"{what} estimate is not finite at {len(values)} nodes")
         if previous is not None:
             gap = abs(approx - previous)

@@ -1,5 +1,6 @@
 """Error types shared across the package."""
 
+import cmath
 import math
 
 
@@ -39,7 +40,7 @@ def finite_complex(value, name: str) -> complex:
         value = complex(math.inf if value > 0 else -math.inf)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a complex number, got {value!r}") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not cmath.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 

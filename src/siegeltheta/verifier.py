@@ -275,8 +275,11 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     _point(p)
     cap, y, pi_i_cap, pi_cap, b_scale, one_minus_z, two_pi_cap, guard = p._kernel_constants
     zeta = finite_complex(zeta, "zeta")
-    if _pole_distance(zeta, cap, y) < guard:
-        raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
+    # every pole lies on an axis, and _pole_distance keeps Re zeta and Im zeta
+    # as legs of its hypots, so it is below guard only where one of them is
+    if abs(zeta.real) < guard or abs(zeta.imag) < guard:
+        if _pole_distance(zeta, cap, y) < guard:
+            raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
     try:
         first = -_cot(pi_i_cap * zeta) * _cot(pi_cap * zeta / y) / (8.0 * zeta)
         b = b_scale * zeta
@@ -286,9 +289,9 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
         else:
             ratio = cmath.exp(a) / (1.0 - cmath.exp(b))
         value = first + _inv_one_minus_exp(two_pi_cap * zeta) * ratio / zeta
-        if math.isfinite(value.real) and math.isfinite(value.imag):
+        if cmath.isfinite(value):
             return value
-    except OverflowError:  # cmath.exp raises on overflow
+    except (OverflowError, ValueError):  # cmath.exp's overflow, or an infinite Im
         pass
     raise OverflowError(_KERNEL_OVERFLOW) from None
 

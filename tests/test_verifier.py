@@ -189,6 +189,29 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
     assert 100 < poles < 500
 
 
+@pytest.mark.parametrize("n", [1, 3, 25])
+def test_kernel_guard_is_the_pole_distance_below_1e_12_over_n(n):
+    # the kernel skips the exact distance off both axes; at every pole, and
+    # along, across and diagonally off its axis, it must still raise
+    # exactly where pole_distance is below the guard
+    p = DomainPoint(0.5, -0.25, 2.0, n)
+    guard = 1e-12 / p.N
+    poles = [0j]
+    for k in {1, n}:
+        poles += [1j * k / p.N, -1j * k / p.N, k * p.y / p.N, -k * p.y / p.N]
+    for pole in poles:
+        along, across = (1j, 1.0) if pole.real == 0.0 else (1.0, 1j)
+        for direction in (along, -along, across, -across, along + across, along - across,
+                          -along + across, -along - across):
+            for s in (0.5, 0.99, 1.01, 2.0):
+                zeta = pole + s * guard * direction / abs(direction)
+                if pole_distance(zeta, p) < guard:
+                    with pytest.raises(PoleProximityError):
+                        residue_kernel(zeta, p)
+                else:
+                    assert cmath.isfinite(residue_kernel(zeta, p)), (pole, zeta)
+
+
 def test_kernel_constants_leave_the_point_unchanged():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
     before = (repr(p), hash(p), p._asdict())
@@ -214,7 +237,10 @@ def test_kernel_rejects_non_finite_zeta(zeta):
 @pytest.mark.parametrize(
     "zeta",
     [1e308, -1e308j,  # the nearest pole's index overflows
-     532.3037904003828 + 29.66979061487317j],  # an exponential overflows
+     532.3037904003828 + 29.66979061487317j,  # an exponential overflows
+     # off both axes, so no index is formed: 2 pi N zeta has an infinite
+     # imaginary part, on which cmath.exp raises ValueError
+     0.3 + 1e307j, 0.3 + 1e308j],
     ids=repr,
 )
 def test_kernel_overflow_is_the_documented_error(zeta):
