@@ -361,16 +361,20 @@ def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
 def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta1 from its sine series at (z, tau) itself, with no T or S step.
 
-    The series kernel of theta1 (see `_series`), taken after the exact
-    offset from a nearby zero (see `_off_zero`): it stops on a tail bound
-    relative to the value, so it is a relative oracle wherever it answers,
-    and independent of the plain product.  ConvergenceError: more than
-    max_terms terms, a lattice shift that is not finite, or, where the sum
-    cancels (at (0.3, 0.001i) theta1 is about 8.4e-54 and its terms about
-    1), a first-order rounding bound above _ROUNDING_LIMIT.  OverflowError
-    as for theta1_reduced.
+    Re tau is first reduced exactly into [-4, 4] by math.remainder, the
+    identity there: theta1 has period 8 in tau, as theta1(z, tau + 1) =
+    e^(i pi/4) theta1(z, tau), and at a large |Re tau| the exps would lose
+    the phase of q.  The series kernel of theta1 (see `_series`) is then
+    taken after the exact offset from a nearby zero (see `_off_zero`): it
+    stops on a tail bound relative to the value, so it is a relative oracle
+    wherever it answers, and independent of the plain product.
+    ConvergenceError: more than max_terms terms, a lattice shift that is
+    not finite, or, where the sum cancels (at (0.3, 0.001i) theta1 is about
+    8.4e-54 and its terms about 1), a first-order rounding bound above
+    _ROUNDING_LIMIT.  OverflowError as for theta1_reduced.
     """
     tau = require_tau(tau)
+    tau = complex(math.remainder(tau.real, 8.0), tau.imag)
     z, log = _off_zero(_as_z(z), tau)
     eighths, exponent, prod, _, error = _series(z, tau, cfg or _DEFAULT_CFG)
     return _finish(z, eighths, exponent + log, prod, error, "theta1 series")

@@ -105,6 +105,14 @@ def test_series_declines_where_its_sum_cancels():
     assert info.value.achieved > 5e-10
 
 
+def test_series_reduces_re_tau_modulo_8():
+    # theta1 has period 8 in tau; unreduced, the exps lost the phase of q
+    # and the series declined at rounding bounds 3.148e-08 and 3.148e+01
+    for tau in (1e6 + 1j, 1e15 + 1j, -1e6 + 1j):
+        assert theta1_series(0.3, tau).real == 0.7371971637186816 == theta1(0.3, tau).real
+    assert abs(theta1_series(0.3 + 0.2j, 4.5 + 1j) - theta1(0.3 + 0.2j, 4.5 + 1j)) < 1e-13
+
+
 def test_theta1_odd():
     for z, tau in sample_grid(25, seed=42):
         assert abs(theta1(-z, tau) + theta1(z, tau)) < 1e-12
