@@ -291,7 +291,7 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
         value = first + _inv_one_minus_exp(two_pi_cap * zeta) * ratio / zeta
         if cmath.isfinite(value):
             return value
-    except (OverflowError, ValueError):  # cmath.exp's overflow, or an infinite Im
+    except (OverflowError, ValueError):  # cmath.exp: overflow, or an infinite Im part
         pass
     raise OverflowError(_KERNEL_OVERFLOW) from None
 

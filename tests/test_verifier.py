@@ -201,9 +201,8 @@ def test_kernel_guard_is_the_pole_distance_below_1e_12_over_n(n):
         poles += [1j * k / p.N, -1j * k / p.N, k * p.y / p.N, -k * p.y / p.N]
     for pole in poles:
         along, across = (1j, 1.0) if pole.real == 0.0 else (1.0, 1j)
-        for direction in (along, -along, across, -across, along + across, along - across,
-                          -along + across, -along - across):
-            for s in (0.5, 0.99, 1.01, 2.0):
+        for direction in (along, across, along + across, along - across):
+            for s in (0.5, 0.99, 1.01, 2.0, -0.5, -0.99, -1.01, -2.0):
                 zeta = pole + s * guard * direction / abs(direction)
                 if pole_distance(zeta, p) < guard:
                     with pytest.raises(PoleProximityError):
