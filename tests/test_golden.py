@@ -1,4 +1,5 @@
-"""Byte-for-byte regression gate on the CLI's verify, sweep and eval output.
+"""Byte-for-byte regression gate on the CLI's verify, sweep and eval output,
+and on the T/S steps of theta1_reduced and theta2.
 
 The verify and sweep files under tests/golden/ were written by the CLI before
 the product, Lambert-term and suite-runner code was consolidated, the eval
@@ -40,7 +41,17 @@ and, in the last row (Im tau = 1, no step), terms_reduced from 5 to 3 and
 gain with it.  The verify, edge_limit and lambert_tail files kept every
 byte.
 
-Run as a script to rewrite golden files from the current CLI, only those
+steps_seeded_points.txt was written before the T/S steps were folded from
+a step function and its state tuple into one loop, which had to leave it
+and every other file byte-identical.  It holds the repr of
+theta1_reduced's (value, terms_used, reduced) and of theta2's (value,
+terms), or the error's type and message, at 400 seeded points (Im tau
+log-uniform in 1e-7..3, |Re tau| and |Re z| up to 3, Im z within
+5 sqrt(Im tau)) and at a subnormal Im tau, a value beyond binary64, an
+exact zero of theta1 and a huge Im z.  No CLI command prints it: the
+CASES entry is a function that returns the text.
+
+Run as a script to rewrite golden files from the current code, only those
 named on the command line:
 
     PYTHONPATH=src python tests/test_golden.py eval_reduce_t_step.txt
@@ -48,11 +59,14 @@ named on the command line:
 
 import contextlib
 import io
+import math
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from siegeltheta import ConvergenceError, theta
 from siegeltheta.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,10 +93,50 @@ CASES["eval_reduce_t_and_s_step.txt"] = [
     "eval", "theta1", "--reduce", "--z=0.1+0.2i", "--tau=-1.37+0.003i"]
 
 
+def _seeded_points():
+    """theta1_reduced and theta2, one line each, at 400 seeded points and a
+    few edge inputs: the value, terms and reduced flag, or the error."""
+    rng = random.Random(20261019)
+    points = []
+    for _ in range(400):
+        # Im z within 5 sqrt(Im tau), where most values lie in binary64
+        tau = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-7.0, math.log10(3.0)))
+        z = complex(rng.uniform(-3.0, 3.0), 5.0 * math.sqrt(tau.imag) * rng.uniform(-1.0, 1.0))
+        points.append((z, tau))
+    # a subnormal Im tau, a value beyond binary64, the zero 3 tau - 2 (exact,
+    # tau being dyadic) and an Im z whose lattice shift is not finite
+    points += [(0.3, 1e-320j), (0.5, 1e-320j), (10j, 0.1j),
+               (3 * (0.25 + 0.5j) - 2, 0.25 + 0.5j), (0.3 + 1e300j, 1j), (0.3 + 1e300j, 0.5j)]
+    lines = []
+    for z, tau in points:
+        for name, function in (("theta1_reduced", theta.theta1_reduced),
+                               ("theta2", theta._EVALUATORS["theta2"])):
+            try:
+                got = tuple(function(z, tau, theta.EvalConfig()))
+            except (ConvergenceError, OverflowError) as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{name} {complex(z)!r} {complex(tau)!r} {got}\n")
+    return "".join(lines)
+
+
+# theta1_reduced and theta2 through the T/S steps, away from the CLI
+CASES["steps_seeded_points.txt"] = _seeded_points
+
+
+def _output(case):
+    """(exit code, stdout) of a CASES entry: CLI argv, or a callable that
+    returns the text itself."""
+    if callable(case):
+        return 0, case()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(case)
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_file(name, capsys):
-    code = main(CASES[name])
-    out = capsys.readouterr().out
+def test_cli_output_matches_golden_file(name):
+    code, out = _output(CASES[name])
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
@@ -94,12 +148,10 @@ def rewrite(names):
         sys.exit(f"unknown golden files: {' '.join(unknown)}" if unknown
                  else "name the golden files to rewrite")
     for name in names:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(CASES[name])
+        code, out = _output(CASES[name])
         if code != 0:
             sys.exit(f"{name}: siegeltheta exited {code}")
-        (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
+        (GOLDEN / name).write_text(out, encoding="utf-8")
         print(f"rewrote {name}")
 
 
