@@ -478,14 +478,15 @@ def test_reduced_exact_zero_only_on_the_lattice():
 
 
 def _count_steps(monkeypatch):
+    # each S step shifts z by the lattice once, and the series once more
     steps = []
-    step = theta._step
+    shift = theta._shift
 
-    def counted(*args):
-        steps.append(args[1])
-        return step(*args)
+    def counted(z, tau, *args):
+        steps.append(tau)
+        return shift(z, tau, *args)
 
-    monkeypatch.setattr(theta, "_step", counted)
+    monkeypatch.setattr(theta, "_shift", counted)
     return steps
 
 

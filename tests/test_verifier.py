@@ -414,7 +414,7 @@ def test_the_proof_replay_never_takes_the_steps_it_checks(monkeypatch):
     def no_step(*args):
         raise AssertionError("the proof replay took a T/S step")
 
-    monkeypatch.setattr(theta, "_step", no_step)
+    monkeypatch.setattr(theta, "_theta1_steps", no_step)
     reports = run_suite("all", seed=42)
     assert reports and all(report.passed for report in reports)
     for target in ("lambert_tail", "edge_limit"):
