@@ -19,17 +19,12 @@ The inversion law
     theta1(z/tau, -1/tau) = -i (-i tau)^(1/2) exp(pi i z^2 / tau) theta1(z, tau)
 
 is exposed both as an identity (`inversion_rhs`) and as an accelerator:
-theta1, theta2 and theta1_reduced take one route.  That takes a T step,
-tau -> tau - k with k the integer nearest Re tau, through
-theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26); then, when
-the shifted |tau| < 1, z is shifted by the lattice, and the law is solved
-for theta1(z, tau) and evaluated at (z/tau, -1/tau).  One step function
-takes each T step and the S step after it; steps repeat while S strictly
-raises Im tau, and the series is then summed where they stopped, at
+theta1, theta2 and theta1_reduced take one loop of T steps, tau -> tau - k,
+and S steps, (z, tau) -> (z/tau, -1/tau), while S strictly raises Im tau
+(see `theta1_reduced`), and sum the series where it stops, at
 |Re tau| <= 1/2 and |tau| >= 1, so Im tau >= sqrt(3)/2, |q| <= 0.066 and at
-most 4 terms reach the default tolerance.  The steps carry their multiplier
-as an exact eighth root of unity and a log.  theta1_series is the same
-series at (z, tau) itself, with no step.
+most 4 terms reach the default tolerance.  theta1_series is the same series
+at (z, tau) itself, with no step.
 
 The plain product
 
@@ -226,8 +221,8 @@ def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: fl
     """Truncated prod (1-q^(2n)) (1 + sign w^2 q^(2n+lead)) (1 + sign w^-2 q^(2n+trail))
     over n >= 1 and its length; an exactly zero factor (z on the zero
     lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3.  z is a
-    finite complex already (from _as_z, or checked by _step), and tau is
-    checked (by require_tau, or the result of steps from it)."""
+    finite complex already (from _as_z, or checked by the T/S steps), and
+    tau is checked (by require_tau, or the result of steps from it)."""
     terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
     two_z = 2.0 * z
     prod = 1.0 + 0.0j
@@ -601,71 +596,28 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     )
 
 
-def _step(z: complex, tau: complex, eighths: int, log: complex, dz: float, dtau: float,
-          error: float):
-    """One T step from theta1(z0, tau0) = e^(i pi eighths/4) e^log theta1(z, tau),
-    then, where S raises Im tau, a lattice shift and an S step.
-
-    T: tau -> tau - k, k = round(Re tau), by theta1(z, tau + k) =
-    e^(i pi k/4) theta1(z, tau) (DLMF 20.7.26).  The lattice shift (see
-    `_shift`) is taken after T, so that n tau has the shifted Re tau.  S:
-    (z, tau) -> (z/tau, -1/tau) by the inversion law.  The unit is kept
-    exact as its count of eighth turns, and the rest of the multiplier as
-    its log.  dz and dtau bound the absolute rounding errors of z and tau,
-    and error the relative error of the multiplier.
-
-    Returns the new (z, tau, eighths, log, dz, dtau, error) and True after
-    an S step; the state after T alone and False where S would not raise
-    Im tau (|tau - k| >= 1, or rounding near the unit circle, where S maps
-    tau onto itself).  OverflowError where Im z / Im tau, the log or the
-    inverted point is not finite, which only an input can cause (one with
-    a subnormal Im tau, say).
-    """
-    k = round(tau.real)
-    tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part
-    eighths += k
-    inverted_tau = -1.0 / tau
-    if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
-        return (z, tau, eighths, log, dz, dtau, error), False
-    z, turns, power, dz, shift_error = _shift(z, tau, dz, dtau)
-    # the signs of the shift, and 1/(-i) = i of the inversion prefactor
-    # -i (-i tau)^(1/2) e^(i pi z^2/tau)
-    eighths += 4 * turns + 2
-    log -= 0.5 * cmath.log(-1j * tau) + _IPI * (power + z * z / tau)
-    inverted_z = z / tau
-    if not (cmath.isfinite(log) and cmath.isfinite(inverted_z) and cmath.isfinite(inverted_tau)):
-        raise OverflowError("reduced theta1 overflowed the binary64 range")
-    # first-order rounding bounds across S: the relative error of the
-    # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
-    # absolute errors of z/tau and -1/tau; the sums that form log add
-    # _EPS |log|
-    size = abs(tau)
-    ratio = abs(z) / size
-    exponent = _PI * ratio * abs(z)
-    s_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
-               + _EPS * (exponent + 4.0 + abs(log)))
-    return (inverted_z, inverted_tau, eighths, log, (dz + ratio * dtau) / size + _EPS * ratio,
-            (dtau / size + _EPS) / size, error + (shift_error + s_error)), True
-
-
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     """Evaluate theta1 after T and S steps, repeated while S raises Im tau.
 
-    Every step (see `_step`) begins with T: tau is shifted by k = round(Re tau)
-    into |Re tau| <= 1/2 (exactly, in binary64) and the result gains the
-    factor e^(i pi k/4).  S follows when the shifted |tau| < 1 and
-    Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau), so the series at the
-    inverted point needs fewer terms: z is shifted by n tau into
-    |Im z| <= Im(tau)/2, Re z is reduced exactly into [-1/2, 1/2]
-    (theta1(z + 1) = -theta1(z)), and the inversion law is solved for
-    theta1(z, tau).  The steps carry their multiplier as an exact unit and
-    a log, so they stop only where S would not raise Im tau, and the series
-    (see `_series`) is summed there, always at |Re tau| <= 1/2 and
-    Im tau >= sqrt(3)/2, where at most 4 terms reach the default eps; one
-    exp of the summed logs then forms the value (see `_scaled`).  A point
-    that takes no step is theta1_series there, bit for bit.  terms_used
-    counts the series terms summed.  `reduced` is true when a T or S step
-    was taken.  theta1 and theta2 take these steps too.
+    Every step begins with T: tau is shifted by k = round(Re tau) into
+    |Re tau| <= 1/2 (exactly, in binary64) and the result gains the factor
+    e^(i pi k/4), as theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
+    (DLMF 20.7.26).  S follows when the shifted |tau| < 1 and
+    Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau) (strictly: near the unit
+    circle rounding can map tau onto itself), so the series at the inverted
+    point needs fewer terms.  z is then shifted after T, so that n tau has
+    the shifted Re tau (see `_shift`): by n tau into |Im z| <= Im(tau)/2,
+    and Re z exactly into [-1/2, 1/2] (theta1(z + 1) = -theta1(z)); and the
+    inversion law is solved for theta1(z, tau) and taken at
+    (z/tau, -1/tau).  The steps carry their multiplier as an exact count of
+    eighth turns and a log, with first-order bounds on the rounding errors
+    of z, tau and the multiplier, so they stop only where S would not raise
+    Im tau.  The series (see `_series`) is summed there, always at
+    |Re tau| <= 1/2 and Im tau >= sqrt(3)/2, where at most 4 terms reach
+    the default eps; one exp of the summed logs then forms the value (see
+    `_scaled`).  A point that takes no step is theta1_series there, bit for
+    bit.  terms_used counts the series terms summed.  `reduced` is true
+    when a T or S step was taken.  theta1 and theta2 take these steps too.
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
@@ -687,13 +639,46 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
 
 
 def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig):
-    """theta1_reduced's (value, terms, reduced) at a checked (z, tau)."""
-    z, log = _off_zero(z, tau)
-    state, inverted = (z, tau, 0, log, 0.0, 0.0, 0.0), True
-    while inverted:
-        state, inverted = _step(*state)
-    reduced_z, reduced_tau, eighths, log, dz, dtau, error = state
-    turns, exponent, prod, terms, series_error = _series(reduced_z, reduced_tau, cfg, dz, dtau)
-    value = _finish(z, eighths + turns, exponent + log, prod, error + series_error,
+    """theta1_reduced's (value, terms, reduced) at a checked (z, tau).
+
+    Each pass of the loop keeps theta1(z0, tau0) = e^(i pi eighths/4)
+    e^log theta1(z, tau), with dz and dtau bounding the absolute rounding
+    errors of z and tau, and error the relative error of the multiplier.
+    """
+    z0, log = _off_zero(z, tau)
+    z, tau0 = z0, tau
+    eighths, dz, dtau, error = 0, 0.0, 0.0, 0.0
+    while True:
+        k = round(tau.real)
+        tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part
+        eighths += k
+        inverted_tau = -1.0 / tau
+        # S only where it strictly raises Im tau: near |tau| = 1 rounding
+        # can map tau onto itself
+        if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
+            break
+        z, turns, power, dz, shift_error = _shift(z, tau, dz, dtau)
+        # the signs of the shift, and 1/(-i) = i of the inversion prefactor
+        # -i (-i tau)^(1/2) e^(i pi z^2/tau)
+        eighths += 4 * turns + 2
+        log -= 0.5 * cmath.log(-1j * tau) + _IPI * (power + z * z / tau)
+        inverted_z = z / tau
+        if not (cmath.isfinite(log) and cmath.isfinite(inverted_z)
+                and cmath.isfinite(inverted_tau)):
+            raise OverflowError("reduced theta1 overflowed the binary64 range")
+        # first-order rounding bounds across S: the relative error of the
+        # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
+        # absolute errors of z/tau and -1/tau; the sums that form log add
+        # _EPS |log|
+        size = abs(tau)
+        ratio = abs(z) / size
+        exponent = _PI * ratio * abs(z)
+        s_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
+                   + _EPS * (exponent + 4.0 + abs(log)))
+        error += shift_error + s_error
+        z, tau = inverted_z, inverted_tau
+        dz, dtau = (dz + ratio * dtau) / size + _EPS * ratio, (dtau / size + _EPS) / size
+    turns, exponent, prod, terms, series_error = _series(z, tau, cfg, dz, dtau)
+    value = _finish(z0, eighths + turns, exponent + log, prod, error + series_error,
                     "reduced theta1")
-    return value, terms, reduced_tau != tau
+    return value, terms, tau != tau0
