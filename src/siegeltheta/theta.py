@@ -96,6 +96,10 @@ _SHORT = 0.5
 # below _SHORT, a sum that the rounding bound accepts is at least this in
 # modulus: its bound is at least _EPS / |sum|
 _LOG_SUM_FLOOR = math.log(_EPS / _ROUNDING_LIMIT)
+# a T/S step, or its lattice shift, that is not finite tells nothing of the
+# side on which the value lies: at (0.3, 1e-320i) it underflows, and at
+# (0.5, 1e-320i) it is about 1e160, in range
+_STEP_RANGE = "reduced theta1: a T/S step left the binary64 range"
 # "near a zero of theta1": below this |z| the plain product's first factor
 # 1 - e^(-2 pi i z) is formed by expm1, and z is shifted by a lattice point
 # this close to it (relative to max(1, |z|)) exactly
@@ -391,13 +395,13 @@ def _shift(z: complex, tau: complex, dz: float, dtau: float):
     """
     periods = z.imag / tau.imag
     if not math.isfinite(periods):
-        raise OverflowError("reduced theta1 overflowed the binary64 range")
+        raise OverflowError(_STEP_RANGE)
     n = round(periods)
     power, error = 0j, 0.0
     if n:
         power = n * (2.0 * z - n * tau)
         if not cmath.isfinite(power):
-            raise OverflowError("reduced theta1 overflowed the binary64 range")
+            raise OverflowError(_STEP_RANGE)
         power = complex(math.fmod(power.real, 2.0), power.imag)
         shift = abs(n * tau)
         error = _PI * abs(n) * (2.0 * dz + abs(n) * dtau + _EPS * (2.0 * abs(z) + shift))
@@ -625,8 +629,8 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     zero lattice exactly.
 
     OverflowError: the value lies beyond the binary64 range or underflows
-    to zero, or the input's first step is not finite (a subnormal Im tau,
-    say).  ConvergenceError: the series needs more than max_terms terms,
+    to zero, or a step's lattice shift, log, inverted z or -1/tau is not
+    finite (a subnormal Im tau, say), which says nothing of the value.  ConvergenceError: the series needs more than max_terms terms,
     Im z is so large that its lattice shift is not finite (`achieved` inf),
     or a first-order bound on the rounding error that the steps and the
     series' shift carry into the value exceeds _ROUNDING_LIMIT (its
@@ -665,7 +669,7 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig):
         inverted_z = z / tau
         if not (cmath.isfinite(log) and cmath.isfinite(inverted_z)
                 and cmath.isfinite(inverted_tau)):
-            raise OverflowError("reduced theta1 overflowed the binary64 range")
+            raise OverflowError(_STEP_RANGE)
         # first-order rounding bounds across S: the relative error of the
         # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
         # absolute errors of z/tau and -1/tau; the sums that form log add
