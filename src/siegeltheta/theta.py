@@ -96,9 +96,8 @@ _SHORT = 0.5
 # below _SHORT, a sum that the rounding bound accepts is at least this in
 # modulus: its bound is at least _EPS / |sum|
 _LOG_SUM_FLOOR = math.log(_EPS / _ROUNDING_LIMIT)
-# a T/S step, or its lattice shift, that is not finite tells nothing of the
-# side on which the value lies: at (0.3, 1e-320i) it underflows, and at
-# (0.5, 1e-320i) it is about 1e160, in range
+# a step that is not finite says nothing of the value: at (0.3, 1e-320i)
+# it underflows, and at (0.5, 1e-320i) it is about 1e160
 _STEP_RANGE = "reduced theta1: a T/S step left the binary64 range"
 # "near a zero of theta1": below this |z| the plain product's first factor
 # 1 - e^(-2 pi i z) is formed by expm1, and z is shifted by a lattice point
@@ -657,8 +656,6 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig):
         tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part
         eighths += k
         inverted_tau = -1.0 / tau
-        # S only where it strictly raises Im tau: near |tau| = 1 rounding
-        # can map tau onto itself
         if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
             break
         z, turns, power, dz, shift_error = _shift(z, tau, dz, dtau)

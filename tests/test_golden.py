@@ -49,13 +49,13 @@ terms), or the error's type and message, at 400 seeded points (Im tau
 log-uniform in 1e-7..3, |Re tau| and |Re z| up to 3, Im z within
 5 sqrt(Im tau)) and at a subnormal Im tau, a value beyond binary64, an
 exact zero of theta1 and a huge Im z.  No CLI command prints it: the
-CASES entry is a function that returns the text.
-After the loop, six of its lines were rewritten on purpose, and no
-other byte: where a step's lattice shift, log, inverted z or -1/tau is not
-finite (at 0.3 and 0.5 with tau = 1e-320i, and at 0.3+1e300i with
-tau = 0.5i), theta1_reduced and theta2 now say "reduced theta1: a T/S step
-left the binary64 range" for "reduced theta1 overflowed the binary64
-range", which was untrue where the value underflows.
+CASES entry is a function that returns the text.  After the fold, six of
+its lines were rewritten on purpose, and no other byte: where a step's
+lattice shift, log, inverted z or -1/tau is not finite (at 0.3 and 0.5
+with tau = 1e-320i, and at 0.3+1e300i with tau = 0.5i), theta1_reduced
+and theta2 now say "reduced theta1: a T/S step left the binary64 range"
+for "reduced theta1 overflowed the binary64 range", which was untrue
+where the value underflows.
 
 Run as a script to rewrite golden files from the current code, only those
 named on the command line:
@@ -116,7 +116,7 @@ def _seeded_points():
     lines = []
     for z, tau in points:
         for name, function in (("theta1_reduced", theta.theta1_reduced),
-                               ("theta2", theta._EVALUATORS["theta2"])):
+                               ("theta2", theta._theta2_steps)):
             try:
                 got = tuple(function(z, tau, theta.EvalConfig()))
             except (ConvergenceError, OverflowError) as exc:
