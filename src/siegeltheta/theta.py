@@ -1,4 +1,4 @@
-"""Jacobi theta functions from a short sine series and from their products.
+"""Jacobi theta functions from a short sine series, and theta1 from its product.
 
 theta1 is evaluated from its sine series (DLMF 20.2.1), written as
 
@@ -10,21 +10,21 @@ z first shifted by the lattice Z + tau Z into |Im z| <= Im tau/2, at
 Im z >= 0 (theta1 is odd).  Term k is then at most (2k+1) e^(-pi Im tau k^2),
 so the series is cut by a closed-form tail bound relative to the value,
 and its growth e^(pi Im z) q^(1/4) is kept as a log (Deconinck et al.,
-Math. Comp. 73, 2004).  theta2 is derived through the half-period shift
-theta2(z) = -theta1(z - 1/2); theta3 uses the triple product and theta4 the
-shift theta4(z) = theta3(z + 1/2).
+Math. Comp. 73, 2004).  The others are theta1 at a half period:
+theta2(z) = -theta1(z - 1/2), theta3(z) = theta4(z + 1/2) and
+theta4(z) = -i e^(i pi (z + tau/4)) theta1(z + tau/2) (DLMF 20.2.13).
 
 The inversion law
 
     theta1(z/tau, -1/tau) = -i (-i tau)^(1/2) exp(pi i z^2 / tau) theta1(z, tau)
 
 is exposed both as an identity (`inversion_rhs`) and as an accelerator:
-theta1, theta2 and theta1_reduced take one loop of T steps, tau -> tau - k,
-and S steps, (z, tau) -> (z/tau, -1/tau), while S strictly raises Im tau
-(see `theta1_reduced`), and sum the series where it stops, at
-|Re tau| <= 1/2 and |tau| >= 1, so Im tau >= sqrt(3)/2, |q| <= 0.066 and at
-most 4 terms reach the default tolerance.  theta1_series is the same series
-at (z, tau) itself, with no step.
+the four functions and theta1_reduced take one loop of T steps,
+tau -> tau - k, and S steps, (z, tau) -> (z/tau, -1/tau), while S strictly
+raises Im tau (see `theta1_reduced`), and sum theta1's series where it
+stops, at |Re tau| <= 1/2 and |tau| >= 1, so Im tau >= sqrt(3)/2,
+|q| <= 0.066 and at most 4 terms reach the default tolerance.
+theta1_series is the same series at (z, tau) itself, with no step.
 
 The plain product
 
@@ -35,20 +35,19 @@ at (z, tau) itself, with no step, serves only the proof replay:
 check does not rest on the law, and the tests check the series against
 it.  Where its factor 1 - w^-2 overflows at a large Im z, it is taken at -z.
 
-theta1 and the plain product form their value in one place, `_scaled`: the
-prefactor is kept as its exponent, the logs of the steps and of a lattice
-shift are added to it, and the value is formed directly where that
-prefactor is a normal binary64 number, and through one exp of the summed
-logs elsewhere.  That is also the one place that decides a value has
-overflowed or underflowed the binary64 range.
+Every value is formed in one place, `_scaled`: the prefactor is kept as
+its exponent, the logs of the steps and of a lattice shift are added to
+it, and the value is formed directly where that prefactor is a normal
+binary64 number, and through one exp of the summed logs elsewhere.  That
+is also the one place that decides a value has overflowed or underflowed
+the binary64 range.
 
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
-for a large |Re z|.  Near a zero of theta1 other than 0, theta1, theta2,
-theta1_series and the plain product then replace z by its exact offset from
-that zero.
+for a large |Re z|.  Near a zero of theta1, every entry then replaces the
+point at which it takes theta1 by its exact offset from that zero.
 
-All arithmetic is binary64; the series and the products are truncated by
+All arithmetic is binary64; the series and the product are truncated by
 a priori tail bounds controlled through `EvalConfig`.
 """
 
@@ -106,10 +105,10 @@ _NEAR_ZERO = 1e-4
 
 
 class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
-    """Truncation control for the theta series and products; immutable.
+    """Truncation control for the theta series and product; immutable.
 
     eps: target of the truncation tail bound, relative to the value for the
-    series and to the product for the products.
+    series and to the product for the product.
     max_terms: hard cap on the number of series terms or product factors.
     """
 
@@ -144,12 +143,6 @@ def _as_z(z) -> complex:
 def _bound_from_log(log_bound: float) -> float:
     # a tail bound from its log: inf past the binary64 range, and for NaN
     return math.exp(log_bound) if log_bound <= _LOG_MAX else math.inf
-
-
-def _require_finite(value: complex, what: str) -> complex:
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{what} overflowed the binary64 range")
-    return value
 
 
 def require_tau(tau) -> complex:
@@ -220,26 +213,6 @@ def product_terms(z, tau, cfg: EvalConfig | None = None) -> int:
     return _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
 
 
-def _triple_product(z, tau, cfg: EvalConfig, sign: float, lead: float, trail: float):
-    """Truncated prod (1-q^(2n)) (1 + sign w^2 q^(2n+lead)) (1 + sign w^-2 q^(2n+trail))
-    over n >= 1 and its length; an exactly zero factor (z on the zero
-    lattice) ends it with an exact zero.  DLMF 20.5.1 and 20.5.3.  z is a
-    finite complex already (from _as_z, or checked by the T/S steps), and
-    tau is checked (by require_tau, or the result of steps from it)."""
-    terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
-    two_z = 2.0 * z
-    prod = 1.0 + 0.0j
-    for n in range(1, terms + 1):
-        two_n = 2.0 * n
-        f1 = 1.0 - cmath.exp(_IPI * two_n * tau)
-        f2 = 1.0 + sign * cmath.exp(_IPI * ((two_n + lead) * tau + two_z))
-        f3 = 1.0 + sign * cmath.exp(_IPI * ((two_n + trail) * tau - two_z))
-        if f1 == 0 or f2 == 0 or f3 == 0:
-            return 0.0j, n
-        prod *= f1 * f2 * f3
-    return prod, terms
-
-
 def _one_minus_exp(x: complex) -> complex:
     # 1 - e^x without the cancellation near x = 0, from expm1 and
     # cos b - 1 = -2 sin^2(b/2)
@@ -250,29 +223,40 @@ def _one_minus_exp(x: complex) -> complex:
 
 
 def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
-    """(unit, exponent, prod, terms) with theta1(z, tau) = unit e^exponent prod,
-    unit e^exponent being the prefactor -i e^(i pi (z + tau/4)).
+    """(unit, exponent, prod) with theta1(z, tau) = unit e^exponent prod,
+    unit e^exponent being the prefactor -i e^(i pi (z + tau/4)) and prod the
+    truncated product over n >= 1 (DLMF 20.5.3), which an exactly zero
+    factor (z on the zero lattice) ends with an exact zero.
 
     Where the factor 1 - w^-2, of size e^(2 pi Im z), overflows at Im z > 0,
     theta1 itself may be in range: theta1 is odd, and at -z that factor is
     small, so the product is taken there and unit is +i.
     """
+    # the first factor 1 - w^-2 cancels near z = 0: it is taken out of the
+    # product (trail 0 leaves the n >= 1 factors) and formed without it
+    near = 0.0 < abs(z) < _NEAR_ZERO
+    trail = 0.0 if near else -2.0
     try:  # cmath.exp raises where a factor overflows
-        if 0.0 < abs(z) < _NEAR_ZERO:
-            # the first factor 1 - w^-2 cancels near z = 0: it is taken out
-            # of the product (whose trail 0 leaves the n >= 1 factors) and
-            # formed without the cancellation
-            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, 0.0)
+        terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
+        two_z = 2.0 * z
+        prod = 1.0 + 0.0j
+        for n in range(1, terms + 1):
+            two_n = 2.0 * n
+            f1 = 1.0 - cmath.exp(_IPI * two_n * tau)
+            f2 = 1.0 - cmath.exp(_IPI * (two_n * tau + two_z))
+            f3 = 1.0 - cmath.exp(_IPI * ((two_n + trail) * tau - two_z))
+            if f1 == 0 or f2 == 0 or f3 == 0:
+                return -1j, 0j, 0j
+            prod *= f1 * f2 * f3
+        if near:
             prod *= _one_minus_exp(-2.0 * _IPI * z)
-        else:
-            prod, terms = _triple_product(z, tau, cfg, -1.0, 0.0, -2.0)
         if cmath.isfinite(prod):
-            return -1j, _IPI * (z + tau / 4.0), prod, terms
+            return -1j, _IPI * (z + tau / 4.0), prod
     except OverflowError:
         pass
     if z.imag > 0.0:
-        unit, exponent, prod, terms = _theta1_product(-z, tau, cfg)
-        return -unit, exponent, prod, terms
+        unit, exponent, prod = _theta1_product(-z, tau, cfg)
+        return -unit, exponent, prod
     raise OverflowError("theta1 product overflowed the binary64 range")
 
 
@@ -300,38 +284,42 @@ def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> compl
     return value
 
 
-def _off_zero(z: complex, tau: complex):
-    """(d, log) with theta1(z, tau) = e^log theta1(d, tau), where z lies
-    within _NEAR_ZERO max(1, |z|) of a zero m + n tau of theta1 other than 0
-    and pi n^2 Im tau is finite; (z, 0j) elsewhere.
+def _off_zero(z: complex, tau: complex, halves=(0, 0)):
+    """(d, log) with theta1(u, tau) = e^log theta1(d, tau), at the point
+    u = z + a/2 + b tau/2 for halves (a, b): where u lies within
+    _NEAR_ZERO max(1, |u|) of a zero m + n tau of theta1 (other than 0 when
+    u is z) and pi n^2 Im tau is finite; (u, 0j) elsewhere, u rounded.
 
-    d = z - m - n tau is rounded once from its exact value: in binary64 it
+    d = u - m - n tau is rounded once from its exact value: in binary64 it
     would keep few of the digits that the relative accuracy of theta1 rests
     on.  By quasi-periodicity e^log = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d))
     (DLMF 20.2.12), its phase taken mod 2 from the exact d.  tau is checked.
     """
-    near = _NEAR_ZERO * max(1.0, abs(z))
-    # math.remainder is Im z - n Im tau, exact: most points stop at it
-    if not abs(math.remainder(z.imag, tau.imag)) < near:
-        return z, 0j
-    ratio = z.imag / tau.imag
+    a, b = halves
+    u = z + 0.5 * (a + b * tau) if b else z
+    near = _NEAR_ZERO * max(1.0, abs(u))
+    # math.remainder is Im u - n Im tau, exact at halves (0, 0): most points
+    # stop at it
+    if not abs(math.remainder(u.imag, tau.imag)) < near:
+        return u, 0j
+    ratio = u.imag / tau.imag
     if not math.isfinite(_PI * ratio * ratio * tau.imag):  # also for an inf ratio
-        return z, 0j
+        return u, 0j
     n = round(ratio)
-    offset = z - n * tau
+    offset = u - n * tau
     if not cmath.isfinite(offset):
-        return z, 0j
+        return u, 0j
     m = round(offset.real)
-    if not (m or n) or not abs(offset - m) < near:
-        return z, 0j
+    if not (m or n or a or b) or not abs(offset - m) < near:
+        return u, 0j
     from fractions import Fraction  # exact; needed only near a zero
 
     re_tau = Fraction(tau.real)
-    re_d = Fraction(z.real) - m - n * re_tau
-    d = complex(float(re_d), float(Fraction(z.imag) - n * Fraction(tau.imag)))
-    # the rounding of n tau in offset can hide how far z is from m + n tau
+    re_d = Fraction(z.real) + Fraction(a + b * re_tau, 2) - m - n * re_tau
+    d = complex(float(re_d), float(Fraction(z.imag) + Fraction(b - 2 * n, 2) * Fraction(tau.imag)))
+    # the rounding of n tau in offset can hide how far u is from m + n tau
     if not abs(d) < near:
-        return z, 0j
+        return u, 0j
     phase = float((n * n * re_tau + m + n + 2 * n * re_d) % 2)
     return d, -_IPI * complex(phase, n * (n * tau.imag) + 2.0 * n * d.imag)
 
@@ -345,7 +333,7 @@ def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
     """
     tau = require_tau(tau)
     z, log = _off_zero(_as_z(z), tau)
-    unit, exponent, prod, _ = _theta1_product(z, tau, cfg or _DEFAULT_CFG)
+    unit, exponent, prod = _theta1_product(z, tau, cfg or _DEFAULT_CFG)
     if log:
         exponent += log
     return _scaled(unit, exponent, prod, "theta1 product")
@@ -526,30 +514,36 @@ def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: f
     return _scaled(_T_FACTORS[eighths % 8], exponent, prod, what)
 
 
-def _theta3_product(z, tau, cfg: EvalConfig):
-    try:  # cmath.exp raises on overflow
-        prod, terms = _triple_product(z, tau, cfg, 1.0, -1.0, -1.0)
-    except OverflowError:
-        raise OverflowError("theta3 product overflowed the binary64 range") from None
-    return _require_finite(prod, "theta3 product"), terms
-
-
 def _theta2_steps(z, tau, cfg: EvalConfig):
     value, terms, _ = _theta1_steps(_as_z(z) - 0.5, require_tau(tau), cfg)
     # 0 - value, not -value: a zero part, and an exact zero, keep +0
     return 0.0 - value, terms
 
 
+def _theta4_steps(z, tau, cfg: EvalConfig, half: int):
+    """theta4's (value, terms) at z + half/2, so theta3's at half 1, from
+    theta4(z) = -i e^(i pi (z + tau/4)) theta1(z + tau/2) (DLMF 20.2.13)
+    through theta1's T/S steps and series; terms counts the series terms.
+
+    Re tau is first reduced exactly into [-1, 1], as theta3 and theta4 have
+    period 2 in tau (T swaps them), and z is taken at Im z <= 0, as they are
+    even: where |Im z| <= Im tau/2, u = z + tau/2 then has
+    0 <= Im u <= Im tau/2, and the series takes no lattice shift.
+    """
+    z, tau = _as_z(z), require_tau(tau)
+    tau = complex(math.remainder(tau.real, 2.0), tau.imag)
+    z = -z if z.imag > 0.0 else z
+    return _theta1_steps(z, tau, cfg, 2 * half - 2, _IPI * (z + 0.25 * tau), (half, 1))[:2]
+
+
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """Third theta function from the triple product."""
-    value, _ = _theta3_product(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG)
-    return value
+    """Third theta function, theta3(z) = theta4(z + 1/2)."""
+    return _theta4_steps(z, tau, cfg or _DEFAULT_CFG, 1)[0]
 
 
 def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """theta4(z) = theta3(z + 1/2)."""
-    value, _ = _theta3_product(_as_z(z) + 0.5, require_tau(tau), cfg or _DEFAULT_CFG)
-    return value
+    """Fourth theta function, -i e^(i pi (z + tau/4)) theta1(z + tau/2)."""
+    return _theta4_steps(z, tau, cfg or _DEFAULT_CFG, 0)[0]
 
 
 def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -559,14 +553,13 @@ def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
 
 
 # each function's (value, terms used) at a caller's (z, tau), with Re z
-# reduced before any half-period shift: theta1 and theta2 count the series
-# terms summed at the reduced point, theta3 and theta4 the product's
-# factors, which fall short of its length when it stops at an exact zero
+# reduced before any half-period shift: all four take theta1's T/S steps and
+# count the series terms summed at the reduced point
 _EVALUATORS = {
     "theta1": lambda z, tau, cfg: _theta1_steps(_as_z(z), require_tau(tau), cfg)[:2],
     "theta2": _theta2_steps,
-    "theta3": lambda z, tau, cfg: _theta3_product(_as_z(z), require_tau(tau), cfg),
-    "theta4": lambda z, tau, cfg: _theta3_product(_as_z(z) + 0.5, require_tau(tau), cfg),
+    "theta3": lambda z, tau, cfg: _theta4_steps(z, tau, cfg, 1),
+    "theta4": lambda z, tau, cfg: _theta4_steps(z, tau, cfg, 0),
 }
 
 # the CLI's verify and sweep choices, kept here with its eval choices so that
@@ -592,11 +585,11 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau)."""
     tau = require_tau(tau)
     z = finite_complex(z, "z")
-    return _require_finite(
-        -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau)
-        * _theta1_plain(z, tau, cfg),
-        "inversion right side"
-    )
+    value = (-1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau)
+             * _theta1_plain(z, tau, cfg))
+    if not cmath.isfinite(value):
+        raise OverflowError("inversion right side overflowed the binary64 range")
+    return value
 
 
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
@@ -620,7 +613,7 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     the default eps; one exp of the summed logs then forms the value (see
     `_scaled`).  A point that takes no step is theta1_series there, bit for
     bit.  terms_used counts the series terms summed.  `reduced` is true
-    when a T or S step was taken.  theta1 and theta2 take these steps too.
+    when a T or S step was taken.  theta1 to theta4 take these steps too.
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
@@ -629,7 +622,8 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
 
     OverflowError: the value lies beyond the binary64 range or underflows
     to zero, or a step's lattice shift, log, inverted z or -1/tau is not
-    finite (a subnormal Im tau, say), which says nothing of the value.  ConvergenceError: the series needs more than max_terms terms,
+    finite (a subnormal Im tau, say), which says nothing of the value.
+    ConvergenceError: the series needs more than max_terms terms,
     Im z is so large that its lattice shift is not finite (`achieved` inf),
     or a first-order bound on the rounding error that the steps and the
     series' shift carry into the value exceeds _ROUNDING_LIMIT (its
@@ -641,16 +635,20 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     return ThetaEval(*_theta1_steps(_as_z(z), tau, cfg or _DEFAULT_CFG))
 
 
-def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig):
-    """theta1_reduced's (value, terms, reduced) at a checked (z, tau).
+def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, eighths: int = 0,
+                  log: complex = 0j, halves=(0, 0)):
+    """theta1_reduced's (value, terms, reduced) at a checked (z, tau), the
+    value being e^(i pi eighths/4) e^log theta1(u, tau) at
+    u = z + a/2 + b tau/2 for halves (a, b) (see `_off_zero`).
 
-    Each pass of the loop keeps theta1(z0, tau0) = e^(i pi eighths/4)
-    e^log theta1(z, tau), with dz and dtau bounding the absolute rounding
-    errors of z and tau, and error the relative error of the multiplier.
+    Each pass of the loop keeps that value e^(i pi eighths/4) e^log
+    theta1(z, tau), with dz and dtau bounding the absolute rounding errors
+    of z and tau, and error the relative error of the multiplier.
     """
-    z0, log = _off_zero(z, tau)
+    z0, shift = _off_zero(z, tau, halves)
+    log = log + shift if log else shift  # 0j + shift could turn a -0.0 part to +0.0
     z, tau0 = z0, tau
-    eighths, dz, dtau, error = 0, 0.0, 0.0, 0.0
+    dz, dtau, error = 0.0, 0.0, 0.0
     while True:
         k = round(tau.real)
         tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part

@@ -35,6 +35,8 @@ from siegeltheta import (  # noqa: E402
     theta1_reduced,
     theta1_series,
     theta2,
+    theta3,
+    theta4,
 )
 from siegeltheta import theta  # noqa: E402
 from siegeltheta.theta import _theta1_plain  # noqa: E402
@@ -106,6 +108,8 @@ def test_reduced_near_the_axis_matches_the_reference(re_z, im_z, re_tau, im_tau)
            re_z, im_z, re_tau, im_tau)
     _check("theta1", theta1, re_z, im_z, re_tau, im_tau)
     _check("theta2", theta2, re_z, im_z, re_tau, im_tau)
+    _check("theta3", theta3, re_z, im_z, re_tau, im_tau)
+    _check("theta4", theta4, re_z, im_z, re_tau, im_tau)
 
 
 # the plain theta1 product needs about 1/Im tau factors: Im tau stops at

@@ -22,7 +22,7 @@ from siegeltheta import (
 )
 from siegeltheta import theta
 from siegeltheta.suites import sample_grid
-from siegeltheta.theta import _theta1_plain, _theta3_product
+from siegeltheta.theta import _theta1_plain
 
 # independently computed with a 40-digit reference implementation
 THETA1_HALF_I = 0.9135791381561168
@@ -111,6 +111,15 @@ def test_series_reduces_re_tau_modulo_8():
     for tau in (1e6 + 1j, 1e15 + 1j, -1e6 + 1j):
         assert theta1_series(0.3, tau).real == 0.7371971637186816 == theta1(0.3, tau).real
     assert abs(theta1_series(0.3 + 0.2j, 4.5 + 1j) - theta1(0.3 + 0.2j, 4.5 + 1j)) < 1e-13
+
+
+def test_theta3_theta4_reduce_re_tau_modulo_2():
+    # T swaps theta3 and theta4, so both have period 2 in tau; unreduced,
+    # the exps lost the phase of q (the product was 3.7e-2 off at
+    # theta4(0.3+0.2i, 1e15+0.9i))
+    for tau in (1e6 + 1j, 1e15 + 1j, -1e6 + 1j):
+        assert (theta3(0.3, tau), theta4(0.3, tau)) == (theta3(0.3, 1j), theta4(0.3, 1j))
+    assert abs(theta3(0.3, 1e15 + 1 + 1j) - theta4(0.3, 1j)) < 1e-15
 
 
 def test_theta1_odd():
@@ -261,11 +270,11 @@ def test_series_refuses_a_huge_im_z_before_any_term(monkeypatch, z):
         theta1_series(z, 1j)
 
 
-def _jtheta(n, z, tau):
+def _jtheta(n, z, tau, digits=30):
     # DLMF 20.2: theta_n(z | tau) = jtheta(n, pi z, e^(i pi tau)); the
-    # precision covers the integer part of pi z and 30 digits after it
+    # precision covers the integer part of pi z and digits after it
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30 + len(str(int(abs(complex(z).real))))):
+    with mpmath.workdps(digits + len(str(int(abs(complex(z).real))))):
         z = mpmath.mpc(z.real, z.imag) if isinstance(z, complex) else mpmath.mpf(z)
         q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
         return complex(mpmath.jtheta(n, mpmath.pi * z, q))
@@ -285,6 +294,14 @@ def test_large_re_z_matches_mpmath(func, n, z):
     assert abs(func(z, 1j) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("func, n", [(theta3, 3), (theta4, 4)])
+def test_theta3_theta4_answer_near_the_axis(func, n):
+    # in range (5.08e-122 and 8.41e-54), where the triple product declined
+    # with its tail bound; mpmath's sum cancels from terms near 1 there
+    want = _jtheta(n, 0.3, 0.001j, digits=200)
+    assert abs(func(0.3, 0.001j) - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("z", [1e17 - 0.2j, 4503599627370497.0 + 0.25j, -2.5 + 0.1j, -1e300])
 @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.9 + 0.2j])
 def test_every_entry_reduces_re_z(z, tau):
@@ -302,14 +319,18 @@ def test_every_entry_reduces_re_z(z, tau):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), n
 
 
-def test_re_z_reduction_is_the_identity_below_2():
+def test_re_z_reduction_is_the_identity_below_2(monkeypatch):
     tau, cfg = 0.1 + 1.2j, EvalConfig()
-    for z in (1.999999 + 0.1j, -1.75 - 0.3j, 0.3 + 0.1j):
+    points = (1.999999 + 0.1j, -1.75 - 0.3j, 0.3 + 0.1j)
+    even = [(theta3(z, tau), theta4(z, tau)) for z in points]
+    for z in points:
         assert theta1(z, tau) == theta._theta1_steps(z, tau, cfg)[0]
-        # reduced before the half-period shift, not after it
-        assert theta4(z, tau) == _theta3_product(z + 0.5, tau, cfg)[0]
     # exact: 2^53 + 2 and 2 are one period apart, both reduce to 0
     assert theta2(2.0**53 + 2.0, 1j) == theta2(0.0, 1j)
+    # theta3 and theta4 reduce Re z before their half-period shifts, so
+    # that 1.999999 + 1/2 + tau/2 is not reduced
+    monkeypatch.setattr(theta, "_as_z", complex)
+    assert [(theta3(z, tau), theta4(z, tau)) for z in points] == even
 
 
 @pytest.mark.parametrize("z, tau", [(0, 0.3 + 0.5j), (0, 2.3 + 0.5j), (1, 0.3 + 0.5j), (0, 0.2 + 1.5j)])
@@ -439,6 +460,8 @@ _NEAR_ZERO_ENTRIES = {
     "theta1_reduced": (1, lambda z, tau: theta1_reduced(z, tau).value),
     "theta1": (1, theta1),
     "theta2": (2, theta2),
+    "theta3": (3, theta3),
+    "theta4": (4, theta4),
 }
 
 
@@ -464,6 +487,10 @@ def _near_zero_case(z, tau, entry="theta1_reduced"):
         _near_zero_case(2.3j + 1e-10, 0.023j),
         _near_zero_case(2.3j + 1e-10, 0.023j, "theta1"),
         _near_zero_case(1.5 - 1e-12, 1j, "theta2"),  # 1e-12 from the zero 3/2 of theta2
+        # 1e-10 from the zero 1 + 3 tau/2 of theta4, and 1e-12 from the zero
+        # -1/2 - tau/2 of theta3: theta1's zero -1 - tau and 0 at u
+        _near_zero_case(1 + 1.5 * (0.1 + 1.2j) - 1e-10, 0.1 + 1.2j, "theta4"),
+        _near_zero_case(-0.5 - (0.1 + 1.2j) / 2 + 1e-12, 0.1 + 1.2j, "theta3"),
     ],
 )
 def test_reduced_keeps_relative_accuracy_near_a_zero(entry, z, tau):
@@ -477,6 +504,10 @@ def test_reduced_exact_zero_only_on_the_lattice():
     tau = 0.25 + 0.5j  # dyadic: 3 tau - 2 is exact in binary64
     assert theta1_reduced(3 * tau - 2, tau).value == 0
     assert theta1_reduced(3 * tau - 2 + 1e-15, tau).value != 0
+    # theta3 vanishes at 1/2 + tau/2 and theta4 at tau/2, mod the lattice
+    tau = 0.25 + 1.5j
+    assert repr(theta3(0.625 + 0.75j, tau)) == repr(theta4(0.125 + 0.75j, tau)) == "0j"
+    assert theta3(0.625 + 0.75j + 1e-15, tau) != 0 != theta4(0.125 + 0.75j + 1e-15, tau)
 
 
 def _count_steps(monkeypatch):
@@ -490,6 +521,23 @@ def _count_steps(monkeypatch):
 
     monkeypatch.setattr(theta, "_shift", counted)
     return steps
+
+
+def test_theta3_theta4_series_takes_no_lattice_shift(monkeypatch):
+    # both are even and take z at Im z <= 0, so that u = z + tau/2 lies in
+    # 0 <= Im u <= Im tau/2 where |Im z| <= Im tau/2 = 0.6
+    powers = []
+    shift = theta._shift
+
+    def recorded(*args):
+        result = shift(*args)
+        powers.append(result[2])
+        return result
+
+    monkeypatch.setattr(theta, "_shift", recorded)
+    for z in (0.3 + 0.4j, -0.7 - 0.2j, 0.1 + 0.59j):
+        theta3(z, 0.1 + 1.2j), theta4(z, 0.1 + 1.2j)
+    assert powers == [0j] * 6
 
 
 def test_reduction_stops_where_s_maps_tau_onto_itself(monkeypatch):
@@ -547,7 +595,7 @@ def test_reduction_rounding_bound_is_a_convergence_error():
 
 
 def test_overflow_names_the_product():
-    with pytest.raises(OverflowError, match="theta3 product overflowed the binary64"):
+    with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
         theta4(0.3 + 300j, 1j)
     # theta1 is about e^(-pi 0.09/1e-300): the log of the value lies far
     # below the binary64 range, farther than its rounding bound reaches
