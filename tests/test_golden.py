@@ -40,6 +40,12 @@ sweep_reduction_gain.json the abs_diff column moved in 5 of their 10 rows
 and, in the last row (Im tau = 1, no step), terms_reduced from 5 to 3 and
 gain with it.  The verify, edge_limit and lambert_tail files kept every
 byte.
+eval_theta3_fundamental.txt and eval_theta4_fundamental.txt were rewritten
+on purpose when theta3 and theta4 left the triple product for theta1's
+steps and series at z + tau/2: both moved in their last digits, from
+2.6e-15 to 2.3e-16 and from 2.9e-15 to 2.2e-15 relative of the values of
+perfbench/reference.py, with 3 series terms where the product took 4
+factors.  No other file moved.
 
 steps_seeded_points.txt was written before the T/S steps were folded from
 a step function and its state tuple into one loop, which had to leave it
