@@ -12,7 +12,8 @@ so the series is cut by a closed-form tail bound relative to the value,
 and its growth e^(pi Im z) q^(1/4) is kept as a log (Deconinck et al.,
 Math. Comp. 73, 2004).  The others are theta1 at a half period:
 theta2(z) = -theta1(z - 1/2), theta3(z) = theta4(z + 1/2) and
-theta4(z) = -i e^(i pi (z + tau/4)) theta1(z + tau/2) (DLMF 20.2.13).
+theta4(z) = -i e^(i pi (u - tau/4)) theta1(u) at u = z + tau/2
+(DLMF 20.2.13), a prefactor that the series' exponent cancels exactly.
 
 The inversion law
 
@@ -45,10 +46,9 @@ the binary64 range.
 Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
 for a large |Re z|.  Near a zero of theta1, every entry then replaces the
-point at which it takes theta1 by its exact offset from that zero.
-
-All arithmetic is binary64; the series and the product are truncated by
-a priori tail bounds controlled through `EvalConfig`.
+point at which it takes theta1 by its exact offset from that zero.  All
+arithmetic is binary64; the series and the product are truncated by a
+priori tail bounds controlled through `EvalConfig`.
 """
 
 from __future__ import annotations
@@ -285,18 +285,20 @@ def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> compl
 
 
 def _off_zero(z: complex, tau: complex, halves=(0, 0)):
-    """(d, log) with theta1(u, tau) = e^log theta1(d, tau), at the point
-    u = z + a/2 + b tau/2 for halves (a, b): where u lies within
-    _NEAR_ZERO max(1, |u|) of a zero m + n tau of theta1 (other than 0 when
-    u is z) and pi n^2 Im tau is finite; (u, 0j) elsewhere, u rounded.
+    """(d, log) with e^(i pi b (u - tau/4)) theta1(u, tau) =
+    e^log e^(i pi b (d - tau/4)) theta1(d, tau) at u = z + a/2 + b tau/2,
+    for halves (a, b) with b 0 or 1 (see `_theta1_steps`): where u lies
+    within _NEAR_ZERO max(1, |u|) of a zero m + n tau of theta1 (other than
+    0 when u is z) and pi n^2 Im tau is finite; (u, 0j) elsewhere, u rounded.
 
     d = u - m - n tau is rounded once from its exact value: in binary64 it
     would keep few of the digits that the relative accuracy of theta1 rests
-    on.  By quasi-periodicity e^log = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d))
-    (DLMF 20.2.12), its phase taken mod 2 from the exact d.  tau is checked.
+    on.  By quasi-periodicity (DLMF 20.2.12)
+    e^log = (-1)^(m+n) e^(-i pi (n^2 tau + 2 n d)) e^(i pi b (m + n tau)),
+    its phase taken mod 2 from the exact d.  tau is checked.
     """
     a, b = halves
-    u = z + 0.5 * (a + b * tau) if b else z
+    u = z + 0.5 * (a + b * tau) if a or b else z
     near = _NEAR_ZERO * max(1.0, abs(u))
     # math.remainder is Im u - n Im tau, exact at halves (0, 0): most points
     # stop at it
@@ -320,8 +322,8 @@ def _off_zero(z: complex, tau: complex, halves=(0, 0)):
     # the rounding of n tau in offset can hide how far u is from m + n tau
     if not abs(d) < near:
         return u, 0j
-    phase = float((n * n * re_tau + m + n + 2 * n * re_d) % 2)
-    return d, -_IPI * complex(phase, n * (n * tau.imag) + 2.0 * n * d.imag)
+    phase = float(((n - b) * n * re_tau + (1 - b) * m + n + 2 * n * re_d) % 2)
+    return d, -_IPI * complex(phase, (n - b) * (n * tau.imag) + 2.0 * n * d.imag)
 
 
 def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -334,9 +336,7 @@ def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
     tau = require_tau(tau)
     z, log = _off_zero(_as_z(z), tau)
     unit, exponent, prod = _theta1_product(z, tau, cfg or _DEFAULT_CFG)
-    if log:
-        exponent += log
-    return _scaled(unit, exponent, prod, "theta1 product")
+    return _scaled(unit, exponent + log if log else exponent, prod, "theta1 product")
 
 
 def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -419,8 +419,7 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
     most 0.64 in all, so the sum is at least 1/3; below, a sum that the
     rounding bound accepts is at least e^_LOG_SUM_FLOOR.  The tail is made
     smaller than that floor times eps, so it is below eps relative to the
-    value.  After the T/S steps Im tau >= sqrt(3)/2, and 4 terms at most
-    reach the default eps.
+    value.
 
     dz and dtau bound the absolute rounding errors of z and tau.  error is
     a first-order bound on the relative rounding error of the value: the
@@ -483,10 +482,14 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
         modulus = abs(total)
         cancel = (2.0 + (1.0 + 1.75 * math.sqrt(a)) / a) / modulus if modulus else math.inf
     # term k carries about k (8 + k (3 + 2 pi (|Re tau| + |z|))) roundings,
-    # from its recurrences and the arguments of the exps; near the real
-    # axis d log theta1/d tau is about i pi/4, and |d log theta1/dz| about pi
+    # from its recurrences and the arguments of the exps, whose imaginary
+    # parts only scale its modulus, by O(k^2 a eps), which its bound keeps
+    # to a few roundings (a k^2 e^(-a k^2) <= 1/e): so |z| is charged at
+    # most as |Re z| + 1; near the real axis d log theta1/d tau is about
+    # i pi/4, and |d log theta1/dz| about pi
+    size = min(abs(z), abs(z.real) + 1.0)
     error += (_PI * (0.25 * dtau + 2.0 * dz) + _EPS * cancel * terms
-              * (8.0 + terms * (3.0 + 2.0 * _PI * (abs(tau.real) + abs(z)))))
+              * (8.0 + terms * (3.0 + 2.0 * _PI * (abs(tau.real) + size))))
     return (eighths, _IPI * (0.25 * tau - z - power), _one_minus_exp(x) * total, terms,
             error)
 
@@ -515,25 +518,25 @@ def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: f
 
 
 def _theta2_steps(z, tau, cfg: EvalConfig):
-    value, terms, _ = _theta1_steps(_as_z(z) - 0.5, require_tau(tau), cfg)
+    value, terms, _ = _theta1_steps(_as_z(z), require_tau(tau), cfg, (-1, 0))
     # 0 - value, not -value: a zero part, and an exact zero, keep +0
     return 0.0 - value, terms
 
 
 def _theta4_steps(z, tau, cfg: EvalConfig, half: int):
-    """theta4's (value, terms) at z + half/2, so theta3's at half 1, from
-    theta4(z) = -i e^(i pi (z + tau/4)) theta1(z + tau/2) (DLMF 20.2.13)
-    through theta1's T/S steps and series; terms counts the series terms.
+    """theta4's (value, terms) at z + half/2, so theta3's at half 1.
 
-    Re tau is first reduced exactly into [-1, 1], as theta3 and theta4 have
-    period 2 in tau (T swaps them), and z is taken at Im z <= 0, as they are
-    even: where |Im z| <= Im tau/2, u = z + tau/2 then has
+    T swaps theta3 and theta4, theta4(z, tau) = theta4(z + 1/2, tau - 1), so
+    Re tau is reduced exactly into [-1/2, 1/2] and half taken mod 2 (theta4
+    has period 1 in z); z is taken at Im z <= 0, as both are even: where
+    |Im z| <= Im tau/2, u = z + half/2 + tau/2 then has
     0 <= Im u <= Im tau/2, and the series takes no lattice shift.
     """
     z, tau = _as_z(z), require_tau(tau)
-    tau = complex(math.remainder(tau.real, 2.0), tau.imag)
+    k = round(tau.real)
+    tau = complex(tau.real - k, tau.imag)  # exact
     z = -z if z.imag > 0.0 else z
-    return _theta1_steps(z, tau, cfg, 2 * half - 2, _IPI * (z + 0.25 * tau), (half, 1))[:2]
+    return _theta1_steps(z, tau, cfg, ((half + k) % 2, 1))[:2]
 
 
 def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
@@ -542,14 +545,13 @@ def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
 
 
 def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """Fourth theta function, -i e^(i pi (z + tau/4)) theta1(z + tau/2)."""
+    """Fourth theta function, -i e^(i pi (z + tau/4)) theta1(z + tau/2, tau)."""
     return _theta4_steps(z, tau, cfg or _DEFAULT_CFG, 0)[0]
 
 
 def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta2(z) = -theta1(z - 1/2)."""
-    value, _ = _theta2_steps(z, tau, cfg or _DEFAULT_CFG)
-    return value
+    return _theta2_steps(z, tau, cfg or _DEFAULT_CFG)[0]
 
 
 # each function's (value, terms used) at a caller's (z, tau), with Re z
@@ -595,20 +597,15 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     """Evaluate theta1 after T and S steps, repeated while S raises Im tau.
 
-    Every step begins with T: tau is shifted by k = round(Re tau) into
-    |Re tau| <= 1/2 (exactly, in binary64) and the result gains the factor
-    e^(i pi k/4), as theta1(z, tau + k) = e^(i pi k/4) theta1(z, tau)
+    Every step begins with T: tau is shifted exactly by k = round(Re tau)
+    into |Re tau| <= 1/2, and the result gains the factor e^(i pi k/4)
     (DLMF 20.7.26).  S follows when the shifted |tau| < 1 and
     Im(-1/tau) = Im(tau)/|tau|^2 exceeds Im(tau) (strictly: near the unit
-    circle rounding can map tau onto itself), so the series at the inverted
-    point needs fewer terms.  z is then shifted after T, so that n tau has
-    the shifted Re tau (see `_shift`): by n tau into |Im z| <= Im(tau)/2,
-    and Re z exactly into [-1/2, 1/2] (theta1(z + 1) = -theta1(z)); and the
-    inversion law is solved for theta1(z, tau) and taken at
-    (z/tau, -1/tau).  The steps carry their multiplier as an exact count of
-    eighth turns and a log, with first-order bounds on the rounding errors
-    of z, tau and the multiplier, so they stop only where S would not raise
-    Im tau.  The series (see `_series`) is summed there, always at
+    circle rounding can map tau onto itself): z is shifted by the lattice
+    (see `_shift`), and the inversion law is taken at (z/tau, -1/tau).  The
+    steps carry their multiplier as an exact count of eighth turns and a
+    log, with first-order bounds on the rounding errors of z, tau and the
+    multiplier.  The series (see `_series`) is summed where they stop, at
     |Re tau| <= 1/2 and Im tau >= sqrt(3)/2, where at most 4 terms reach
     the default eps; one exp of the summed logs then forms the value (see
     `_scaled`).  A point that takes no step is theta1_series there, bit for
@@ -617,8 +614,7 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
 
     Near a zero m + n tau, z is first replaced by the exact offset
     z - m - n tau (see `_off_zero`), so the value keeps its relative
-    accuracy there, and an exact zero is returned only where z lies on the
-    zero lattice exactly.
+    accuracy there, and is an exact zero only on the zero lattice.
 
     OverflowError: the value lies beyond the binary64 range or underflows
     to zero, or a step's lattice shift, log, inverted z or -1/tau is not
@@ -635,18 +631,22 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     return ThetaEval(*_theta1_steps(_as_z(z), tau, cfg or _DEFAULT_CFG))
 
 
-def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, eighths: int = 0,
-                  log: complex = 0j, halves=(0, 0)):
-    """theta1_reduced's (value, terms, reduced) at a checked (z, tau), the
-    value being e^(i pi eighths/4) e^log theta1(u, tau) at
-    u = z + a/2 + b tau/2 for halves (a, b) (see `_off_zero`).
-
-    Each pass of the loop keeps that value e^(i pi eighths/4) e^log
-    theta1(z, tau), with dz and dtau bounding the absolute rounding errors
-    of z and tau, and error the relative error of the multiplier.
+def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, halves=(0, 0)):
+    """theta1_reduced's (value, terms, reduced) at a checked (z, tau): the
+    value is theta1(z + a/2, tau) at halves (a, 0), and at halves (a, 1)
+    theta4(z + a/2, tau) = -i e^(i pi (u - tau/4)) theta1(u, tau),
+    u = z + a/2 + tau/2 (DLMF 20.2.13), that prefactor formed from the u or
+    offset (see `_off_zero`) that the series takes: where no step and no
+    lattice shift is taken, the series' e^(i pi (tau/4 - u)) cancels it
+    exactly, at any Im tau.  Each pass of the loop keeps the value
+    e^(i pi eighths/4) e^log theta1(z, tau), dz and dtau bounding the
+    absolute rounding errors of z and tau, and error the multiplier's.
     """
-    z0, shift = _off_zero(z, tau, halves)
-    log = log + shift if log else shift  # 0j + shift could turn a -0.0 part to +0.0
+    z0, log = _off_zero(z, tau, halves)
+    eighths = 0
+    if halves[1]:  # theta4 has period 1: Re z0 is reduced, exactly, into [-1/2, 1/2]
+        z0 = complex(z0.real - round(z0.real), z0.imag)
+        eighths, log = -2, log + _IPI * (z0 - 0.25 * tau)
     z, tau0 = z0, tau
     dz, dtau, error = 0.0, 0.0, 0.0
     while True:

@@ -302,6 +302,35 @@ def test_theta3_theta4_answer_near_the_axis(func, n):
     assert abs(func(0.3, 0.001j) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("im_tau", [1e4, 1e6, 1e12])
+@pytest.mark.parametrize("func, n", [(theta3, 3), (theta4, 4)])
+def test_theta3_theta4_keep_their_accuracy_at_a_large_im_tau(func, n, im_tau):
+    # theta4's prefactor e^(i pi (u - tau/4)) cancels the series'
+    # e^(i pi (tau/4 - u)) only when both are formed from the same rounded
+    # u = z + tau/2: formed from z, the error grew as eps Im tau (theta4 was
+    # 1.000000000001819 at the first point and Im tau = 1e4), and above
+    # Im tau = 3e5 the rounding bound declined.  The reference sums the
+    # terms k = -3..3 of sum (+-1)^k e^(i pi (k^2 tau + 2 k z)), which leave
+    # out less than e^(-2 pi Im tau) at |Im z| <= Im tau/2; mpmath's jtheta
+    # fails at the third point
+    mpmath = pytest.importorskip("mpmath")
+    tau = 0.123 + im_tau * 1j
+    for z in (0.1 - 0.4j, 0.3, 0.5 - (im_tau / 2 - 0.1) * 1j):
+        with mpmath.workdps(40):
+            want = complex(sum((-1) ** (k * (n - 3)) * mpmath.exp(
+                1j * mpmath.pi * (k * k * mpmath.mpc(tau) + 2 * k * mpmath.mpc(z)))
+                for k in range(-3, 4)))
+        assert abs(func(z, tau) - want) <= 1e-12 * abs(want)
+
+
+def test_theta3_theta4_are_real_on_the_imaginary_axis():
+    # the prefactor and the series' exponent cancel exactly, so no phase is
+    # left for cos to round: theta3(0, i) had the imaginary part 6.7e-17
+    # (cos(-pi/2)) when the prefactor was formed from z
+    for tau in (1j, 2j):
+        assert theta3(0.0, tau).imag == 0.0 == theta4(0.0, tau).imag
+
+
 @pytest.mark.parametrize("z", [1e17 - 0.2j, 4503599627370497.0 + 0.25j, -2.5 + 0.1j, -1e300])
 @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.9 + 0.2j])
 def test_every_entry_reduces_re_z(z, tau):
