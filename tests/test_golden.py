@@ -45,7 +45,10 @@ on purpose when theta3 and theta4 left the triple product for theta1's
 steps and series at z + tau/2: both moved in their last digits, from
 2.6e-15 to 2.3e-16 and from 2.9e-15 to 2.2e-15 relative of the values of
 perfbench/reference.py, with 3 series terms where the product took 4
-factors.  No other file moved.
+factors.  No other file moved.  eval_theta4_fundamental.txt moved again in
+its last digit (7.9e-16 to 7.0e-16 relative) when theta4's prefactor
+began to be formed from the rounded point u = z + tau/2 that the series
+takes, with Re u and Re tau reduced so that both exponents cancel exactly.
 
 steps_seeded_points.txt was written before the T/S steps were folded from
 a step function and its state tuple into one loop, which had to leave it
@@ -61,7 +64,12 @@ lattice shift, log, inverted z or -1/tau is not finite (at 0.3 and 0.5
 with tau = 1e-320i, and at 0.3+1e300i with tau = 0.5i), theta1_reduced
 and theta2 now say "reduced theta1: a T/S step left the binary64 range"
 for "reduced theta1 overflowed the binary64 range", which was untrue
-where the value underflows.
+where the value underflows.  Five more lines were rewritten on purpose
+when the series' rounding bound stopped charging 2 pi |Im z| per term
+where the imaginary parts only scale the terms' moduli: at three declined
+points, whose series runs at Im tau = 61 to 641 after the S steps, the
+reported bound moved in its fourth digit (1.381e-09 to 1.380e-09, say);
+no value, term count or decision moved.
 
 Run as a script to rewrite golden files from the current code, only those
 named on the command line:
