@@ -395,7 +395,7 @@ def _shift(z: complex, tau: complex, dz: float, dtau: float):
         dz += abs(n) * dtau + _EPS * (abs(z) + shift)
         z = z - n * tau
     m = round(z.real)
-    return complex(z.real - m, z.imag), n + m, power, dz, error
+    return (complex(z.real - m, z.imag) if m else z), n + m, power, dz, error
 
 
 def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: float = 0.0):
@@ -484,10 +484,10 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
     # term k carries about k (8 + k (3 + 2 pi (|Re tau| + |z|))) roundings,
     # from its recurrences and the arguments of the exps, whose imaginary
     # parts only scale its modulus, by O(k^2 a eps), which its bound keeps
-    # to a few roundings (a k^2 e^(-a k^2) <= 1/e): so |z| is charged at
-    # most as |Re z| + 1; near the real axis d log theta1/d tau is about
-    # i pi/4, and |d log theta1/dz| about pi
-    size = min(abs(z), abs(z.real) + 1.0)
+    # to a few roundings (a k^2 e^(-a k^2) <= 1/e): so from Im z = 1 on,
+    # |Re z| + 1 is charged for |z|; near the real axis d log theta1/d tau
+    # is about i pi/4, and |d log theta1/dz| about pi
+    size = abs(z) if z.imag < 1.0 else abs(z.real) + 1.0
     error += (_PI * (0.25 * dtau + 2.0 * dz) + _EPS * cancel * terms
               * (8.0 + terms * (3.0 + 2.0 * _PI * (abs(tau.real) + size))))
     return (eighths, _IPI * (0.25 * tau - z - power), _one_minus_exp(x) * total, terms,
@@ -645,7 +645,7 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, halves=(0, 0)):
     z0, log = _off_zero(z, tau, halves)
     eighths = 0
     if halves[1]:  # theta4 has period 1: Re z0 is reduced, exactly, into [-1/2, 1/2]
-        z0 = complex(z0.real - round(z0.real), z0.imag)
+        z0 -= round(z0.real)
         eighths, log = -2, log + _IPI * (z0 - 0.25 * tau)
     z, tau0 = z0, tau
     dz, dtau, error = 0.0, 0.0, 0.0
