@@ -13,7 +13,7 @@ import sys
 
 from .errors import ConvergenceError, DomainError, finite_complex
 # eval loads only theta; verify and sweep import the suites module when they run
-from .theta import _EVALUATORS, SUITES, SWEEP_TARGETS, EvalConfig, format_complex
+from .theta import _HALVES, SUITES, SWEEP_TARGETS, EvalConfig, _evaluate, format_complex
 
 
 def parse_complex(text: str) -> complex:
@@ -37,14 +37,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="evaluate a theta function at (z, tau)")
-    ev.add_argument("function", choices=sorted(_EVALUATORS))
+    ev.add_argument("function", choices=sorted(_HALVES))
     ev.add_argument("--z", required=True, help="complex literal, e.g. 0.5-0.25i")
     ev.add_argument("--tau", required=True, help="complex literal with Im > 0")
     ev.add_argument("--eps", type=float, default=1e-12, help="truncation tolerance")
     ev.add_argument("--max-terms", type=int, default=5000)
     ev.add_argument(
         "--reduce", action="store_true",
-        help="accepted and ignored: theta1 and theta2 always take the modular reduction",
+        help="accepted and ignored: every function always takes the modular reduction",
     )
     ev.set_defaults(handler=_cmd_eval)
 
@@ -76,7 +76,7 @@ def _cmd_eval(args) -> int:
     z = parse_complex(args.z)
     tau = parse_complex(args.tau)
     cfg = EvalConfig(eps=args.eps, max_terms=args.max_terms)
-    value, terms = _EVALUATORS[args.function](z, tau, cfg)
+    value, terms = _evaluate(args.function, z, tau, cfg)
     print(f"{format_complex(value)} terms={terms}")
     return 0
 

@@ -339,11 +339,6 @@ def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
     return _scaled(unit, exponent + log if log else exponent, prod, "theta1 product")
 
 
-def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """First theta function, odd in z: theta1_reduced(z, tau, cfg).value."""
-    return _theta1_steps(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG)[0]
-
-
 def theta1_series(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta1 from its sine series at (z, tau) itself, with no T or S step.
 
@@ -517,52 +512,42 @@ def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: f
     return _scaled(_T_FACTORS[eighths % 8], exponent, prod, what)
 
 
-def _theta2_steps(z, tau, cfg: EvalConfig):
-    value, terms, _ = _theta1_steps(_as_z(z), require_tau(tau), cfg, (-1, 0))
+# each function's half periods (a, b) and sign, at which it is theta1 or,
+# at b = 1, theta4 (see `_theta1_steps`): theta2(z) = -theta1(z - 1/2) and
+# theta3(z) = theta4(z + 1/2)
+_HALVES = {"theta1": ((0, 0), False), "theta2": ((-1, 0), True),
+           "theta3": ((1, 1), False), "theta4": ((0, 1), False)}
+
+
+def _evaluate(name: str, z, tau, cfg: EvalConfig | None = None):
+    """(value, terms used) of theta function `name` at a caller's (z, tau):
+    Re z is reduced before the half-period shift, and terms counts the
+    series terms summed at the reduced point."""
+    halves, negate = _HALVES[name]
+    value, terms, _ = _theta1_steps(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG, halves)
     # 0 - value, not -value: a zero part, and an exact zero, keep +0
-    return 0.0 - value, terms
+    return (0.0 - value if negate else value), terms
 
 
-def _theta4_steps(z, tau, cfg: EvalConfig, half: int):
-    """theta4's (value, terms) at z + half/2, so theta3's at half 1.
-
-    T swaps theta3 and theta4, theta4(z, tau) = theta4(z + 1/2, tau - 1), so
-    Re tau is reduced exactly into [-1/2, 1/2] and half taken mod 2 (theta4
-    has period 1 in z); z is taken at Im z <= 0, as both are even: where
-    |Im z| <= Im tau/2, u = z + half/2 + tau/2 then has
-    0 <= Im u <= Im tau/2, and the series takes no lattice shift.
-    """
-    z, tau = _as_z(z), require_tau(tau)
-    k = round(tau.real)
-    tau = complex(tau.real - k, tau.imag)  # exact
-    z = -z if z.imag > 0.0 else z
-    return _theta1_steps(z, tau, cfg, ((half + k) % 2, 1))[:2]
-
-
-def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """Third theta function, theta3(z) = theta4(z + 1/2)."""
-    return _theta4_steps(z, tau, cfg or _DEFAULT_CFG, 1)[0]
-
-
-def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """Fourth theta function, -i e^(i pi (z + tau/4)) theta1(z + tau/2, tau)."""
-    return _theta4_steps(z, tau, cfg or _DEFAULT_CFG, 0)[0]
+def theta1(z, tau, cfg: EvalConfig | None = None) -> complex:
+    """First theta function, odd in z: theta1_reduced(z, tau, cfg).value."""
+    return _evaluate("theta1", z, tau, cfg)[0]
 
 
 def theta2(z, tau, cfg: EvalConfig | None = None) -> complex:
     """theta2(z) = -theta1(z - 1/2)."""
-    return _theta2_steps(z, tau, cfg or _DEFAULT_CFG)[0]
+    return _evaluate("theta2", z, tau, cfg)[0]
 
 
-# each function's (value, terms used) at a caller's (z, tau), with Re z
-# reduced before any half-period shift: all four take theta1's T/S steps and
-# count the series terms summed at the reduced point
-_EVALUATORS = {
-    "theta1": lambda z, tau, cfg: _theta1_steps(_as_z(z), require_tau(tau), cfg)[:2],
-    "theta2": _theta2_steps,
-    "theta3": lambda z, tau, cfg: _theta4_steps(z, tau, cfg, 1),
-    "theta4": lambda z, tau, cfg: _theta4_steps(z, tau, cfg, 0),
-}
+def theta3(z, tau, cfg: EvalConfig | None = None) -> complex:
+    """Third theta function, theta3(z) = theta4(z + 1/2)."""
+    return _evaluate("theta3", z, tau, cfg)[0]
+
+
+def theta4(z, tau, cfg: EvalConfig | None = None) -> complex:
+    """Fourth theta function, -i e^(i pi (z + tau/4)) theta1(z + tau/2, tau)."""
+    return _evaluate("theta4", z, tau, cfg)[0]
+
 
 # the CLI's verify and sweep choices, kept here with its eval choices so that
 # its parser loads no other module; suites imports them from here
@@ -638,15 +623,26 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, halves=(0, 0)):
     u = z + a/2 + tau/2 (DLMF 20.2.13), that prefactor formed from the u or
     offset (see `_off_zero`) that the series takes: where no step and no
     lattice shift is taken, the series' e^(i pi (tau/4 - u)) cancels it
-    exactly, at any Im tau.  Each pass of the loop keeps the value
-    e^(i pi eighths/4) e^log theta1(z, tau), dz and dtau bounding the
-    absolute rounding errors of z and tau, and error the multiplier's.
+    exactly, at any Im tau.  For theta4, T swaps theta3 and theta4,
+    theta4(z, tau) = theta4(z + 1/2, tau - 1), so Re tau is first reduced
+    exactly into [-1/2, 1/2] and a taken mod 2, and z is taken at
+    Im z <= 0, as theta3 and theta4 are even: where |Im z| <= Im tau/2, u
+    then has 0 <= Im u <= Im tau/2, and the series takes no lattice shift.
+    Each pass of the loop keeps the value e^(i pi eighths/4) e^log
+    theta1(z, tau), dz and dtau bounding the absolute rounding errors of z
+    and tau, and error the multiplier's.
     """
-    z0, log = _off_zero(z, tau, halves)
+    a, b = halves
     eighths = 0
-    if halves[1]:  # theta4 has period 1: Re z0 is reduced, exactly, into [-1/2, 1/2]
+    if b:
+        k = round(tau.real)
+        tau = complex(tau.real - k, tau.imag)  # exact
+        z0, log = _off_zero(-z if z.imag > 0.0 else z, tau, ((a + k) % 2, 1))
+        # theta4 has period 1: Re z0 is reduced, exactly, into [-1/2, 1/2]
         z0 -= round(z0.real)
         eighths, log = -2, log + _IPI * (z0 - 0.25 * tau)
+    else:
+        z0, log = _off_zero(z, tau, halves)
     z, tau0 = z0, tau
     dz, dtau, error = 0.0, 0.0, 0.0
     while True:

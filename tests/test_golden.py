@@ -82,6 +82,7 @@ import io
 import math
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -130,7 +131,7 @@ def _seeded_points():
     lines = []
     for z, tau in points:
         for name, function in (("theta1_reduced", theta.theta1_reduced),
-                               ("theta2", theta._theta2_steps)):
+                               ("theta2", partial(theta._evaluate, "theta2"))):
             try:
                 got = tuple(function(z, tau, theta.EvalConfig()))
             except (ConvergenceError, OverflowError) as exc:
