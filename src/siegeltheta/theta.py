@@ -569,14 +569,23 @@ _T_FACTORS = (complex(1, 0), complex(_S, _S), complex(0, 1), complex(-_S, _S),
 
 
 def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
-    """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau)."""
+    """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau).
+
+    An exact zero where theta1(z, tau) is one; OverflowError where the value,
+    or e^(pi i z^2/tau) on its own, leaves the binary64 range.
+    """
     tau = require_tau(tau)
     z = finite_complex(z, "z")
-    value = (-1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau)
-             * _theta1_plain(z, tau, cfg))
-    if not cmath.isfinite(value):
-        raise OverflowError("inversion right side overflowed the binary64 range")
-    return value
+    plain = _theta1_plain(z, tau, cfg)
+    if not plain:
+        return 0j
+    try:  # cmath.exp raises where e^(pi i z^2/tau) overflows
+        value = -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau) * plain
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError("inversion right side overflowed the binary64 range")
 
 
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:

@@ -168,6 +168,46 @@ def test_inversion_identity_examples(z, tau):
     assert abs(lhs - inversion_rhs(z, tau)) < 1e-10
 
 
+def test_inversion_rhs_is_zero_where_theta1_is():
+    # theta1(30, tau) = 0, though e^(pi i z^2/tau) = e^(90000 pi) overflows
+    assert inversion_rhs(30.0, 0.01j) == 0j
+
+
+@pytest.mark.parametrize("z, tau, cfg", [
+    (30.3, 0.5j, None), (1.5, 0.001j, EvalConfig(max_terms=20000))])
+def test_inversion_rhs_overflow_is_the_documented_error(z, tau, cfg):
+    # e^(pi i z^2/tau) is about e^(1836 pi) and e^(2250 pi): beyond binary64
+    with pytest.raises(OverflowError, match="inversion right side overflowed the binary64 range"):
+        inversion_rhs(z, tau, cfg)
+
+
+def test_inversion_rhs_takes_the_product_first():
+    # at the default max_terms the product declines before the exp overflows
+    with pytest.raises(ConvergenceError, match="product tail bound"):
+        inversion_rhs(1.5, 0.001j)
+
+
+def test_plain_product_retries_at_minus_z_where_a_factor_overflows():
+    # at z the factor 1 - w^-2 is about e^(400 pi): the product is taken at -z
+    z, tau = 0.3 + 200j, 1000j
+    want = _jtheta(1, z, tau)
+    assert abs(_theta1_plain(z, tau) - want) <= 1e-13 * abs(want)
+    # theta1(z/tau, -1/tau) at the binary64 z and tau: the value, about
+    # 5e-122, is far below its terms, hence the digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(160):
+        z_mp, tau_mp = mpmath.mpc(z.real, z.imag), mpmath.mpc(tau.real, tau.imag)
+        lhs = complex(mpmath.jtheta(1, mpmath.pi * z_mp / tau_mp,
+                                    mpmath.exp(-1j * mpmath.pi / tau_mp)))
+    assert abs(inversion_rhs(z, tau) - lhs) <= 1e-13 * abs(lhs)
+
+
+def test_plain_product_forms_its_first_factor_near_zero_by_expm1():
+    # 1 - e^(-2 pi i z) rounds to 0 here as a difference; reference mpmath
+    want = 8.788918969806252e-147j
+    assert abs(_theta1_plain(3.085244363331525e-147j, 1j) - want) <= 1e-12 * abs(want)
+
+
 def test_transformation_law_on_grid():
     for z, tau in sample_grid(25, seed=3):
         rhs = inversion_rhs(z, tau)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from siegeltheta import (
+    ConvergenceError,
     DomainError,
     DomainPoint,
     PoleProximityError,
@@ -90,6 +91,14 @@ def test_lambert_term_at_cutoff_is_below_eps():
         + (cmath.exp(-2j * m * PI * z) / m) * e / (1.0 - e)
     )
     assert abs(term) < 10.0 * LAMBERT_EPS
+
+
+def test_lambert_terms_past_the_cap_is_a_convergence_error():
+    # rate |b| = 1e-6: e^(-2 pi 4000 rate) / (4000 (1 - e^(-2 pi rate))) is about 38.8
+    with pytest.raises(ConvergenceError, match=r"Lambert tail bound 3\.880e\+01 "
+                       r"> eps=1\.000e-13 at 4000 terms") as info:
+        lambert_terms(DomainPoint(0.5, -1e-6, 2.0))
+    assert info.value.achieved == pytest.approx(38.8, rel=1e-3)
 
 
 def test_lambert_terms_do_not_grow_with_y():
@@ -390,6 +399,13 @@ def test_log_identity_residual_small():
 
 def test_transformation_residual_zero_argument():
     assert transformation_residual(0.0, 1j) == 0.0
+
+
+def test_transformation_residual_at_a_zero_and_past_the_range():
+    # theta1(30, tau) = 0 on both sides; e^(pi i z^2/tau) overflows at 30.3
+    assert transformation_residual(30.0, 0.01j) == 0.0
+    with pytest.raises(OverflowError, match="inversion right side overflowed the binary64 range"):
+        transformation_residual(30.3, 0.5j)
 
 
 def test_transformation_residual_general_tau():
