@@ -519,7 +519,7 @@ _HALVES = {"theta1": ((0, 0), False), "theta2": ((-1, 0), True),
            "theta3": ((1, 1), False), "theta4": ((0, 1), False)}
 
 
-def _evaluate(name: str, z, tau, cfg: EvalConfig | None = None):
+def _evaluate(name: str, z, tau, cfg: EvalConfig | None):
     """(value, terms used) of theta function `name` at a caller's (z, tau):
     Re z is reduced before the half-period shift, and terms counts the
     series terms summed at the reduced point."""
