@@ -22,8 +22,14 @@ Integrand = Callable[[complex], complex]
 # nodes; an edge from 17 to 2,049, as its weights take O(N^2) work to form
 _MAX_LEVELS = 16
 _EDGE_LEVELS = 7
-# Clenshaw-Curtis weights by interval count, formed on first use
+# node tables by interval count, formed on first use: the Clenshaw-Curtis
+# weights, the edge cosines cos(pi j/count) and the circle directions
+# e^(2 pi i j/count).  A circle past 2,048 intervals, an edge's last rule,
+# forms its directions per call, so a stalled circle leaves no large table
 _WEIGHTS: dict[int, tuple[float, ...]] = {}
+_COSINES: dict[int, tuple[float, ...]] = {}
+_DIRECTIONS: dict[int, tuple[complex, ...]] = {}
+_TABLED_COUNT = 2048
 
 
 def _positive(value, name: str) -> None:
@@ -51,24 +57,43 @@ def _clenshaw_curtis(count: int) -> tuple[float, ...]:
     return weights
 
 
-def _nested(term, estimate, count: int, nodes: int, levels: int, tol: float, what: str):
-    """(estimate, gap) from nested rules of count, 2 count, 4 count, ...
-    intervals, the first with `nodes` nodes.
+def _cosines(count: int) -> tuple[float, ...]:
+    # edge nodes on [-1, 1], j = 0..count
+    table = _COSINES.get(count)
+    if table is None:
+        table = _COSINES[count] = tuple(math.cos(math.pi * j / count) for j in range(count + 1))
+    return table
 
-    term(j, count) is the summand at node j of the rule with count
-    intervals.  Node 2j of a doubled rule is node j of the one before, bit
-    for bit, so each doubling calls term only at the new odd j, once per
-    node of the last rule in all; estimate(values, count) combines them.
-    Stops once two successive estimates differ by at most tol; raises
-    ConvergenceError after `levels` doublings, or at the first estimate
-    that is not finite.
+
+def _directions(count: int) -> tuple[complex, ...]:
+    # circle nodes on the unit circle, j = 0..count-1; the angle 2 pi j/count
+    # is exact under doubling j and count together
+    table = _DIRECTIONS.get(count)
+    if table is None:
+        table = tuple(cmath.exp(2j * math.pi * j / count) for j in range(count))
+        if count <= _TABLED_COUNT:
+            _DIRECTIONS[count] = table
+    return table
+
+
+def _nested(term, nodes, estimate, count: int, levels: int, tol: float, what: str):
+    """(estimate, gap) from nested rules of count, 2 count, 4 count, ...
+    intervals.
+
+    nodes(count) is the table of the rule's nodes, in index order, and
+    term(x) the summand at node x.  Node 2j of a doubled rule is node j of
+    the one before, bit for bit, so each doubling calls term only at the
+    new odd j, once per node of the last rule in all; estimate(values,
+    count) combines them.  Stops once two successive estimates differ by
+    at most tol; raises ConvergenceError after `levels` doublings, or at
+    the first estimate that is not finite.
     """
-    values = [term(j, count) for j in range(nodes)]
+    values = [term(x) for x in nodes(count)]
     previous, gap = None, math.inf
     for level in range(levels + 1):
         if level:
             count *= 2
-            fresh = [term(j, count) for j in range(1, count, 2)]
+            fresh = [term(x) for x in nodes(count)[1::2]]
             values = [v for pair in zip(values, fresh) for v in pair] + values[len(fresh):]
         approx = estimate(values, count)
         if not cmath.isfinite(approx):
@@ -112,8 +137,8 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
             total += weight * value
         return half * total
 
-    return _nested(lambda j, count: f(mid + half * math.cos(math.pi * j / count)),
-                   estimate, 16, 17, _EDGE_LEVELS, tol, "edge quadrature")
+    return _nested(lambda x: f(mid + half * x), _cosines, estimate, 16, _EDGE_LEVELS, tol,
+                   "edge quadrature")
 
 
 def integrate_closed(
@@ -149,9 +174,7 @@ def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -
     center = finite_complex(center, "center")
     _positive(radius, "radius")
 
-    def term(j, count):
-        # the angle 2 pi j / count is exact under doubling j and count together
-        direction = cmath.exp(2j * math.pi * j / count)
+    def term(direction):
         return f(center + radius * direction) * direction
 
     def estimate(terms, count):
@@ -160,4 +183,4 @@ def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -
             total += value
         return total * radius / count
 
-    return _nested(term, estimate, 15, 15, _MAX_LEVELS, tol, "circle quadrature")[0]
+    return _nested(term, _directions, estimate, 15, _MAX_LEVELS, tol, "circle quadrature")[0]

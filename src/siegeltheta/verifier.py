@@ -97,15 +97,60 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
     def N(self) -> float:
         return self.n + 0.5
 
+    # The cached properties below write the instance __dict__, so ==, hash,
+    # repr and _asdict still see the four fields only, and __reduce__ keeps
+    # them out of pickle and copy.
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
     @cached_property
-    def _kernel_constants(self) -> tuple:
-        # residue_kernel's zeta-free factors, each grouped as the kernel's
-        # formula associates it so that hoisting them changes no bit.
-        # cached_property writes the instance __dict__, so ==, hash, repr
-        # and _asdict still see the four fields only
+    def _sides(self) -> tuple[list[complex], list[complex]]:
+        # the tau side's and the inverted side's Lambert terms, both to the
+        # longer side's length: phi's two arrangements share them
+        terms = max(lambert_terms(self), _inverted_side_terms(self))
+        return _both_sides(self.z, self.y, terms)
+
+    @cached_property
+    def _kernel(self):
+        # residue_kernel at this point, for a finite complex zeta, with its
+        # zeta-free factors bound once; each is grouped as the kernel's
+        # formula associates it, so binding them changes no bit
         cap, y = self.N, self.y
-        return (cap, y, _PI * 1j * cap, _PI * cap, -2j * _PI * (cap / y),
-                1.0 - self.z, _TWO_PI * cap, 1e-12 / cap)
+        pi_i_cap, pi_cap, b_scale = _PI * 1j * cap, _PI * cap, -2j * _PI * (cap / y)
+        one_minus_z, two_pi_cap, guard = 1.0 - self.z, _TWO_PI * cap, 1e-12 / cap
+        exp, tan, isfinite = cmath.exp, cmath.tan, cmath.isfinite
+
+        def kernel(zeta: complex) -> complex:
+            # every pole lies on an axis, and _pole_distance keeps Re zeta and
+            # Im zeta as legs of its hypots, so it is below guard only where
+            # one of them is
+            if abs(zeta.real) < guard or abs(zeta.imag) < guard:
+                if _pole_distance(zeta, cap, y) < guard:
+                    raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
+            try:
+                cot_i, cot_r = 1.0 / tan(pi_i_cap * zeta), 1.0 / tan(pi_cap * zeta / y)
+                first = -cot_i * cot_r / (8.0 * zeta)
+                b = b_scale * zeta
+                a = one_minus_z * b
+                if b.real > 0.0:
+                    ratio = -exp(a - b) / (1.0 - exp(-b))
+                else:
+                    ratio = exp(a) / (1.0 - exp(b))
+                s = two_pi_cap * zeta
+                if s.real > 0.0:  # 1/(1 - e^s) through e^(-s), which cannot overflow
+                    es = exp(-s)
+                    inv = -es / (1.0 - es)
+                else:
+                    inv = 1.0 / (1.0 - exp(s))
+                value = first + inv * ratio / zeta
+                if isfinite(value):
+                    return value
+            except (OverflowError, ValueError):  # exp: overflow, or an infinite Im part
+                pass
+            raise OverflowError(_KERNEL_OVERFLOW) from None
+
+        return kernel
 
 
 def _point(p) -> None:
@@ -154,30 +199,46 @@ def _inverted_side_terms(p: DomainPoint) -> int:
     return _terms_for_rate(min(p.a, 1.0 - p.a) / p.y)
 
 
-def _lambert_term(m: int, s: float, u: complex, h: float) -> complex:
-    # term m of one side's three Lambert sums, s h = 2 pi m Im tau:
+def _lambert_side(u: complex, h: float, div: float, terms: int) -> list[complex]:
+    # terms m = 1..terms of one side's three Lambert sums, with s = 2 pi m/div
+    # and s h = 2 pi m Im tau:
     # (1/m)/(1-e^(s h)) + (e^(s u)/m)/(1-e^(s h)) + (e^(-s u)/m) e^(s h)/(1-e^(s h)),
     # rewritten through e^(-s h) so nothing overflows.  The tau side is
-    # (2 pi m, i z, y) and the inverted side (2 pi m / y, z, 1).
-    decay = math.exp(-s * h)
-    d = 1.0 - decay
-    t1 = -decay / d
-    t2 = -cmath.exp(s * (u - h)) / d
-    t3 = -cmath.exp(-s * u) / d
-    return (t1 + t2 + t3) / m
-
-
-def _six_sums(z: complex, y: float, terms: int) -> complex:
-    # the three tau-side sums minus the three inverted-side sums, to m = terms
-    iz = 1j * z
-    total = 0.0j
+    # (i z, y, 1) and the inverted side (z, 1, y); s = 2 pi m/1.0 is exact.
+    side = []
     for m in range(1, terms + 1):
-        total += _lambert_term(m, _TWO_PI * m, iz, y) - _lambert_term(m, _TWO_PI * m / y, z, 1.0)
+        s = _TWO_PI * m / div
+        decay = math.exp(-s * h)
+        d = 1.0 - decay
+        side.append((-decay / d + -cmath.exp(s * (u - h)) / d + -cmath.exp(-s * u) / d) / m)
+    return side
+
+
+def _both_sides(z: complex, y: float, terms: int) -> tuple[list[complex], list[complex]]:
+    return _lambert_side(1j * z, y, 1.0, terms), _lambert_side(z, 1.0, y, terms)
+
+
+def _added(total: complex, terms) -> complex:
+    # total + terms[0] + terms[1] + ..., left to right
+    for term in terms:
+        total += term
+    return total
+
+
+def _six_sums(tau_side: list[complex], inverted_side: list[complex]) -> complex:
+    # the three tau-side sums minus the three inverted-side sums, term by term
+    total = 0.0j
+    for t, v in zip(tau_side, inverted_side):
+        total += t - v
     return total
 
 
 def _ratio_closed_tail(z: complex, y: float) -> complex:
     return -_PI * z / y + 1j * _PI * z - (_PI / 4.0) * (y - 1.0 / y)
+
+
+def _tau_prefix(p: DomainPoint) -> complex:
+    return complex(0.0, -_PI / 2.0) + 1j * _PI * p.z - _PI * p.y / 4.0
 
 
 def log_theta1_lambert(p: DomainPoint) -> complex:
@@ -187,34 +248,25 @@ def log_theta1_lambert(p: DomainPoint) -> complex:
     is ever taken, so the result is directly comparable across arguments.
     """
     _point(p)
-    z, y = p.z, p.y
-    iz = 1j * z
-    total = complex(0.0, -_PI / 2.0) + 1j * _PI * z - _PI * y / 4.0
-    for m in range(1, lambert_terms(p) + 1):
-        total += _lambert_term(m, _TWO_PI * m, iz, y)
-    return total
-
-
-def _log_theta1_inverted(p: DomainPoint) -> complex:
-    # log theta1(z/(iy), i/y), same expansion with prefactor pi z/y - pi/(4y)
-    z, y = p.z, p.y
-    total = complex(0.0, -_PI / 2.0) + _PI * z / y - _PI / (4.0 * y)
-    for m in range(1, _inverted_side_terms(p) + 1):
-        total += _lambert_term(m, _TWO_PI * m / y, z, 1.0)
-    return total
+    # its own terms, not p._sides: the inverted side may be past the cap
+    return _added(_tau_prefix(p), _lambert_side(1j * p.z, p.y, 1.0, lambert_terms(p)))
 
 
 def inversion_log_ratio(p: DomainPoint) -> complex:
     """phi = log theta1(z, iy) - log theta1(z/(iy), i/y), both logs expanded."""
-    return log_theta1_lambert(p) - _log_theta1_inverted(p)
+    _point(p)
+    tau_side, inverted_side = p._sides
+    z, y = p.z, p.y
+    # log theta1(z/(iy), i/y): the same expansion, prefactor pi z/y - pi/(4y)
+    inverted = complex(0.0, -_PI / 2.0) + _PI * z / y - _PI / (4.0 * y)
+    return (_added(_tau_prefix(p), tau_side[:lambert_terms(p)])
+            - _added(inverted, inverted_side[:_inverted_side_terms(p)]))
 
 
 def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
     """phi in its closed arrangement: six Lambert sums plus the closed tail."""
     _point(p)
-    z, y = p.z, p.y
-    terms = max(lambert_terms(p), _inverted_side_terms(p))
-    return _six_sums(z, y, terms) + _ratio_closed_tail(z, y)
+    return _six_sums(*p._sides) + _ratio_closed_tail(p.z, p.y)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +299,6 @@ def pole_distance(zeta: complex, p: DomainPoint) -> float:
     return _pole_distance(finite_complex(zeta, "zeta"), p.N, p.y)
 
 
-def _cot(w: complex) -> complex:
-    return 1.0 / cmath.tan(w)
-
-
-def _inv_one_minus_exp(s: complex) -> complex:
-    # 1/(1 - e^s) without overflow for Re s >> 0
-    if s.real > 0.0:
-        es = cmath.exp(-s)
-        return -es / (1.0 - es)
-    return 1.0 / (1.0 - cmath.exp(s))
-
-
 def residue_kernel(zeta, p: DomainPoint) -> complex:
     """Meromorphic kernel whose residues reproduce the Lambert sums.
 
@@ -273,27 +313,7 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     per DomainPoint.
     """
     _point(p)
-    cap, y, pi_i_cap, pi_cap, b_scale, one_minus_z, two_pi_cap, guard = p._kernel_constants
-    zeta = finite_complex(zeta, "zeta")
-    # every pole lies on an axis, and _pole_distance keeps Re zeta and Im zeta
-    # as legs of its hypots, so it is below guard only where one of them is
-    if abs(zeta.real) < guard or abs(zeta.imag) < guard:
-        if _pole_distance(zeta, cap, y) < guard:
-            raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
-    try:
-        first = -_cot(pi_i_cap * zeta) * _cot(pi_cap * zeta / y) / (8.0 * zeta)
-        b = b_scale * zeta
-        a = one_minus_z * b
-        if b.real > 0.0:
-            ratio = -cmath.exp(a - b) / (1.0 - cmath.exp(-b))
-        else:
-            ratio = cmath.exp(a) / (1.0 - cmath.exp(b))
-        value = first + _inv_one_minus_exp(two_pi_cap * zeta) * ratio / zeta
-        if cmath.isfinite(value):
-            return value
-    except (OverflowError, ValueError):  # cmath.exp: overflow, or an infinite Im part
-        pass
-    raise OverflowError(_KERNEL_OVERFLOW) from None
+    return p._kernel(finite_complex(zeta, "zeta"))
 
 
 def residue_at_zero(p: DomainPoint) -> complex:
@@ -367,7 +387,8 @@ def closed_residue_sum(p: DomainPoint) -> complex:
     """
     _point(p)
     z, y = p.z, p.y
-    return _six_sums(z, y, p.n) + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI
+    sums = _six_sums(*_both_sides(z, y, p.n))
+    return sums + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +396,7 @@ def closed_residue_sum(p: DomainPoint) -> complex:
 # ---------------------------------------------------------------------------
 
 EDGES = ("E1", "E2", "E3", "E4")
+
 
 def _edge_index(edge: str) -> int:
     try:

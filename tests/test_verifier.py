@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -31,7 +33,7 @@ from siegeltheta import (
     transformation_residual,
 )
 from siegeltheta.suites import sample_domain_points, sample_grid
-from siegeltheta.verifier import LAMBERT_EPS
+from siegeltheta.verifier import LAMBERT_EPS, _inverted_side_terms
 
 PI = math.pi
 
@@ -117,6 +119,77 @@ def test_phi_arrangements_agree_on_seeded_points():
         assert abs(inversion_log_ratio(p) - inversion_log_ratio_lambert(p)) < 1e-10
 
 
+def _lambert_as_first_written(p, sums):
+    # the sums with one call per term, each term formed on its own, as they
+    # were before the points shared their Lambert terms between arrangements;
+    # sums names the function to rebuild
+    def term(m, s, u, h):
+        decay = math.exp(-s * h)
+        d = 1.0 - decay
+        t1 = -decay / d
+        t2 = -cmath.exp(s * (u - h)) / d
+        t3 = -cmath.exp(-s * u) / d
+        return (t1 + t2 + t3) / m
+
+    def tau_term(m):
+        return term(m, 2.0 * PI * m, 1j * z, y)
+
+    def inverted_term(m):
+        return term(m, 2.0 * PI * m / y, z, 1.0)
+
+    def six_sums(terms):
+        total = 0.0j
+        for m in range(1, terms + 1):
+            total += tau_term(m) - inverted_term(m)
+        return total
+
+    z, y = p.z, p.y
+    tail = -PI * z / y + 1j * PI * z - (PI / 4.0) * (y - 1.0 / y)
+    tau_log = complex(0.0, -PI / 2.0) + 1j * PI * z - PI * y / 4.0
+    for m in range(1, lambert_terms(p) + 1):
+        tau_log += tau_term(m)
+    if sums is log_theta1_lambert:
+        return tau_log
+    if sums is closed_residue_sum:
+        return six_sums(p.n) + tail + PI * z * z / y - 0.5j * PI
+    inverted_terms = _inverted_side_terms(p)
+    if sums is inversion_log_ratio:
+        inverted_log = complex(0.0, -PI / 2.0) + PI * z / y - PI / (4.0 * y)
+        for m in range(1, inverted_terms + 1):
+            inverted_log += inverted_term(m)
+        return tau_log - inverted_log
+    assert sums is inversion_log_ratio_lambert
+    return six_sums(max(lambert_terms(p), inverted_terms)) + tail
+
+
+def test_lambert_sums_match_their_per_term_formula_bit_for_bit():
+    rng = random.Random(20261019)
+    points = []
+    for _ in range(60):
+        a = rng.choice([rng.uniform(0.04, 0.06), rng.uniform(0.94, 0.96), rng.uniform(0.05, 0.95)])
+        b = -rng.uniform(0.01, 0.45)
+        points.append(DomainPoint(a, b, rng.uniform(max(0.5, 0.05 - b), 4.0), rng.randint(1, 30)))
+    longer = [lambert_terms(p) > _inverted_side_terms(p) for p in points]
+    assert 5 < sum(longer) < 55  # each side is the longer one at some points
+    for p in points:
+        for sums in (log_theta1_lambert, inversion_log_ratio, inversion_log_ratio_lambert,
+                     closed_residue_sum):
+            # on a fresh point, and on p, whose terms the earlier sums formed
+            for fresh in (p._replace(), p):
+                assert repr(sums(fresh)) == repr(_lambert_as_first_written(p, sums)), (sums, p)
+
+
+def test_shared_lambert_terms_do_not_widen_failures():
+    # the inverted side is past the term cap here, the tau side is not
+    p = DomainPoint(1e-4, -0.25, 2.0)
+    assert repr(log_theta1_lambert(p)) == "(-1.018460934952166-1.5703172852959717j)"
+    for sums in (inversion_log_ratio, inversion_log_ratio_lambert, log_identity_residual):
+        with pytest.raises(ConvergenceError, match=r"^Lambert tail bound 2\.265e-01 "
+                           r"> eps=1\.000e-13 at 4000 terms$"):
+            sums(p)
+    assert repr(log_theta1_lambert(p)) == "(-1.018460934952166-1.5703172852959717j)"
+
+
 def test_log_identity_at_y_equal_one():
     # log(1) = 0, so phi + pi z^2 - i pi/2 must vanish
     p = DomainPoint(0.5, -0.25, 1.0)
@@ -148,11 +221,21 @@ def test_kernel_finite_at_generic_points():
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
-def _kernel_as_first_written(zeta, p):
-    # the kernel with every factor recomputed per call, as it was before the
-    # zeta-free factors were hoisted into the DomainPoint
-    from siegeltheta.verifier import _cot, _inv_one_minus_exp
+def _cot(w):
+    return 1.0 / cmath.tan(w)
 
+
+def _inv_one_minus_exp(s):
+    # 1/(1 - e^s) without overflow for Re s >> 0
+    if s.real > 0.0:
+        es = cmath.exp(-s)
+        return -es / (1.0 - es)
+    return 1.0 / (1.0 - cmath.exp(s))
+
+
+def _kernel_as_first_written(zeta, p):
+    # the kernel with every factor recomputed per call through its own
+    # helpers, as it was before the zeta-free factors were bound per DomainPoint
     zeta = complex(zeta)
     if pole_distance(zeta, p) < 1e-12 / p.N:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
@@ -224,8 +307,20 @@ def test_kernel_constants_leave_the_point_unchanged():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
     before = (repr(p), hash(p), p._asdict())
     residue_kernel(0.1 + 0.2j, p)
+    phi = inversion_log_ratio(p)
     assert (repr(p), hash(p), p._asdict()) == before
     assert p == DomainPoint(0.5, -0.25, 2.0, 3)
+    # a replaced point forms its own terms and kernel
+    moved = p._replace(y=3.0)
+    fresh = DomainPoint(0.5, -0.25, 3.0, 3)
+    assert repr(inversion_log_ratio(moved)) == repr(inversion_log_ratio(fresh))
+    assert repr(inversion_log_ratio(moved)) != repr(phi)
+    assert repr(residue_kernel(0.1 + 0.2j, moved)) == repr(residue_kernel(0.1 + 0.2j, fresh))
+    # pickle and copy carry the four fields only, and rebuild through the
+    # validating constructor
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and type(clone) is DomainPoint and not vars(clone)
+        assert repr(inversion_log_ratio(clone)) == repr(phi)
 
 
 @pytest.mark.parametrize(
@@ -420,6 +515,25 @@ def test_rhombus_integral_matches_the_closed_residue_sum(n):
     p = DomainPoint(0.5, -0.25, 2.0, n)
     value, _ = integrate_closed(lambda zeta: residue_kernel(zeta, p), rhombus_contour(p.y))
     assert abs(value - closed_residue_sum(p)) <= 2e-15
+
+
+def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
+    # a trace that wraps suites.residue_kernel sees each node the circles
+    # and the rhombus evaluate
+    from siegeltheta import run_suite, suites
+
+    calls = []
+
+    def counted(zeta, p):
+        calls.append(zeta)
+        return residue_kernel(zeta, p)
+
+    monkeypatch.setattr(suites, "residue_kernel", counted)
+    reports = run_suite("lemma2", seed=0)
+    nodes = sum(r.terms_or_nodes for r in reports
+                if r.check_name.endswith(("_vs_circle", "_theorem_contour")))
+    assert len(calls) == nodes == 936
+    assert all(r.passed for r in reports)
 
 
 def test_the_proof_replay_never_takes_the_steps_it_checks(monkeypatch):
