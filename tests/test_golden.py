@@ -115,8 +115,7 @@ CASES["eval_reduce_t_and_s_step.txt"] = [
 
 
 def _seeded_points():
-    """theta1_reduced and theta2, one line each, at 400 seeded points and a
-    few edge inputs: the value, terms and reduced flag, or the error."""
+    """400 seeded (z, tau) and a few edge inputs."""
     rng = random.Random(20261019)
     points = []
     for _ in range(400):
@@ -128,10 +127,18 @@ def _seeded_points():
     # tau being dyadic) and an Im z whose lattice shift is not finite
     points += [(0.3, 1e-320j), (0.5, 1e-320j), (10j, 0.1j),
                (3 * (0.25 + 0.5j) - 2, 0.25 + 0.5j), (0.3 + 1e300j, 1j), (0.3 + 1e300j, 0.5j)]
+    return points
+
+
+def _steps(names):
+    """One line per seeded point and named function, theta1_reduced or a
+    theta function through `theta._evaluate`: its result tuple, or the
+    error."""
     lines = []
-    for z, tau in points:
-        for name, function in (("theta1_reduced", theta.theta1_reduced),
-                               ("theta2", partial(theta._evaluate, "theta2"))):
+    for z, tau in _seeded_points():
+        for name in names:
+            function = (theta.theta1_reduced if name == "theta1_reduced"
+                        else partial(theta._evaluate, name))
             try:
                 got = tuple(function(z, tau, theta.EvalConfig()))
             except (ConvergenceError, OverflowError) as exc:
@@ -140,8 +147,10 @@ def _seeded_points():
     return "".join(lines)
 
 
-# theta1_reduced and theta2 through the T/S steps, away from the CLI
-CASES["steps_seeded_points.txt"] = _seeded_points
+# the T/S steps away from the CLI: theta1_reduced and theta2 at halves b = 0,
+# theta3 and theta4 through the b = 1 branch
+CASES["steps_seeded_points.txt"] = partial(_steps, ("theta1_reduced", "theta2"))
+CASES["steps_theta3_theta4.txt"] = partial(_steps, ("theta3", "theta4"))
 
 
 def _output(case):
