@@ -40,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("function", choices=sorted(_HALVES))
     ev.add_argument("--z", required=True, help="complex literal, e.g. 0.5-0.25i")
     ev.add_argument("--tau", required=True, help="complex literal with Im > 0")
-    ev.add_argument("--eps", type=float, default=1e-12, help="truncation tolerance")
-    ev.add_argument("--max-terms", type=int, default=5000)
+    defaults = EvalConfig()
+    ev.add_argument("--eps", type=float, default=defaults.eps, help="truncation tolerance")
+    ev.add_argument("--max-terms", type=int, default=defaults.max_terms)
     ev.add_argument(
         "--reduce", action="store_true",
         help="accepted and ignored: every function always takes the modular reduction",

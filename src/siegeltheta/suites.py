@@ -322,17 +322,16 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         values = _grid(target, start, stop, steps, 0.01, 1.0, geometric=True)
         header = ["im_tau", "z", "eps", "terms_direct", "terms_reduced", "gain", "abs_diff"]
         z = 0.3
-        eps = 1e-12
-        cfg = EvalConfig(eps=eps)
+        eps = EvalConfig().eps  # the tolerance of both sides
         rows = []
         for im_tau in values:
             tau = complex(0.0, im_tau)
-            reduced = theta1_reduced(z, tau, cfg)
-            direct_terms = product_terms(z, tau, cfg)
+            reduced = theta1_reduced(z, tau)
+            direct_terms = product_terms(z, tau)
             rows.append([
                 im_tau, z, eps, direct_terms, reduced.terms_used,
                 direct_terms / reduced.terms_used,
-                abs(reduced.value - _theta1_plain(z, tau, cfg)),
+                abs(reduced.value - _theta1_plain(z, tau)),
             ])
         return header, rows
 

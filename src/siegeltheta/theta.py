@@ -47,8 +47,8 @@ Every theta function has period 2 in z, so the public entries first reduce
 Re z exactly into (-2, 2) with math.fmod; pi z would otherwise lose its phase
 for a large |Re z|.  Near a zero of theta1, every entry then replaces the
 point at which it takes theta1 by its exact offset from that zero.  All
-arithmetic is binary64; the series and the product are truncated by a
-priori tail bounds controlled through `EvalConfig`.
+arithmetic is binary64; a priori tail bounds truncate the series, through
+`EvalConfig`, and the product, at `EvalConfig()`'s defaults.
 """
 
 from __future__ import annotations
@@ -105,11 +105,10 @@ _NEAR_ZERO = 1e-4
 
 
 class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
-    """Truncation control for the theta series and product; immutable.
+    """Truncation control for the theta series; immutable.
 
-    eps: target of the truncation tail bound, relative to the value for the
-    series and to the product for the product.
-    max_terms: hard cap on the number of series terms or product factors.
+    eps: target of the truncation tail bound, relative to the value.
+    max_terms: hard cap on the number of series terms.
     """
 
     __slots__ = ()
@@ -180,37 +179,37 @@ def _log_factor_scale(log_abs_w: float) -> float:
     return m + math.log(math.exp(-m) + math.exp(two - m) + math.exp(-two - m))
 
 
-def _product_length(log_abs_q: float, log_abs_w: float, cfg: EvalConfig) -> int:
-    """Smallest M with |q|^(2M) (1+|w|^2+|w|^-2) / (1-|q|^2) < eps.
+def _product_length(log_abs_q: float, log_abs_w: float) -> int:
+    """Smallest M with |q|^(2M) (1+|w|^2+|w|^-2) / (1-|q|^2) < eps, at
+    `EvalConfig()`'s eps; ConvergenceError where M exceeds its max_terms.
 
     The left side dominates the sum of the remaining log-factors of the
     product, so the truncated product is within eps of the full one
     (relatively); everything is solved in log space to dodge overflow.
     log|q| = -pi Im tau is passed in as |q| underflows to 0 for Im tau > 237.
     """
+    eps, max_terms = _DEFAULT_CFG
     log_q2 = 2.0 * log_abs_q
     # expm1: |q| rounds to 1 for Im tau < 1e-17, where log1p(-|q|^2) fails
     log_c = _log_factor_scale(log_abs_w) - math.log(-math.expm1(log_q2))
-    target = math.log(cfg.eps) - log_c
+    target = math.log(eps) - log_c
     # compared before ceil, which fails on the inf a subnormal Im tau gives
     length = target / log_q2
     # NaN, from a huge Im z whose log|w| overflows, fails this test too
-    if not length <= cfg.max_terms:
-        achieved = _bound_from_log(cfg.max_terms * log_q2 + log_c)
+    if not length <= max_terms:
+        achieved = _bound_from_log(max_terms * log_q2 + log_c)
         raise ConvergenceError(
-            f"product tail bound {achieved:.3e} > eps={cfg.eps:.3e} "
-            f"at max_terms={cfg.max_terms}",
+            f"product tail bound {achieved:.3e} > eps={eps:.3e} at max_terms={max_terms}",
             achieved=achieved,
         )
     return max(1, math.ceil(length))
 
 
-def product_terms(z, tau, cfg: EvalConfig | None = None) -> int:
+def product_terms(z, tau) -> int:
     """Product length the truncation bound dictates at (z, tau)."""
-    cfg = cfg or _DEFAULT_CFG
     tau = require_tau(tau)
     z = finite_complex(z, "z")
-    return _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
+    return _product_length(-_PI * tau.imag, -_PI * z.imag)
 
 
 def _one_minus_exp(x: complex) -> complex:
@@ -222,7 +221,7 @@ def _one_minus_exp(x: complex) -> complex:
                    -math.exp(a) * math.sin(b))
 
 
-def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
+def _theta1_product(z: complex, tau: complex):
     """(unit, exponent, prod) with theta1(z, tau) = unit e^exponent prod,
     unit e^exponent being the prefactor -i e^(i pi (z + tau/4)) and prod the
     truncated product over n >= 1 (DLMF 20.5.3), which an exactly zero
@@ -237,7 +236,7 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
     near = 0.0 < abs(z) < _NEAR_ZERO
     trail = 0.0 if near else -2.0
     try:  # cmath.exp raises where a factor overflows
-        terms = _product_length(-_PI * tau.imag, -_PI * z.imag, cfg)
+        terms = _product_length(-_PI * tau.imag, -_PI * z.imag)
         two_z = 2.0 * z
         prod = 1.0 + 0.0j
         for n in range(1, terms + 1):
@@ -255,7 +254,7 @@ def _theta1_product(z: complex, tau: complex, cfg: EvalConfig):
     except OverflowError:
         pass
     if z.imag > 0.0:
-        unit, exponent, prod = _theta1_product(-z, tau, cfg)
+        unit, exponent, prod = _theta1_product(-z, tau)
         return -unit, exponent, prod
     raise OverflowError("theta1 product overflowed the binary64 range")
 
@@ -326,7 +325,7 @@ def _off_zero(z: complex, tau: complex, halves=(0, 0)):
     return d, -_IPI * complex(phase, (n - b) * (n * tau.imag) + 2.0 * n * d.imag)
 
 
-def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
+def _theta1_plain(z, tau) -> complex:
     """theta1 from its product at (z, tau) itself, with no T or S step,
     taken at the exact offset from a nearby zero (see `_off_zero`).
 
@@ -335,7 +334,7 @@ def _theta1_plain(z, tau, cfg: EvalConfig | None = None) -> complex:
     """
     tau = require_tau(tau)
     z, log = _off_zero(_as_z(z), tau)
-    unit, exponent, prod = _theta1_product(z, tau, cfg or _DEFAULT_CFG)
+    unit, exponent, prod = _theta1_product(z, tau)
     return _scaled(unit, exponent + log if log else exponent, prod, "theta1 product")
 
 
@@ -568,7 +567,7 @@ _T_FACTORS = (complex(1, 0), complex(_S, _S), complex(0, 1), complex(-_S, _S),
               complex(-1, 0), complex(-_S, -_S), complex(0, -1), complex(_S, -_S))
 
 
-def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
+def inversion_rhs(z, tau) -> complex:
     """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau).
 
     An exact zero where theta1(z, tau) is one; OverflowError where the value,
@@ -576,7 +575,7 @@ def inversion_rhs(z, tau, cfg: EvalConfig | None = None) -> complex:
     """
     tau = require_tau(tau)
     z = finite_complex(z, "z")
-    plain = _theta1_plain(z, tau, cfg)
+    plain = _theta1_plain(z, tau)
     if not plain:
         return 0j
     try:  # cmath.exp raises where e^(pi i z^2/tau) overflows

@@ -445,7 +445,7 @@ def log_identity_residual(p: DomainPoint) -> float:
     return abs(phi + _PI * p.z * p.z / p.y - 0.5j * _PI + 0.5 * math.log(p.y))
 
 
-def transformation_residual(z, tau, cfg=None) -> float:
+def transformation_residual(z, tau) -> float:
     """Relative gap between theta1(z/tau, -1/tau) and the inversion right side.
 
     Normalized by max(1, |rhs|); works for general tau in the upper
@@ -453,6 +453,6 @@ def transformation_residual(z, tau, cfg=None) -> float:
     """
     tau = require_tau(tau)
     z = finite_complex(z, "z")
-    rhs = inversion_rhs(z, tau, cfg)
-    lhs = theta1(z / tau, -1.0 / tau, cfg)
+    rhs = inversion_rhs(z, tau)
+    lhs = theta1(z / tau, -1.0 / tau)
     return abs(lhs - rhs) / max(1.0, abs(rhs))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -173,12 +174,10 @@ def test_inversion_rhs_is_zero_where_theta1_is():
     assert inversion_rhs(30.0, 0.01j) == 0j
 
 
-@pytest.mark.parametrize("z, tau, cfg", [
-    (30.3, 0.5j, None), (1.5, 0.001j, EvalConfig(max_terms=20000))])
-def test_inversion_rhs_overflow_is_the_documented_error(z, tau, cfg):
-    # e^(pi i z^2/tau) is about e^(1836 pi) and e^(2250 pi): beyond binary64
+def test_inversion_rhs_overflow_is_the_documented_error():
+    # e^(pi i z^2/tau) is about e^(1836 pi): beyond binary64
     with pytest.raises(OverflowError, match="inversion right side overflowed the binary64 range"):
-        inversion_rhs(z, tau, cfg)
+        inversion_rhs(30.3, 0.5j)
 
 
 def test_inversion_rhs_takes_the_product_first():
@@ -216,11 +215,10 @@ def test_transformation_law_on_grid():
 
 
 def test_reduced_small_tau():
-    cfg = EvalConfig(eps=1e-12)
-    value, terms, reduced = theta1_reduced(0.3, 0.02j, cfg)
+    value, terms, reduced = theta1_reduced(0.3, 0.02j)
     assert reduced
-    assert terms < product_terms(0.3, 0.02j, cfg)
-    assert abs(value - _theta1_plain(0.3, 0.02j, cfg)) < 1e-10
+    assert terms < product_terms(0.3, 0.02j)
+    assert abs(value - _theta1_plain(0.3, 0.02j)) < 1e-10
 
 
 def test_reduced_where_the_inverted_nome_underflows():
@@ -693,11 +691,10 @@ def test_reduced_cross_evaluation():
 
 
 def test_reduction_consistency_small_imaginary_axis():
-    cfg = EvalConfig(eps=1e-12)
     for im in (0.01, 0.02, 0.05):
-        reduced = theta1_reduced(0.3, im * 1j, cfg)
-        assert reduced.terms_used < product_terms(0.3, im * 1j, cfg)
-        assert abs(reduced.value - _theta1_plain(0.3, im * 1j, cfg)) < 1e-9
+        reduced = theta1_reduced(0.3, im * 1j)
+        assert reduced.terms_used < product_terms(0.3, im * 1j)
+        assert abs(reduced.value - _theta1_plain(0.3, im * 1j)) < 1e-9
 
 
 def test_eval_config_validation():
@@ -754,8 +751,10 @@ def test_theta_eval_is_an_immutable_record():
 
 
 def test_nonconvergence_carries_bound():
-    with pytest.raises(ConvergenceError) as info:
-        _theta1_plain(0.3, 0.001j, EvalConfig(max_terms=50))
+    # the plain product truncates at EvalConfig()'s eps and max_terms
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "product tail bound 1.088e-11 > eps=1.000e-12 at max_terms=5000")) as info:
+        _theta1_plain(0.3, 0.001j)
     assert info.value.achieved > 1e-12
 
 
