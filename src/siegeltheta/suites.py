@@ -157,8 +157,9 @@ def _suite_lemma2(seed, n, tol):
         calls = 0
         return residue_by_circle(kernel, center, radius, tol=1e-12), calls
 
+    closed = closed_residue_sum(p)
     breakdown = ResidueBreakdown.compute(p)
-    residual = abs(breakdown.total_times_2pi_i - closed_residue_sum(p))
+    residual = abs(breakdown.total_times_2pi_i - closed)
     yield _report("lemma2_breakdown_vs_closed_sum", params, residual, tol, 4 * n + 1)
 
     oracle, nodes = by_circle(0.0)
@@ -187,7 +188,7 @@ def _suite_lemma2(seed, n, tol):
     calls = 0
     value, _ = integrate_closed(kernel, rhombus_contour(p.y), tol=1e-10)
     yield _report(
-        "lemma2_residue_theorem_contour", params, abs(value - closed_residue_sum(p)), tol, calls
+        "lemma2_residue_theorem_contour", params, abs(value - closed), tol, calls
     )
 
     deep = DomainPoint(a, b, y, 25)
@@ -196,6 +197,7 @@ def _suite_lemma2(seed, n, tol):
         + math.pi * deep.z * deep.z / deep.y
         - 0.5j * math.pi
     )
+    # its own 25 terms per side: deep._sides holds only the 20 that phi needs
     residual = abs(closed_residue_sum(deep) - limit)
     yield _report("lemma2_partial_sum_limit", deep._asdict(), residual, tol, deep.n)
 
