@@ -30,7 +30,8 @@ class PoleProximityError(SiegelThetaError):
 # The argument checks every public entry runs: each returns the value it was
 # given (as a complex, for finite_complex) or raises DomainError naming it.
 # An int past binary64 counts as the inf it rounds to, also in the message,
-# which could not print an int of more than 4,300 digits.
+# which could not print an int of more than 4,300 digits.  A bool is an int
+# to Python but neither a count nor a real here: True would pass for 1.
 
 def finite_complex(value, name: str) -> complex:
     """value as a complex with finite parts."""
@@ -48,7 +49,8 @@ def finite_complex(value, name: str) -> complex:
 def finite_real(value, name: str):
     """value, an int or a float that is finite in binary64, unconverted."""
     try:
-        if isinstance(value, (int, float)) and math.isfinite(value):
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
             return value
     except OverflowError:
         value = math.inf if value > 0 else -math.inf
@@ -57,6 +59,6 @@ def finite_real(value, name: str):
 
 def positive_int(value, name: str) -> int:
     """value, an int >= 1."""
-    if not (isinstance(value, int) and value >= 1):
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return value

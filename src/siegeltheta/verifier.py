@@ -327,7 +327,7 @@ def residue_at_zero(p: DomainPoint) -> complex:
 
 
 def _pole_index(k) -> None:
-    if not (isinstance(k, int) and k):
+    if not (isinstance(k, int) and not isinstance(k, bool) and k):
         raise DomainError(f"k must be a nonzero integer, got {k!r}")
 
 

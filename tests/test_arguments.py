@@ -62,8 +62,9 @@ BAD = {
     "complex": [("x", "a complex number"), (None, "a complex number")]
                + [(v, "finite") for v in _NON_FINITE + [10**400, -(10**5000)]],
     "real": [(v, "a finite real")
-             for v in ("x", None, math.nan, math.inf, -math.inf, 10**400, -(10**5000))],
-    "int": [(v, "a positive integer") for v in (2.5, "3", 0)],
+             for v in ("x", None, True, False, math.nan, math.inf, -math.inf, 10**400,
+                       -(10**5000))],
+    "int": [(v, "a positive integer") for v in (2.5, "3", 0, True, False)],
     "point": [(v, "a DomainPoint") for v in ((0.5, -0.25, 2.0, 1), None, "x")],
     "vertices": [(v, "a list or tuple of points") for v in (None, 3, "abc", iter([1, 1j]))],
 }
@@ -162,7 +163,7 @@ def test_malformed_argument_raises_domain_error(kind, name, call):
 @pytest.mark.parametrize("call", [residue_imag_pole, residue_real_pole],
                          ids=["residue_imag_pole", "residue_real_pole"])
 def test_pole_index_is_a_nonzero_int(call):
-    for k in (0, 1.5, 1.0, "3", None):
+    for k in (0, 1.5, 1.0, "3", None, True, False):
         with pytest.raises(DomainError, match="^k must be a nonzero integer, got "):
             call(k, P)
     assert call(-1, P) != call(1, P)
