@@ -358,6 +358,16 @@ def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "nosuch"])
     assert info.value.code == 2
+    # the library entries behind the CLI's choices
+    with pytest.raises(DomainError, match="^unknown suite 'nope'"):
+        suites.run_suite("nope")
+    with pytest.raises(DomainError, match="^unknown sweep target 'nope'"):
+        suites.sweep_rows("nope")
+
+
+def test_report_serializer_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        suites._to_json(object())
 
 
 # --------------------------------------------------------------------------
@@ -415,6 +425,10 @@ def test_sweep_empty_range_writes_header_only(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.read_text(encoding="utf-8") == "n,edge,t,a,b,y,residual\n"
+    # a grid of real start and stop: empty past stop, one row at stop
+    assert suites.sweep_rows("lambert_tail", start=3.0, stop=2.0)[1] == []
+    (row,) = suites.sweep_rows("lambert_tail", start=2.0, stop=2.0)[1]
+    assert row[0] == 2.0
 
 
 def test_sweep_unwritable_path_exits_4(capsys):

@@ -207,6 +207,13 @@ def test_plain_product_forms_its_first_factor_near_zero_by_expm1():
     assert abs(_theta1_plain(3.085244363331525e-147j, 1j) - want) <= 1e-12 * abs(want)
 
 
+def test_plain_product_forms_a_subnormal_value_through_its_log():
+    # the prefactor e^(-pi 905/4) lies below the normal range, so the value
+    # is the exp of the summed logs; reference mpmath
+    want = 3.302460132839289e-309
+    assert abs(_theta1_plain(0.3, 905j) - want) <= 1e-12 * want
+
+
 def test_transformation_law_on_grid():
     for z, tau in sample_grid(25, seed=3):
         rhs = inversion_rhs(z, tau)
@@ -269,12 +276,18 @@ def test_tiny_im_tau_is_a_convergence_error():
     # as a raw OverflowError from round(inf)
     with pytest.raises(ConvergenceError):
         _theta1_plain(1e-10j, 1e300 + 1e-20j)
+    # the series' own shift by Im z / Im tau periods is not finite
+    with pytest.raises(ConvergenceError,
+                       match="^series shift by inf periods of tau is not finite$"):
+        theta1_series(1e10j, 1e-300j)
     # theta1 takes the steps: about e^(-pi 0.09 1e17) and e^(-pi 0.01 1e20)
     # lie below binary64, and -1/tau is not finite at a subnormal Im tau,
-    # where the value underflows at 0.3 and is about 1e160 at 0.5
+    # where the value underflows at 0.3 and is about 1e160 at 0.5; at
+    # 0.3+0.1i the first lattice shift, by Im z / Im tau periods, is not
+    # finite either
     with pytest.raises(OverflowError, match="reduced theta1 underflowed"):
         theta1(0.3, 1e-17j)
-    for z in (0.3, 0.5):
+    for z in (0.3, 0.5, 0.3 + 0.1j):
         with pytest.raises(OverflowError, match="a T/S step left the binary64"):
             theta1(z, 1e-320j)
     with pytest.raises(OverflowError, match="reduced theta1 underflowed"):
@@ -672,6 +685,9 @@ def test_overflow_names_the_product():
     # plain product at z itself hit an exact zero
     with pytest.raises(OverflowError, match="theta1 product overflowed the binary64"):
         _theta1_plain(10j, 0.1j)
+    # a factor overflows at Im z < 0, where no -z is left to retry at
+    with pytest.raises(OverflowError, match="^theta1 product overflowed the binary64 range$"):
+        _theta1_plain(-300.5j, 1j)
     for function in (theta1, theta1_reduced):
         with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
             function(10j, 0.1j)
