@@ -76,24 +76,25 @@ def _directions(count: int) -> tuple[complex, ...]:
     return table
 
 
-def _nested(term, nodes, estimate, count: int, levels: int, tol: float, what: str):
+def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, what: str):
     """(estimate, gap) from nested rules of count, 2 count, 4 count, ...
     intervals.
 
     nodes(count) is the table of the rule's nodes, in index order, and
-    term(x) the summand at node x.  Node 2j of a doubled rule is node j of
-    the one before, bit for bit, so each doubling calls term only at the
-    new odd j, once per node of the last rule in all; estimate(values,
-    count) combines them.  Stops once two successive estimates differ by
-    at most tol; raises ConvergenceError after `levels` doublings, or at
-    the first estimate that is not finite.
+    values_at(table) the list of the summands at a table's nodes, in its
+    order.  Node 2j of a doubled rule is node j of the one before, bit for
+    bit, so each doubling asks only for the new odd j, once per node of the
+    last rule in all; estimate(values, count) combines them.  Stops once
+    two successive estimates differ by at most tol; raises
+    ConvergenceError after `levels` doublings, or at the first estimate
+    that is not finite.
     """
-    values = [term(x) for x in nodes(count)]
+    values = values_at(nodes(count))
     previous, gap = None, math.inf
     for level in range(levels + 1):
         if level:
             count *= 2
-            fresh = [term(x) for x in nodes(count)[1::2]]
+            fresh = values_at(nodes(count)[1::2])
             values = [v for pair in zip(values, fresh) for v in pair] + values[len(fresh):]
         approx = estimate(values, count)
         if not cmath.isfinite(approx):
@@ -137,8 +138,8 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
             total += weight * value
         return half * total
 
-    return _nested(lambda x: f(mid + half * x), _cosines, estimate, 16, _EDGE_LEVELS, tol,
-                   "edge quadrature")
+    return _nested(lambda xs: [f(mid + half * x) for x in xs], _cosines, estimate, 16,
+                   _EDGE_LEVELS, tol, "edge quadrature")
 
 
 def integrate_closed(
@@ -174,13 +175,11 @@ def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -
     center = finite_complex(center, "center")
     _positive(radius, "radius")
 
-    def term(direction):
-        return f(center + radius * direction) * direction
-
     def estimate(terms, count):
         total = 0.0j
         for value in terms:  # in index order, as a single pass would add them
             total += value
         return total * radius / count
 
-    return _nested(term, _directions, estimate, 15, _MAX_LEVELS, tol, "circle quadrature")[0]
+    return _nested(lambda ds: [f(center + radius * d) * d for d in ds], _directions, estimate,
+                   15, _MAX_LEVELS, tol, "circle quadrature")[0]

@@ -31,10 +31,13 @@ class PoleProximityError(SiegelThetaError):
 # given (as a complex, for finite_complex) or raises DomainError naming it.
 # An int past binary64 counts as the inf it rounds to, also in the message,
 # which could not print an int of more than 4,300 digits.  A bool is an int
-# to Python but neither a count nor a real here: True would pass for 1.
+# to Python but neither a count, a real nor a complex number here: True
+# would pass for 1.
 
 def finite_complex(value, name: str) -> complex:
     """value as a complex with finite parts."""
+    if type(value) is bool:
+        raise DomainError(f"{name} must be a complex number, got {value!r}")
     try:
         value = complex(value)
     except OverflowError:

@@ -102,19 +102,34 @@ def sample_grid(count: int, seed: int) -> list[tuple[complex, complex]]:
     return grid
 
 
+# the last draw of sample_domain_points, keyed by its count and the
+# generator's state: lemma1 and theorem draw the same points, and theorem
+# then reads the Lambert terms that lemma1 formed on them.  Keyed by the
+# state, not the seed, so every seed random.Random takes works (a bytearray
+# cannot be hashed) and two seeds share a draw only where their sequences
+# agree
+_last_draw = (None, ())
+
+
 def sample_domain_points(count: int, seed: int) -> list[DomainPoint]:
-    """Seeded DomainPoints (n = 1) kept away from the slow-convergence boundary."""
+    """Seeded DomainPoints (n = 1) kept away from the slow-convergence boundary.
+
+    A new list on each call; the same (count, sequence) gives the same
+    DomainPoint instances.
+    """
+    global _last_draw
     rng = random.Random(seed)
-    points = []
-    for _ in range(positive_int(count, "count")):
-        points.append(
+    key = (positive_int(count, "count"), rng.getstate())
+    if _last_draw[0] != key:
+        _last_draw = key, tuple(
             DomainPoint(
                 a=rng.uniform(0.3, 0.7),
                 b=-rng.uniform(0.15, 0.35),
                 y=rng.uniform(1.2, 2.5),
             )
+            for _ in range(count)
         )
-    return points
+    return list(_last_draw[1])
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,12 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     binary64 range OverflowError.  The zeta-free factors are computed once
     per DomainPoint.
     """
-    _point(p)
+    # both checks inline: the quadrature calls this once per node, with a
+    # finite complex zeta
+    if not isinstance(p, DomainPoint):
+        _point(p)  # raises
+    if type(zeta) is complex and cmath.isfinite(zeta):
+        return p._kernel(zeta)
     return p._kernel(finite_complex(zeta, "zeta"))
 
 

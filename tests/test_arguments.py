@@ -2,10 +2,10 @@
 argument, for a value that is not a number of its kind, is not finite, or
 is out of range for a count or an index.
 
-Complex arguments take complex(), real ones an int or a float, counts and
-indices an int, a point p of the verifier a DomainPoint, and the vertices of
-a closed path a list or a tuple; None means the default only where a
-signature says so.
+Complex arguments take what complex() takes, real ones an int or a float,
+counts and indices an int, and none of them a bool; a point p of the
+verifier takes a DomainPoint, and the vertices of a closed path a list or
+a tuple; None means the default only where a signature says so.
 """
 
 import math
@@ -59,7 +59,8 @@ F = lambda w: 1.0 / w  # noqa: E731
 _NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(-math.inf, 1.0)]
 # the malformed values of each kind, and the message each draws
 BAD = {
-    "complex": [("x", "a complex number"), (None, "a complex number")]
+    "complex": [("x", "a complex number"), (None, "a complex number"),
+                (True, "a complex number"), (False, "a complex number")]
                + [(v, "finite") for v in _NON_FINITE + [10**400, -(10**5000)]],
     "real": [(v, "a finite real")
              for v in ("x", None, True, False, math.nan, math.inf, -math.inf, 10**400,

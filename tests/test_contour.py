@@ -130,6 +130,17 @@ def test_residue_by_circle_shifted_pole(center):
         assert abs(value - 1.0) < 1e-12
 
 
+def _call_order(node, count, last, ends):
+    # the nodes a nested rule evaluates, in call order: each node j of the
+    # first rule (count + ends of them), then the new odd j of each doubled
+    # rule up to the last rule's count, in index order
+    order = [node(j, count) for j in range(count + ends)]
+    while count < last:
+        count *= 2
+        order += [node(j, count) for j in range(1, count, 2)]
+    return order
+
+
 def _circle_without_reuse(f, center, radius, tol):
     # every level re-evaluates all of its nodes: the rule before nesting
     count = 15
@@ -165,9 +176,13 @@ def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
         return f(w)
 
     assert repr(residue_by_circle(counted, center, radius, tol)) == repr(expected)
-    # once per node of the last rule, every node a distinct point
+    # once per node of the last rule, every node a distinct point, and
+    # within each rule in index order
     assert len(nodes) == count > 15
     assert len(set(nodes)) == count
+    center = complex(center)
+    assert nodes == _call_order(
+        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 15, count, 0)
 
 
 def _edge_without_reuse(f, start, end, tol):
@@ -212,6 +227,10 @@ def test_edge_quadrature_reuses_nodes_bit_for_bit(f, start, end, tol):
     assert len(set(nodes)) == count
     doublings = (count - 1) // 16
     assert (count - 1) % 16 == 0 and doublings & (doublings - 1) == 0
+    # within each rule in index order
+    mid, half = 0.5 * (complex(start) + end), 0.5 * (end - complex(start))
+    assert nodes == _call_order(
+        lambda j, n: mid + half * math.cos(math.pi * j / n), 16, count - 1, 1)
 
 
 def test_edge_quadrature_stops_at_a_non_finite_integrand():

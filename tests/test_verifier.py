@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -534,6 +535,72 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
                 if r.check_name.endswith(("_vs_circle", "_theorem_contour")))
     assert len(calls) == nodes == 936
     assert all(r.passed for r in reports)
+
+
+def test_theorem_reads_the_lambert_terms_lemma1_formed(monkeypatch):
+    # within one verify all, theorem iterates lemma1's points and their
+    # Lambert terms: 2 sides each for lemma1's 10 points and 6 for lemma2,
+    # none for theorem (which formed 20 more on points of its own)
+    from siegeltheta import run_suite, suites, verifier
+    from siegeltheta.suites import report_json_line
+
+    seed = 90210  # drawn by no other test, so no point carries its terms yet
+    calls = []
+    side = verifier._lambert_side
+
+    def counted(*args):
+        calls.append(args)
+        return side(*args)
+
+    monkeypatch.setattr(verifier, "_lambert_side", counted)
+    theorem = [report_json_line(r) for r in run_suite("all", seed=seed)
+               if r.check_name == "theorem_log_identity"]
+    assert len(calls) == 26 and len(theorem) == 10
+    # alone, on points drawn afresh, theorem forms its own terms: same bytes
+    monkeypatch.setattr(suites, "_last_draw", (None, ()))
+    calls.clear()
+    assert [report_json_line(r) for r in run_suite("theorem", seed=seed)] == theorem
+    assert len(calls) == 20
+
+
+def test_sample_domain_points_shares_a_draw_only_between_equal_sequences():
+    from siegeltheta import run_suite
+
+    first, second = sample_domain_points(4, 11), sample_domain_points(4, 11)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()  # a new list each call: the draw is not the caller's list
+    assert sample_domain_points(4, 11) == second
+    assert sample_domain_points(3, 11) == second[:3]
+    # a bytearray cannot be hashed; it seeds as its bytes do
+    assert sample_domain_points(3, bytearray(b"ab")) == sample_domain_points(3, b"ab")
+    assert run_suite("lemma1", seed=bytearray(b"ab"))
+    # 2**70 == 2.0**70, but random.Random seeds a float by its hash
+    assert sample_domain_points(3, 2**70) != sample_domain_points(3, 2.0**70)
+    # without a seed, each call draws a new sequence
+    assert sample_domain_points(3, None) != sample_domain_points(3, None)
+
+
+def test_kernel_fast_path_changes_no_value_and_no_check():
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+
+    class Complex(complex):
+        pass
+
+    for value in (1, -2, 3):
+        same = [repr(residue_kernel(zeta, p))
+                for zeta in (value, float(value), complex(value), Complex(value))]
+        assert len(set(same)) == 1, same
+    for zeta, message in ((complex(math.nan, 0.0), "zeta must be finite, got (nan+0j)"),
+                          (complex(0.0, math.inf), "zeta must be finite, got infj"),
+                          ("x", "zeta must be a complex number, got 'x'"),
+                          (True, "zeta must be a complex number, got True")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            residue_kernel(zeta, p)
+    for point in (tuple(p), None):
+        message = f"p must be a DomainPoint, got {point!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            residue_kernel(0.3 + 0j, point)
 
 
 def test_the_proof_replay_never_takes_the_steps_it_checks(monkeypatch):
