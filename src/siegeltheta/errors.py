@@ -36,14 +36,15 @@ class PoleProximityError(SiegelThetaError):
 
 def finite_complex(value, name: str) -> complex:
     """value as a complex with finite parts."""
-    if type(value) is bool:
-        raise DomainError(f"{name} must be a complex number, got {value!r}")
-    try:
-        value = complex(value)
-    except OverflowError:
-        value = complex(math.inf if value > 0 else -math.inf)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a complex number, got {value!r}") from None
+    if type(value) is not complex:  # a complex is its own complex()
+        if type(value) is bool:
+            raise DomainError(f"{name} must be a complex number, got {value!r}")
+        try:
+            value = complex(value)
+        except OverflowError:
+            value = complex(math.inf if value > 0 else -math.inf)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a complex number, got {value!r}") from None
     if not cmath.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
