@@ -114,14 +114,15 @@ _last_draw = (None, ())
 def sample_domain_points(count: int, seed: int) -> list[DomainPoint]:
     """Seeded DomainPoints (n = 1) kept away from the slow-convergence boundary.
 
-    A new list on each call; the same (count, sequence) gives the same
-    DomainPoint instances.
+    A new list on each call; two calls in a row with the same count and
+    the same random sequence share their DomainPoint instances.
     """
     global _last_draw
     rng = random.Random(seed)
     key = (positive_int(count, "count"), rng.getstate())
-    if _last_draw[0] != key:
-        _last_draw = key, tuple(
+    last = _last_draw  # one read: another thread may replace the slot
+    if last[0] != key:
+        last = _last_draw = key, tuple(
             DomainPoint(
                 a=rng.uniform(0.3, 0.7),
                 b=-rng.uniform(0.15, 0.35),
@@ -129,7 +130,7 @@ def sample_domain_points(count: int, seed: int) -> list[DomainPoint]:
             )
             for _ in range(count)
         )
-    return list(_last_draw[1])
+    return list(last[1])
 
 
 # ---------------------------------------------------------------------------
