@@ -544,7 +544,6 @@ def test_theorem_reads_the_lambert_terms_lemma1_formed(monkeypatch):
     from siegeltheta import run_suite, suites, verifier
     from siegeltheta.suites import report_json_line
 
-    seed = 90210  # drawn by no other test, so no point carries its terms yet
     calls = []
     side = verifier._lambert_side
 
@@ -553,13 +552,14 @@ def test_theorem_reads_the_lambert_terms_lemma1_formed(monkeypatch):
         return side(*args)
 
     monkeypatch.setattr(verifier, "_lambert_side", counted)
-    theorem = [report_json_line(r) for r in run_suite("all", seed=seed)
+    monkeypatch.setattr(suites, "_last_draw", (None, ()))  # no point carries terms yet
+    theorem = [report_json_line(r) for r in run_suite("all", seed=90210)
                if r.check_name == "theorem_log_identity"]
     assert len(calls) == 26 and len(theorem) == 10
     # alone, on points drawn afresh, theorem forms its own terms: same bytes
-    monkeypatch.setattr(suites, "_last_draw", (None, ()))
+    suites._last_draw = (None, ())
     calls.clear()
-    assert [report_json_line(r) for r in run_suite("theorem", seed=seed)] == theorem
+    assert [report_json_line(r) for r in run_suite("theorem", seed=90210)] == theorem
     assert len(calls) == 20
 
 
