@@ -77,8 +77,9 @@ def _directions(count: int) -> tuple[complex, ...]:
 
 
 def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, what: str):
-    """(estimate, gap) from nested rules of count, 2 count, 4 count, ...
-    intervals.
+    """(estimate, gap, nodes) from nested rules of count, 2 count,
+    4 count, ... intervals; nodes is the number of summands, one call per
+    node.
 
     nodes(count) is the table of the rule's nodes, in index order, and
     values_at(table) the list of the summands at a table's nodes, in its
@@ -102,7 +103,7 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
         if previous is not None:
             gap = abs(approx - previous)
             if gap <= tol:
-                return approx, gap
+                return approx, gap, len(values)
         previous = approx
     raise ConvergenceError(
         f"{what} did not settle below tol={tol:.3e} within {len(values)} nodes",
@@ -116,15 +117,16 @@ def rhombus_contour(y: float) -> tuple[complex, ...]:
     return (-1j, complex(y), 1j, complex(-y))
 
 
-def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[complex, float]:
+def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[complex, float, int]:
     """Integrate f along the straight segment start -> end.
 
     Clenshaw-Curtis rules on the whole segment, at the nodes
     mid + half cos(pi j/N), j = 0..N, both ends included, with N = 16
     doubled at most 7 times (see `_nested`) until two estimates differ by
-    at most tol, the absolute error target.  Returns (value, that gap);
-    ConvergenceError past 2,049 nodes or at an estimate that is not
-    finite, DomainError for a non-finite start or end.
+    at most tol, the absolute error target.  Returns (value, that gap,
+    nodes), f being called once per node; ConvergenceError past 2,049
+    nodes or at an estimate that is not finite, DomainError for a
+    non-finite start or end.
     """
     _positive(tol, "tol")
     start = finite_complex(start, "start")
@@ -144,26 +146,31 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
 
 def integrate_closed(
     f: Integrand, vertices: list[complex] | tuple[complex, ...], tol: float = 1e-10
-) -> tuple[complex, float]:
+) -> tuple[complex, float, int]:
     """Sum of edge integrals around the closed polygon vertices[0] -> ... ->
-    vertices[-1] -> vertices[0]; error estimates add up, and each edge
-    meets tol on its own.  DomainError where vertices is not a list or a
-    tuple of at least two points."""
+    vertices[-1] -> vertices[0], as (value, error estimate, nodes): the
+    edges' estimates and node counts add up, and each edge meets tol on
+    its own.  DomainError where vertices is not a list or a tuple of at
+    least two points."""
     if not isinstance(vertices, (list, tuple)):
         raise DomainError(f"vertices must be a list or tuple of points, got {vertices!r}")
     if len(vertices) < 2:
         raise DomainError("a closed path needs at least two vertices")
     total = 0.0j
     err = 0.0
+    nodes = 0
     for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-        value, edge_err = integrate_edge(f, a, b, tol)
+        value, edge_err, edge_nodes = integrate_edge(f, a, b, tol)
         total += value
         err += edge_err
-    return total, err
+        nodes += edge_nodes
+    return total, err, nodes
 
 
-def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -> complex:
-    """(1/2 pi i) times the integral of f over the circle around center.
+def residue_by_circle(f: Integrand, center, radius: float,
+                      tol: float = 1e-10) -> tuple[complex, float, int]:
+    """(1/2 pi i) times the integral of f over the circle around center,
+    as (value, error estimate, nodes), f being called once per node.
 
     Periodic trapezoid rules from 15 nodes, nested and doubled at most 16
     times (see `_nested`); spectrally accurate as long as f is analytic in
@@ -182,4 +189,4 @@ def residue_by_circle(f: Integrand, center, radius: float, tol: float = 1e-10) -
         return total * radius / count
 
     return _nested(lambda ds: [f(center + radius * d) * d for d in ds], _directions, estimate,
-                   15, _MAX_LEVELS, tol, "circle quadrature")[0]
+                   15, _MAX_LEVELS, tol, "circle quadrature")

@@ -82,17 +82,17 @@ def test_criterion_4_closed_residues_vs_quadrature():
     p = DomainPoint(0.5, -0.25, 2.0, 5)
     radius = 1.0 / (4.0 * p.N)
     kernel = lambda zeta: residue_kernel(zeta, p)
-    worst = abs(residue_at_zero(p) - residue_by_circle(kernel, 0.0, radius, tol=1e-12))
+    worst = abs(residue_at_zero(p) - residue_by_circle(kernel, 0.0, radius, tol=1e-12)[0])
     for k in range(-p.n, p.n + 1):
         if k == 0:
             continue
         worst = max(worst, abs(
             residue_imag_pole(k, p)
-            - residue_by_circle(kernel, 1j * k / p.N, radius, tol=1e-12)
+            - residue_by_circle(kernel, 1j * k / p.N, radius, tol=1e-12)[0]
         ))
         worst = max(worst, abs(
             residue_real_pole(k, p)
-            - residue_by_circle(kernel, k * p.y / p.N, radius, tol=1e-12)
+            - residue_by_circle(kernel, k * p.y / p.N, radius, tol=1e-12)[0]
         ))
     totals_gap = abs(
         ResidueBreakdown.compute(p).total_times_2pi_i - closed_residue_sum(p)
@@ -112,7 +112,7 @@ def test_criterion_5_residue_theorem_on_contour():
     worst = 0.0
     for n in (1, 2, 3):
         p = DomainPoint(0.5, -0.25, 2.0, n)
-        value, _ = integrate_closed(
+        value, _, _ = integrate_closed(
             lambda zeta: residue_kernel(zeta, p),
             rhombus_contour(p.y),
             tol=1e-10,
@@ -188,9 +188,9 @@ def test_criterion_8_reduction_acceleration():
 def test_criterion_9_quadrature_self_tests():
     started = time.perf_counter()
     path = rhombus_contour(2.0)
-    poly, _ = integrate_closed(lambda w: (2 - 3j) * w**3 + w - 5.0, path)
-    forward, _ = integrate_closed(lambda w: 1.0 / w, path)
-    backward, _ = integrate_closed(lambda w: 1.0 / w, path[::-1])
+    poly, _, _ = integrate_closed(lambda w: (2 - 3j) * w**3 + w - 5.0, path)
+    forward, _, _ = integrate_closed(lambda w: 1.0 / w, path)
+    backward, _, _ = integrate_closed(lambda w: 1.0 / w, path[::-1])
     unit = abs(forward - 2j * PI)
     orientation = abs(forward + backward)
     elapsed = time.perf_counter() - started

@@ -360,7 +360,7 @@ def test_pole_distance_overflow_is_typed():
 
 def test_residue_zero_against_circle_oracle():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
-    oracle = residue_by_circle(
+    oracle, _, _ = residue_by_circle(
         lambda zeta: residue_kernel(zeta, p), 0.0, 1.0 / (4.0 * p.N),
         tol=1e-12,
     )
@@ -380,7 +380,7 @@ def test_residue_zero_structure():
 @pytest.mark.parametrize("k", [1, -1, 2])
 def test_residue_imag_against_circle_oracle(k):
     p = DomainPoint(0.5, -0.25, 2.0, 5)
-    oracle = residue_by_circle(
+    oracle, _, _ = residue_by_circle(
         lambda zeta: residue_kernel(zeta, p), 1j * k / p.N, 1.0 / (4.0 * p.N),
         tol=1e-12,
     )
@@ -389,7 +389,7 @@ def test_residue_imag_against_circle_oracle(k):
 
 def test_residue_real_against_circle_oracle():
     p = DomainPoint(0.5, -0.25, 2.0, 5)
-    oracle = residue_by_circle(
+    oracle, _, _ = residue_by_circle(
         lambda zeta: residue_kernel(zeta, p), p.y / p.N, 1.0 / (4.0 * p.N),
         tol=1e-12,
     )
@@ -514,8 +514,17 @@ def test_transformation_residual_general_tau():
 def test_rhombus_integral_matches_the_closed_residue_sum(n):
     # the lemma2 contour check at its point, far below its 1e-8 tolerance
     p = DomainPoint(0.5, -0.25, 2.0, n)
-    value, _ = integrate_closed(lambda zeta: residue_kernel(zeta, p), rhombus_contour(p.y))
+    calls = []
+
+    def kernel(zeta):
+        calls.append(zeta)
+        return residue_kernel(zeta, p)
+
+    value, _, nodes = integrate_closed(kernel, rhombus_contour(p.y))
     assert abs(value - closed_residue_sum(p)) <= 2e-15
+    # the node count returned is the kernel calls made: 516 at lemma2's n = 3
+    assert nodes == len(calls)
+    assert n != 3 or nodes == 516
 
 
 def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
@@ -535,6 +544,15 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
                 if r.check_name.endswith(("_vs_circle", "_theorem_contour")))
     assert len(calls) == nodes == 936
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("suite", ["lemma2", "lemma3"])
+def test_fixed_point_suites_do_not_read_the_seed(suite):
+    from siegeltheta import run_suite
+    from siegeltheta.suites import report_json_line
+
+    lines = [[report_json_line(r) for r in run_suite(suite, seed=seed)] for seed in (0, 12345)]
+    assert lines[0] == lines[1]
 
 
 def test_theorem_reads_the_lambert_terms_lemma1_formed(monkeypatch):
