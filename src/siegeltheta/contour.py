@@ -77,9 +77,8 @@ def _directions(count: int) -> tuple[complex, ...]:
 
 
 def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, what: str):
-    """(estimate, gap, nodes) from nested rules of count, 2 count,
-    4 count, ... intervals; nodes is the number of summands, one call per
-    node.
+    """(estimate, gap, nodes evaluated) from nested rules of count,
+    2 count, 4 count, ... intervals.
 
     nodes(count) is the table of the rule's nodes, in index order, and
     values_at(table) the list of the summands at a table's nodes, in its
