@@ -34,6 +34,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "verify_all_seed42.jsonl": ["verify", "all", "--seed", "42"],
     "verify_all_seed7_count40.jsonl": ["verify", "all", "--seed", "7", "--count", "40"],
+    # fewer poles than lemma2's |k| <= 2 circles, then more
+    "verify_lemma2_n1.jsonl": ["verify", "lemma2", "--n", "1"],
+    "verify_lemma2_n9.jsonl": ["verify", "lemma2", "--n", "9"],
 }
 for _target in ("edge_limit", "reduction_gain", "lambert_tail"):
     for _fmt in ("csv", "json"):
