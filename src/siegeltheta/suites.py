@@ -32,10 +32,7 @@ from .verifier import (
     lambert_terms,
     log_identity_residual,
     log_theta1_lambert,
-    residue_at_zero,
-    residue_imag_pole,
     residue_kernel,
-    residue_real_pole,
     transformation_residual,
 )
 
@@ -168,30 +165,19 @@ def _suite_lemma2(seed, n, tol):
     closed = closed_residue_sum(p)
     breakdown = ResidueBreakdown.compute(p)
     residual = abs(breakdown.total_times_2pi_i - closed)
-    yield _report("lemma2_breakdown_vs_closed_sum", params, residual, tol, 4 * n + 1)
+    poles = 1 + len(breakdown.at_imag) + len(breakdown.at_real)
+    yield _report("lemma2_breakdown_vs_closed_sum", params, residual, tol, poles)
 
-    oracle, _, nodes = residue_by_circle(kernel, 0.0, radius, tol=1e-12)
-    yield _report(
-        "lemma2_residue_zero_vs_circle", params, abs(residue_at_zero(p) - oracle), tol, nodes
-    )
-
-    for k in [k for k in range(-min(n, 2), min(n, 2) + 1) if k != 0]:
-        oracle, _, nodes = residue_by_circle(kernel, 1j * k / p.N, radius, tol=1e-12)
-        yield _report(
-            "lemma2_residue_imag_vs_circle",
-            {"k": k, **params},
-            abs(residue_imag_pole(k, p) - oracle),
-            tol,
-            nodes,
-        )
-        oracle, _, nodes = residue_by_circle(kernel, k * p.y / p.N, radius, tol=1e-12)
-        yield _report(
-            "lemma2_residue_real_vs_circle",
-            {"k": k, **params},
-            abs(residue_real_pole(k, p) - oracle),
-            tol,
-            nodes,
-        )
+    # (check, extra parameters, center, closed-form residue): the pole at 0,
+    # then each pair of poles ik/N and ky/N with |k| <= 2
+    circles = [("lemma2_residue_zero_vs_circle", {}, 0.0, breakdown.at_zero)]
+    for (k, imag), (_, real) in zip(breakdown.at_imag, breakdown.at_real):
+        if abs(k) <= 2:
+            circles.append(("lemma2_residue_imag_vs_circle", {"k": k}, 1j * k / p.N, imag))
+            circles.append(("lemma2_residue_real_vs_circle", {"k": k}, k * p.y / p.N, real))
+    for check, extra, center, residue in circles:
+        oracle, _, nodes = residue_by_circle(kernel, center, radius, tol=1e-12)
+        yield _report(check, {**extra, **params}, abs(residue - oracle), tol, nodes)
 
     value, _, nodes = integrate_closed(kernel, rhombus_contour(p.y), tol=1e-10)
     yield _report("lemma2_residue_theorem_contour", params, abs(value - closed), tol, nodes)
@@ -323,7 +309,7 @@ def sweep_rows(target, start=None, stop=None, steps=None):
         header = ["n", "edge", "t", "a", "b", "y", "residual"]
         rows = []
         for n in range(first, last + 1):
-            p = DomainPoint(0.5, -0.25, 2.0, n)
+            p = DomainPoint(*LEMMA2_POINT, n)
             rows.append([n, "E2", 0.5, p.a, p.b, p.y, edge_limit_residual("E2", 0.5, p)])
         return header, rows
 
@@ -347,9 +333,10 @@ def sweep_rows(target, start=None, stop=None, steps=None):
     if target == "lambert_tail":
         values = _grid(target, start, stop, steps, 1.1, 5.0, geometric=False)
         header = ["y", "a", "b", "eps", "terms", "residual"]
+        a, b, _ = LEMMA2_POINT
         rows = []
         for y in values:
-            p = DomainPoint(0.5, -0.25, y)
+            p = DomainPoint(a, b, y)
             product = _theta1_plain(p.z, complex(0.0, y))
             expanded = cmath.exp(log_theta1_lambert(p))
             residual = abs(expanded - product) / max(1.0, abs(product))

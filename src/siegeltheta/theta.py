@@ -523,7 +523,8 @@ def _evaluate(name: str, z, tau, cfg: EvalConfig | None):
     Re z is reduced before the half-period shift, and terms counts the
     series terms summed at the reduced point."""
     halves, negate = _HALVES[name]
-    value, terms, _ = _theta1_steps(_as_z(z), require_tau(tau), cfg or _DEFAULT_CFG, halves)
+    tau = require_tau(tau)  # before z, as in every (z, tau) entry
+    value, terms, _ = _theta1_steps(_as_z(z), tau, cfg or _DEFAULT_CFG, halves)
     # 0 - value, not -value: a zero part, and an exact zero, keep +0
     return (0.0 - value if negate else value), terms
 

@@ -161,6 +161,15 @@ def test_malformed_argument_raises_domain_error(kind, name, call):
             call(value)
 
 
+@pytest.mark.parametrize("call", [
+    theta1, theta2, theta3, theta4, theta1_reduced, theta1_series, inversion_rhs,
+    product_terms, transformation_residual], ids=lambda call: call.__name__)
+def test_tau_is_checked_before_z(call):
+    # both bad: every (z, tau) entry names tau
+    with pytest.raises(DomainError, match=r"^tau=\(-0-1j\) is not in the upper half-plane$"):
+        call("x", -1j)
+
+
 @pytest.mark.parametrize("call", [residue_imag_pole, residue_real_pole],
                          ids=["residue_imag_pole", "residue_real_pole"])
 def test_pole_index_is_a_nonzero_int(call):

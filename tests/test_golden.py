@@ -113,6 +113,11 @@ def test_cli_output_matches_golden_file(name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_every_golden_file_has_a_case():
+    # a file with no CASES entry would never be compared
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
+
+
 def rewrite(names):
     """Write each named golden file from its CASES argv; reject unknown names."""
     unknown = [name for name in names if name not in CASES]

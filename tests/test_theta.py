@@ -590,6 +590,16 @@ def test_reduced_exact_zero_only_on_the_lattice():
     assert theta3(0.625 + 0.75j + 1e-15, tau) != 0 != theta4(0.125 + 0.75j + 1e-15, tau)
 
 
+def test_off_zero_checks_the_exact_offset_after_its_rounding():
+    # u - n tau rounds to 9.99999999999177e-05 from the zero -2 - 57 tau,
+    # inside _NEAR_ZERO = 1e-4; the exact one is 1.0000000000000190e-4
+    z = 0.3502911747052256 - 0.5865537452963762j
+    tau = -0.04123437907042682 + 0.010289137322872111j
+    assert theta._off_zero(z, tau) == (z, 0j)
+    want = _theta1_plain(z, tau)
+    assert abs(theta1(z, tau) - want) <= 1e-10 * abs(want)
+
+
 def _count_steps(monkeypatch):
     # each S step shifts z by the lattice once, and the series once more
     steps = []
