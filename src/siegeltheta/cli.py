@@ -85,18 +85,21 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     from .suites import report_json_line, run_suite
 
-    reports = run_suite(
-        args.suite,
-        seed=args.seed,
-        count=args.count,
-        tol=args.tol,
-        n=args.n,
-        timing=args.timing,
-    )
-    out = sys.stdout
-    for report in reports:
-        out.write(report_json_line(report) + "\n")
-    return 0 if all(r.passed for r in reports) else 1
+    # one suite at a time, each written as it returns: a suite that raises
+    # keeps the lines of those that ran before it
+    passed = True
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        reports = run_suite(
+            suite,
+            seed=args.seed,
+            count=args.count,
+            tol=args.tol,
+            n=args.n,
+            timing=args.timing,
+        )
+        sys.stdout.write("".join(report_json_line(report) + "\n" for report in reports))
+        passed = passed and all(r.passed for r in reports)
+    return 0 if passed else 1
 
 
 def _cmd_sweep(args) -> int:

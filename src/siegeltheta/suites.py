@@ -153,6 +153,18 @@ def _suite_lemma1(seed, count, tol):
         yield _report("lemma1_log_series_equivalence", params, residual, tol, lambert_terms(p))
 
 
+def _lemma2_circles(p: DomainPoint, breakdown: ResidueBreakdown) -> list:
+    """lemma2's circle checks at p, as (check, extra parameters, center,
+    closed-form residue): the pole at 0, then each pair of poles ik/N and
+    ky/N with |k| <= 2."""
+    circles = [("lemma2_residue_zero_vs_circle", {}, 0.0, breakdown.at_zero)]
+    for (k, imag), (_, real) in zip(breakdown.at_imag, breakdown.at_real):
+        if abs(k) <= 2:
+            circles.append(("lemma2_residue_imag_vs_circle", {"k": k}, 1j * k / p.N, imag))
+            circles.append(("lemma2_residue_real_vs_circle", {"k": k}, k * p.y / p.N, real))
+    return circles
+
+
 def _suite_lemma2(seed, n, tol):
     a, b, y = LEMMA2_POINT
     p = DomainPoint(a, b, y, n)
@@ -168,14 +180,7 @@ def _suite_lemma2(seed, n, tol):
     poles = 1 + len(breakdown.at_imag) + len(breakdown.at_real)
     yield _report("lemma2_breakdown_vs_closed_sum", params, residual, tol, poles)
 
-    # (check, extra parameters, center, closed-form residue): the pole at 0,
-    # then each pair of poles ik/N and ky/N with |k| <= 2
-    circles = [("lemma2_residue_zero_vs_circle", {}, 0.0, breakdown.at_zero)]
-    for (k, imag), (_, real) in zip(breakdown.at_imag, breakdown.at_real):
-        if abs(k) <= 2:
-            circles.append(("lemma2_residue_imag_vs_circle", {"k": k}, 1j * k / p.N, imag))
-            circles.append(("lemma2_residue_real_vs_circle", {"k": k}, k * p.y / p.N, real))
-    for check, extra, center, residue in circles:
+    for check, extra, center, residue in _lemma2_circles(p, breakdown):
         oracle, _, nodes = residue_by_circle(kernel, center, radius, tol=1e-12)
         yield _report(check, {**extra, **params}, abs(residue - oracle), tol, nodes)
 

@@ -114,12 +114,11 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
     @cached_property
     def _kernel(self):
         # residue_kernel at this point, for a finite complex zeta, with its
-        # zeta-free factors bound once; each is grouped as the kernel's
-        # formula associates it, so binding them changes no bit
+        # zeta-free factors bound once
         cap, y = self.N, self.y
-        pi_i_cap, pi_cap, b_scale = _PI * 1j * cap, _PI * cap, -2j * _PI * (cap / y)
-        one_minus_z, two_pi_cap, guard = 1.0 - self.z, _TWO_PI * cap, 1e-12 / cap
-        exp, tan, isfinite = cmath.exp, cmath.tan, cmath.isfinite
+        two_pi_cap, b_scale = _TWO_PI * cap, -2j * _PI * (cap / y)
+        one_minus_z, guard = 1.0 - self.z, 1e-12 / cap
+        exp, isfinite = cmath.exp, cmath.isfinite
 
         def kernel(zeta: complex) -> complex:
             # every pole lies on an axis, and _pole_distance keeps Re zeta and
@@ -128,25 +127,34 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             if abs(zeta.real) < guard or abs(zeta.imag) < guard:
                 if _pole_distance(zeta, cap, y) < guard:
                     raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
+            # with s = 2 pi N zeta, b = -2 pi i (N/y) zeta and a = (1 - z) b,
+            # the kernel is -cot_s cot_b/(8 zeta) + f_s f_b e^a/zeta, where
+            # f_w = 1/(1 - e^w), cot_s = cot(pi i N zeta) = -i (1 - 2 f_s)
+            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  Where Re w > 0,
+            # f_w = -e^-w q with q = 1/(1 - e^-w): that e^-w joins e^a's
+            # exponent and its sign the product's.  As 0 < Re z < 1 and
+            # y > -Im z > 0, the joined exponent's real part is never
+            # positive, and no exponential exceeds 1 in modulus
             try:
-                cot_i, cot_r = 1.0 / tan(pi_i_cap * zeta), 1.0 / tan(pi_cap * zeta / y)
-                first = -cot_i * cot_r / (8.0 * zeta)
-                b = b_scale * zeta
-                a = one_minus_z * b
+                s, b = two_pi_cap * zeta, b_scale * zeta
+                power, sign = one_minus_z * b, 1.0
+                if s.real > 0.0:
+                    e_s = exp(-s)
+                    q_s = 1.0 / (1.0 - e_s)
+                    f_s, power, sign = -e_s * q_s, power - s, -sign
+                else:
+                    f_s = q_s = 1.0 / (1.0 - exp(s))
                 if b.real > 0.0:
-                    ratio = -exp(a - b) / (1.0 - exp(-b))
+                    e_b = exp(-b)
+                    q_b = 1.0 / (1.0 - e_b)
+                    f_b, power, sign = -e_b * q_b, power - b, -sign
                 else:
-                    ratio = exp(a) / (1.0 - exp(b))
-                s = two_pi_cap * zeta
-                if s.real > 0.0:  # 1/(1 - e^s) through e^(-s), which cannot overflow
-                    es = exp(-s)
-                    inv = -es / (1.0 - es)
-                else:
-                    inv = 1.0 / (1.0 - exp(s))
-                value = first + inv * ratio / zeta
+                    f_b = q_b = 1.0 / (1.0 - exp(b))
+                value = ((1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
+                         + sign * q_s * q_b * exp(power) / zeta)
                 if isfinite(value):
                     return value
-            except (OverflowError, ValueError):  # exp: overflow, or an infinite Im part
+            except ValueError:  # exp of an infinite imaginary part
                 pass
             raise OverflowError(_KERNEL_OVERFLOW) from None
 
@@ -307,10 +315,12 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
                / (1-e^(-2 pi i (N/y) zeta))] / zeta
 
     Triple pole at 0, simple poles at ik/N and ky/N for nonzero integer k.
-    Evaluation closer than 1e-12/N to any pole raises PoleProximityError, a
-    non-finite zeta DomainError, and a value or intermediate outside the
-    binary64 range OverflowError.  The zeta-free factors are computed once
-    per DomainPoint.
+    Both cotangents and both fractions are formed from three exponentials,
+    none of modulus above 1 (see DomainPoint._kernel).  Evaluation closer
+    than 1e-12/N to any pole raises PoleProximityError, a non-finite zeta
+    DomainError, and a zeta so large that the nearest pole's index or an
+    exponent leaves the binary64 range OverflowError.  The zeta-free
+    factors are computed once per DomainPoint.
     """
     # both checks inline: the quadrature calls this once per node, with a
     # finite complex zeta

@@ -143,17 +143,26 @@ def _call_order(node, count, last, ends):
 
 
 def _circle_without_reuse(f, center, radius, tol):
-    # every level re-evaluates all of its nodes: the rule before nesting
-    count = 15
-    previous = None
-    for _ in range(17):
+    # every level re-evaluates all of its nodes: the rule before nesting.
+    # It stops at a gap within tol, or where the gap has shrunk by at least
+    # 2^-(M/2) since the last one and the gap times 2^-M is within tol, M
+    # being the coarser rule's node count
+    count = 8
+    previous = last_gap = None
+    for _ in range(18):
         total = 0.0j
         for j in range(count):
             direction = cmath.exp(2j * math.pi * j / count)
             total += f(center + radius * direction) * direction
         approx = total * radius / count
-        if previous is not None and abs(approx - previous) <= tol:
-            return approx, count
+        if previous is not None:
+            gap = abs(approx - previous)
+            if gap <= tol:
+                return approx, count
+            if last_gap is not None and gap <= last_gap * 0.5 ** (count // 4) \
+                    and gap * 0.5 ** (count // 2) <= tol:
+                return approx, count
+            last_gap = gap
         previous = approx
         count *= 2
     raise AssertionError("reference rule did not settle")
@@ -180,11 +189,11 @@ def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
     assert repr(value) == repr(expected) and gap <= tol
     # once per node of the last rule, every node a distinct point, and
     # within each rule in index order; the count returned is the calls made
-    assert returned_nodes == len(nodes) == count > 15
+    assert returned_nodes == len(nodes) == count > 8
     assert len(set(nodes)) == count
     center = complex(center)
     assert nodes == _call_order(
-        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 15, count, 0)
+        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 8, count, 0)
 
 
 def _edge_without_reuse(f, start, end, tol):
@@ -255,9 +264,30 @@ def test_residue_by_circle_stops_at_a_non_finite_estimate():
         calls.append(w)
         return math.nan if w.real < 0 else 1.0 / w
 
-    with pytest.raises(ConvergenceError, match="not finite at 15 nodes"):
+    with pytest.raises(ConvergenceError, match="not finite at 8 nodes"):
         residue_by_circle(f, 0.0, 1.0)
-    assert len(calls) == 15
+    assert len(calls) == 8
+
+
+def test_residue_by_circle_stops_at_the_rate_of_its_radius_contract():
+    # a pole three radii out: the rules err like 3^-M, within the contract's
+    # 2^-M.  The rule of 32 nodes differs from that of 16 by 2.3e-8, at most
+    # 2^-8 of the gap before it, which leaves 2.3e-8 * 2^-16 = 3.5e-13 of
+    # error at most; the gap alone would take the rule of 64
+    value, gap, nodes = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - 3.0), 0.0, 1.0,
+                                          tol=1e-12)
+    assert nodes == 32 and gap > 1e-12
+    assert abs(value - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("pole", [1.5, 1.2, 1.05])
+def test_residue_by_circle_past_its_radius_contract_stops_at_the_gap(pole):
+    # a pole closer than two radii: the gaps shrink slower than 2^-(M/2),
+    # and the decay guard leaves the stop to the gap
+    value, gap, _ = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - pole), 0.0, 1.0,
+                                      tol=1e-12)
+    assert gap <= 1e-12
+    assert abs(value - 1.0) <= 1e-12
 
 
 def test_residue_by_circle_rejects_bad_radius():
@@ -267,10 +297,11 @@ def test_residue_by_circle_rejects_bad_radius():
 
 def test_residue_by_circle_reports_failure():
     # a pole 1e-9 outside the circle stalls the node doubling: the gap
-    # shrinks like (1 + 1e-9)^-n, still far above tol at 983040 nodes
+    # shrinks like (1 + 1e-9)^-n, still far above tol at 1048576 nodes, and
+    # far slower than the 2^-n that the radius contract lets the stop assume
     with pytest.raises(ConvergenceError) as info:
         residue_by_circle(lambda w: 1.0 / (w - (1.0 + 1e-9)), 0.0, 1.0)
-    assert "983040 nodes" in str(info.value)
+    assert "1048576 nodes" in str(info.value)
 
 
 def test_quadrature_config_validation():

@@ -33,7 +33,7 @@ from siegeltheta import (
     theta1,
     transformation_residual,
 )
-from siegeltheta.suites import sample_domain_points, sample_grid
+from siegeltheta.suites import _lemma2_circles, sample_domain_points, sample_grid
 from siegeltheta.verifier import LAMBERT_EPS, _inverted_side_terms
 
 PI = math.pi
@@ -222,34 +222,37 @@ def test_kernel_finite_at_generic_points():
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
-def _cot(w):
-    return 1.0 / cmath.tan(w)
+def _inverse_one_minus_exp(w):
+    # (1/(1 - e^w), q, flipped): where Re w > 0 the first is -e^-w q with
+    # q = 1/(1 - e^-w), and flipped; else it is q = 1/(1 - e^w)
+    if w.real > 0.0:
+        e = cmath.exp(-w)
+        q = 1.0 / (1.0 - e)
+        return -e * q, q, True
+    q = 1.0 / (1.0 - cmath.exp(w))
+    return q, q, False
 
 
-def _inv_one_minus_exp(s):
-    # 1/(1 - e^s) without overflow for Re s >> 0
-    if s.real > 0.0:
-        es = cmath.exp(-s)
-        return -es / (1.0 - es)
-    return 1.0 / (1.0 - cmath.exp(s))
-
-
-def _kernel_as_first_written(zeta, p):
-    # the kernel with every factor recomputed per call through its own
-    # helpers, as it was before the zeta-free factors were bound per DomainPoint
+def _kernel_per_call(zeta, p):
+    # the kernel with every factor recomputed per call:
+    # -cot(pi i N zeta) cot(pi N zeta/y)/(8 zeta) + f_s f_b e^a/zeta, with
+    # f_w = 1/(1 - e^w) and each cotangent -i (1 - 2 f); a flipped f_w is
+    # -e^-w q, and its e^-w joins e^a as one exponential
     zeta = complex(zeta)
     if pole_distance(zeta, p) < 1e-12 / p.N:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
     cap, y, z = p.N, p.y, p.z
-    first = -_cot(PI * 1j * cap * zeta) * _cot(PI * cap * zeta / y) / (8.0 * zeta)
+    s = 2.0 * PI * cap * zeta
     b = -2j * PI * (cap / y) * zeta
-    a = (1.0 - z) * b
-    if b.real > 0.0:
-        ratio = -cmath.exp(a - b) / (1.0 - cmath.exp(-b))
-    else:
-        ratio = cmath.exp(a) / (1.0 - cmath.exp(b))
-    second = _inv_one_minus_exp(2.0 * PI * cap * zeta) * ratio / zeta
-    return first + second
+    a, sign, factors = (1.0 - z) * b, 1.0, []
+    for w in (s, b):
+        f, q, flipped = _inverse_one_minus_exp(w)
+        factors.append((f, q))
+        if flipped:
+            a, sign = a - w, -sign
+    (f_s, q_s), (f_b, q_b) = factors
+    first = (1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
+    return first + sign * q_s * q_b * cmath.exp(a) / zeta
 
 
 def _kernel_outcome(kernel, zeta, p):
@@ -276,7 +279,7 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
             zeta = pole + offset * 10.0 ** rng.uniform(-14.0, -10.0) / p.N
         else:
             zeta = complex(rng.uniform(-1.2, 1.2) * p.y, rng.uniform(-1.2, 1.2))
-        expected = _kernel_outcome(_kernel_as_first_written, zeta, p)
+        expected = _kernel_outcome(_kernel_per_call, zeta, p)
         assert _kernel_outcome(residue_kernel, zeta, p) == expected, (zeta, p)
         poles += expected == "pole"
     assert 100 < poles < 500
@@ -341,7 +344,6 @@ def test_kernel_rejects_non_finite_zeta(zeta):
 @pytest.mark.parametrize(
     "zeta",
     [1e308, -1e308j,  # the nearest pole's index overflows
-     532.3037904003828 + 29.66979061487317j,  # an exponential overflows
      # off both axes, so no index is formed: 2 pi N zeta has an infinite
      # imaginary part, on which cmath.exp raises ValueError
      0.3 + 1e307j, 0.3 + 1e308j],
@@ -351,6 +353,47 @@ def test_kernel_overflow_is_the_documented_error(zeta):
     p = DomainPoint(0.5, -0.25, 2.0, 3)
     with pytest.raises(OverflowError, match="^residue kernel overflowed the binary64 range$"):
         residue_kernel(zeta, p)
+
+
+def test_kernel_answers_where_its_factors_leave_the_binary64_range():
+    # e^a alone overflows at both points; joined with e^-s it does not.
+    # mpmath at 50 digits gives the first value, and -6.1e-50i for the
+    # second, where cot(pi N zeta/y) vanishes and binary64's pi leaves
+    # 1e-14 of it
+    value = residue_kernel(532.3037904003828 + 29.66979061487317j,
+                           DomainPoint(0.5, -0.25, 2.0, 3))
+    expected = 0.00023410101168363143 - 1.3048428594053323e-05j
+    assert abs(value - expected) <= 1e-15 * abs(expected)
+    assert abs(residue_kernel(2 + 0j, DomainPoint(0.5, -0.25, 2.0, 452))) <= 1e-13
+
+
+def test_kernel_matches_mpmath_at_generic_points():
+    # 40-digit cotangents and exponentials of the same binary64 inputs; a
+    # point is generic at a quarter of the pole spacing or more from every
+    # pole, where lemma2's circles run
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = random.Random(20240611)
+    points = [
+        DomainPoint(rng.uniform(0.05, 0.95), -rng.uniform(0.02, 0.45),
+                    rng.uniform(0.5, 4.0), rng.randint(1, 25))
+        for _ in range(40)
+    ]
+    checked = 0
+    while checked < 2000:
+        p = points[checked % len(points)]
+        zeta = complex(rng.uniform(-1.2, 1.2) * p.y, rng.uniform(-1.2, 1.2))
+        if pole_distance(zeta, p) < 0.25 / p.N:
+            continue
+        w, cap, y = mp.mpc(zeta), mp.mpf(p.n) + mp.mpf(0.5), mp.mpf(p.y)
+        b = -2j * mp.pi * (cap / y) * w
+        exact = (-mp.cot(mp.pi * 1j * cap * w) * mp.cot(mp.pi * cap * w / y) / (8 * w)
+                 + mp.exp((1 - mp.mpc(p.a, p.b)) * b)
+                 / ((1 - mp.exp(2 * mp.pi * cap * w)) * (1 - mp.exp(b)) * w))
+        assert abs(residue_kernel(zeta, p) - complex(exact)) <= 1e-13 * abs(complex(exact)), (
+            zeta, p)
+        checked += 1
 
 
 def test_pole_distance_overflow_is_typed():
@@ -542,8 +585,36 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
     reports = run_suite("lemma2", seed=0)
     nodes = sum(r.terms_or_nodes for r in reports
                 if r.check_name.endswith(("_vs_circle", "_theorem_contour")))
-    assert len(calls) == nodes == 936
+    assert len(calls) == nodes == 804
     assert all(r.passed for r in reports)
+
+
+def _circle_gate(ys):
+    # lemma2's circles at radius 1/(4N) and tol 1e-12, on a grid of points;
+    # the worst error against the closed forms, relative to max(1, |residue|)
+    worst = 0.0
+    for y in ys:
+        for n in (1, 3, 10, 100, 451):
+            for a, b in ((0.5, -0.25), (0.1, -0.2), (0.9, -0.29)):
+                p = DomainPoint(a, b, y, n)
+                for _, _, center, residue in _lemma2_circles(p, ResidueBreakdown.compute(p)):
+                    oracle, _, _ = residue_by_circle(
+                        lambda zeta: residue_kernel(zeta, p), center, 1.0 / (4.0 * p.N),
+                        tol=1e-12)
+                    worst = max(worst, abs(oracle - residue) / max(1.0, abs(residue)))
+    return worst
+
+
+def test_lemma2_circles_meet_their_tol():
+    # at y >= 1/2 the radius keeps the contract (at most half the distance
+    # to the next pole), so the circle may stop at the rate it gives.  At
+    # (0.5, -0.25, 0.5, 1) the rules of 15 and 30 nodes used to share their
+    # leading alias, as the poles at +-y/N cancel the even Laurent terms, and
+    # the zero circle stopped 1.6e-11 off with a gap of 1.5e-17
+    assert _circle_gate((0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 4.0)) <= 1e-12
+    # below y = 1/2 the radius breaks the contract: the decay guard must
+    # keep the rate stop from taking a rule that misses tol
+    assert _circle_gate((0.3, 0.4)) <= 1e-12
 
 
 @pytest.mark.parametrize("suite", ["lemma2", "lemma3"])
