@@ -97,7 +97,8 @@ def _cmd_verify(args) -> int:
             n=args.n,
             timing=args.timing,
         )
-        sys.stdout.write("".join(report_json_line(report) + "\n" for report in reports))
+        for report in reports:
+            sys.stdout.write(report_json_line(report) + "\n")
         passed = passed and all(r.passed for r in reports)
     return 0 if passed else 1
 

@@ -92,9 +92,10 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
     rule of M intervals is known to err like rate^M, it also accepts the
     rule of 2M once the last gap is at most the gap before it times
     rate^(M/2), the decay that rate predicts, and the gap times rate^M,
-    the error that decay leaves in the finer rule, is at most tol; with
-    rate 1 that is the first rule alone.  Raises ConvergenceError after
-    `levels` doublings, or at the first estimate that is not finite.
+    the error that decay leaves in the finer rule, is at most tol; at
+    rate 1, the default, that adds nothing to the gap test.  Raises
+    ConvergenceError after `levels` doublings, or at the first estimate
+    that is not finite.
     """
     values = values_at(nodes(count))
     previous, gap = None, math.inf
