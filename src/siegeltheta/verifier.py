@@ -130,28 +130,28 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # with s = 2 pi N zeta, b = -2 pi i (N/y) zeta and a = (1 - z) b,
             # the kernel is -cot_s cot_b/(8 zeta) + f_s f_b e^a/zeta, where
             # f_w = 1/(1 - e^w), cot_s = cot(pi i N zeta) = -i (1 - 2 f_s)
-            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  Where Re w > 0,
-            # f_w = -e^-w q with q = 1/(1 - e^-w): that e^-w joins e^a's
-            # exponent and its sign the product's.  As 0 < Re z < 1 and
-            # y > -Im z > 0, the joined exponent's real part is never
+            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  f_w = g_w, or
+            # where Re w > 0, f_w = e^-w g_w with g_w = 1/(e^-w - 1), and that
+            # e^-w joins e^a's exponent: f_s f_b e^a = g_s g_b e^power.  As
+            # 0 < Re z < 1 and y > -Im z > 0, power's real part is never
             # positive, and no exponential exceeds 1 in modulus
             try:
                 s, b = two_pi_cap * zeta, b_scale * zeta
-                power, sign = one_minus_z * b, 1.0
+                power = one_minus_z * b
                 if s.real > 0.0:
                     e_s = exp(-s)
-                    q_s = 1.0 / (1.0 - e_s)
-                    f_s, power, sign = -e_s * q_s, power - s, -sign
+                    g_s = 1.0 / (e_s - 1.0)
+                    f_s, power = e_s * g_s, power - s
                 else:
-                    f_s = q_s = 1.0 / (1.0 - exp(s))
+                    f_s = g_s = 1.0 / (1.0 - exp(s))
                 if b.real > 0.0:
                     e_b = exp(-b)
-                    q_b = 1.0 / (1.0 - e_b)
-                    f_b, power, sign = -e_b * q_b, power - b, -sign
+                    g_b = 1.0 / (e_b - 1.0)
+                    f_b, power = e_b * g_b, power - b
                 else:
-                    f_b = q_b = 1.0 / (1.0 - exp(b))
+                    f_b = g_b = 1.0 / (1.0 - exp(b))
                 value = ((1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
-                         + sign * q_s * q_b * exp(power) / zeta)
+                         + g_s * g_b * exp(power) / zeta)
                 if isfinite(value):
                     return value
             except ValueError:  # exp of an infinite imaginary part

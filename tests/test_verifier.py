@@ -223,36 +223,33 @@ def test_kernel_finite_at_generic_points():
 
 
 def _inverse_one_minus_exp(w):
-    # (1/(1 - e^w), q, flipped): where Re w > 0 the first is -e^-w q with
-    # q = 1/(1 - e^-w), and flipped; else it is q = 1/(1 - e^w)
+    # (1/(1 - e^w), g, shift): where Re w > 0 the first is e^-w g with
+    # g = 1/(e^-w - 1), and shift is the w that e^a's exponent gives up;
+    # else the first is g = 1/(1 - e^w), and shift is 0
     if w.real > 0.0:
         e = cmath.exp(-w)
-        q = 1.0 / (1.0 - e)
-        return -e * q, q, True
-    q = 1.0 / (1.0 - cmath.exp(w))
-    return q, q, False
+        g = 1.0 / (e - 1.0)
+        return e * g, g, w
+    g = 1.0 / (1.0 - cmath.exp(w))
+    return g, g, 0.0
 
 
 def _kernel_per_call(zeta, p):
     # the kernel with every factor recomputed per call:
     # -cot(pi i N zeta) cot(pi N zeta/y)/(8 zeta) + f_s f_b e^a/zeta, with
-    # f_w = 1/(1 - e^w) and each cotangent -i (1 - 2 f); a flipped f_w is
-    # -e^-w q, and its e^-w joins e^a as one exponential
+    # f_w = 1/(1 - e^w), each cotangent -i (1 - 2 f) and f_s f_b e^a formed
+    # as g_s g_b e^(a - shift_s - shift_b)
     zeta = complex(zeta)
     if pole_distance(zeta, p) < 1e-12 / p.N:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
     cap, y, z = p.N, p.y, p.z
     s = 2.0 * PI * cap * zeta
     b = -2j * PI * (cap / y) * zeta
-    a, sign, factors = (1.0 - z) * b, 1.0, []
-    for w in (s, b):
-        f, q, flipped = _inverse_one_minus_exp(w)
-        factors.append((f, q))
-        if flipped:
-            a, sign = a - w, -sign
-    (f_s, q_s), (f_b, q_b) = factors
+    f_s, g_s, shift_s = _inverse_one_minus_exp(s)
+    f_b, g_b, shift_b = _inverse_one_minus_exp(b)
+    a = (1.0 - z) * b - shift_s - shift_b
     first = (1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
-    return first + sign * q_s * q_b * cmath.exp(a) / zeta
+    return first + g_s * g_b * cmath.exp(a) / zeta
 
 
 def _kernel_outcome(kernel, zeta, p):
@@ -609,8 +606,8 @@ def test_lemma2_circles_meet_their_tol():
     # at y >= 1/2 the radius keeps the contract (at most half the distance
     # to the next pole), so the circle may stop at the rate it gives.  At
     # (0.5, -0.25, 0.5, 1) the rules of 15 and 30 nodes used to share their
-    # leading alias, as the poles at +-y/N cancel the even Laurent terms, and
-    # the zero circle stopped 1.6e-11 off with a gap of 1.5e-17
+    # leading alias, and the zero circle stopped 1.6e-11 off with a gap of
+    # 1.5e-17
     assert _circle_gate((0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 4.0)) <= 1e-12
     # below y = 1/2 the radius breaks the contract: the decay guard must
     # keep the rate stop from taking a rule that misses tol
