@@ -154,7 +154,9 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
                          + g_s * g_b * exp(power) / zeta)
                 if isfinite(value):
                     return value
-            except ValueError:  # exp of an infinite imaginary part
+            except (OverflowError, ValueError):
+                # exp: an infinite imaginary part; or an overflow, as the
+                # joined exponent is not positive in exact arithmetic only
                 pass
             raise OverflowError(_KERNEL_OVERFLOW) from None
 
