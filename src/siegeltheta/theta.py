@@ -571,21 +571,16 @@ _T_FACTORS = (complex(1, 0), complex(_S, _S), complex(0, 1), complex(-_S, _S),
 def inversion_rhs(z, tau) -> complex:
     """Right side of the inversion law: -i (-i tau)^(1/2) e^(pi i z^2/tau) theta1(z, tau).
 
-    An exact zero where theta1(z, tau) is one; OverflowError where the value,
-    or e^(pi i z^2/tau) on its own, leaves the binary64 range.
+    An exact zero where theta1(z, tau) is one; OverflowError where the value
+    leaves the binary64 range.  The principal root joins `_scaled`'s exponent.
     """
     tau = require_tau(tau)
     z = finite_complex(z, "z")
     plain = _theta1_plain(z, tau)
-    if not plain:
-        return 0j
-    try:  # cmath.exp raises where e^(pi i z^2/tau) overflows
-        value = -1j * principal_pow(-1j * tau, 0.5) * cmath.exp(_IPI * z * z / tau) * plain
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise OverflowError("inversion right side overflowed the binary64 range")
+    exponent = 0.5 * cmath.log(-1j * tau) + _IPI * z * z / tau
+    if plain and not cmath.isfinite(exponent):
+        raise OverflowError("inversion right side overflowed the binary64 range")
+    return _scaled(-1j, exponent, plain, "inversion right side")
 
 
 def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:

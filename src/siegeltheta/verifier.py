@@ -29,6 +29,7 @@ import cmath
 import math
 from collections import namedtuple
 from functools import cached_property
+from operator import sub
 
 from .contour import rhombus_contour
 from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_complex,
@@ -228,19 +229,9 @@ def _both_sides(z: complex, y: float, terms: int) -> tuple[list[complex], list[c
     return _lambert_side(1j * z, y, 1.0, terms), _lambert_side(z, 1.0, y, terms)
 
 
-def _added(total: complex, terms) -> complex:
-    # total + terms[0] + terms[1] + ..., left to right
-    for term in terms:
-        total += term
-    return total
-
-
 def _six_sums(tau_side: list[complex], inverted_side: list[complex]) -> complex:
     # the three tau-side sums minus the three inverted-side sums, term by term
-    total = 0.0j
-    for t, v in zip(tau_side, inverted_side):
-        total += t - v
-    return total
+    return sum(map(sub, tau_side, inverted_side), 0j)
 
 
 def _ratio_closed_tail(z: complex, y: float) -> complex:
@@ -259,7 +250,7 @@ def log_theta1_lambert(p: DomainPoint) -> complex:
     """
     _point(p)
     # its own terms, not p._sides: the inverted side may be past the cap
-    return _added(_tau_prefix(p), _lambert_side(1j * p.z, p.y, 1.0, lambert_terms(p)))
+    return sum(_lambert_side(1j * p.z, p.y, 1.0, lambert_terms(p)), _tau_prefix(p))
 
 
 def inversion_log_ratio(p: DomainPoint) -> complex:
@@ -269,8 +260,8 @@ def inversion_log_ratio(p: DomainPoint) -> complex:
     z, y = p.z, p.y
     # log theta1(z/(iy), i/y): the same expansion, prefactor pi z/y - pi/(4y)
     inverted = complex(0.0, -_PI / 2.0) + _PI * z / y - _PI / (4.0 * y)
-    return (_added(_tau_prefix(p), tau_side[:lambert_terms(p)])
-            - _added(inverted, inverted_side[:_inverted_side_terms(p)]))
+    return (sum(tau_side[:lambert_terms(p)], _tau_prefix(p))
+            - sum(inverted_side[:_inverted_side_terms(p)], inverted))
 
 
 def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
@@ -284,6 +275,13 @@ def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
 # ---------------------------------------------------------------------------
 
 _KERNEL_OVERFLOW = "residue kernel overflowed the binary64 range"
+
+
+def _finite(value: complex, what: str) -> complex:
+    # the one range check that ends every closed form below
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{what} overflowed the binary64 range")
+    return value
 
 
 def _pole_distance(zeta: complex, cap: float, y: float) -> float:
@@ -340,7 +338,8 @@ def residue_at_zero(p: DomainPoint) -> complex:
     """
     _point(p)
     z, y = p.z, p.y
-    return 0.125j * (y - 1.0 / y) + 0.5 * z - 0.5j * z * z / y + 0.5j * z / y - 0.25
+    return _finite(0.125j * (y - 1.0 / y) + 0.5 * z - 0.5j * z * z / y + 0.5j * z / y - 0.25,
+                   "residue at 0")
 
 
 def _pole_index(k) -> None:
@@ -349,31 +348,30 @@ def _pole_index(k) -> None:
 
 
 def residue_imag_pole(k: int, p: DomainPoint) -> complex:
-    """Residue at ik/N for nonzero integer k (closed form, N-free)."""
+    """Residue at ik/N for nonzero integer k (closed form, N-free): with
+    t = 2 pi |k|/y, coth(t/2)/(8 pi i |k|) + e^(-t u)/((1 - e^-t) 2 pi i |k|),
+    u = z at k > 0 and 1 - z at k < 0, no exponential above 1 in modulus."""
     _pole_index(k)
     _point(p)
-    z, y = p.z, p.y
-    first = 1.0 / math.tanh(_PI * k / y) / (8j * _PI * k)
-    s = _TWO_PI * k / y
-    if k > 0:
-        second = cmath.exp(-s * z) / (1.0 - math.exp(-s)) / (2j * _PI * k)
-    else:
-        second = -cmath.exp(s * (1.0 - z)) / (1.0 - math.exp(s)) / (2j * _PI * k)
-    return first + second
+    m = abs(k)
+    t = _TWO_PI * m / p.y
+    u = 1.0 - p.z if k < 0 else p.z
+    return _finite(1.0 / math.tanh(0.5 * t) / (8j * _PI * m)
+                   + cmath.exp(-t * u) / -math.expm1(-t) / (2j * _PI * m), "imaginary-axis residue")
 
 
 def residue_real_pole(k: int, p: DomainPoint) -> complex:
-    """Residue at ky/N for nonzero integer k (closed form, N-free)."""
+    """Residue at ky/N for nonzero integer k (closed form, N-free): with
+    t = 2 pi |k| y and x = 2 pi i |k| z, -coth(t/2)/(8 pi i |k|)
+    - e^v/((1 - e^-t) 2 pi i |k|), v = x - t at k > 0 and -x at k < 0."""
     _pole_index(k)
     _point(p)
-    z, y = p.z, p.y
-    first = -1.0 / math.tanh(_PI * k * y) / (8j * _PI * k)
-    s = _TWO_PI * k * y
-    if k > 0:
-        second = -cmath.exp(2j * _PI * k * z - s) / (1.0 - math.exp(-s)) / (2j * _PI * k)
-    else:
-        second = cmath.exp(2j * _PI * k * z) / (1.0 - math.exp(s)) / (2j * _PI * k)
-    return first + second
+    m = abs(k)
+    t = _TWO_PI * m * p.y
+    x = 2j * _PI * m * p.z
+    return _finite(-1.0 / math.tanh(0.5 * t) / (8j * _PI * m)
+                   - cmath.exp(-x if k < 0 else x - t) / -math.expm1(-t) / (2j * _PI * m),
+                   "real-axis residue")
 
 
 class ResidueBreakdown(
@@ -392,7 +390,7 @@ class ResidueBreakdown(
         at_imag = tuple((k, residue_imag_pole(k, p)) for k in ks)
         at_real = tuple((k, residue_real_pole(k, p)) for k in ks)
         total = at_zero + sum(v for _, v in at_imag) + sum(v for _, v in at_real)
-        return cls(at_zero, at_imag, at_real, 2j * _PI * total)
+        return cls(at_zero, at_imag, at_real, _finite(2j * _PI * total, "residue total"))
 
 
 def closed_residue_sum(p: DomainPoint) -> complex:
@@ -405,7 +403,8 @@ def closed_residue_sum(p: DomainPoint) -> complex:
     _point(p)
     z, y = p.z, p.y
     sums = _six_sums(*_both_sides(z, y, p.n))
-    return sums + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI
+    return _finite(sums + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI,
+                   "closed residue sum")
 
 
 # ---------------------------------------------------------------------------
