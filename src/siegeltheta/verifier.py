@@ -145,12 +145,17 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
                     f_s, power = e_s * g_s, power - s
                 else:
                     f_s = g_s = 1.0 / (1.0 - exp(s))
-                if b.real > 0.0:
-                    e_b = exp(-b)
-                    g_b = 1.0 / (e_b - 1.0)
-                    f_b, power = e_b * g_b, power - b
-                else:
-                    f_b = g_b = 1.0 / (1.0 - exp(b))
+                try:
+                    if b.real > 0.0:
+                        e_b = exp(-b)
+                        g_b = 1.0 / (e_b - 1.0)
+                        f_b, power = e_b * g_b, power - b
+                    else:
+                        f_b = g_b = 1.0 / (1.0 - exp(b))
+                except ZeroDivisionError:
+                    # e^b rounded to 1: b is real (Re zeta = 0) and below
+                    # 2^-53 (a large y), where 1/(1 - e^b) is -1/b
+                    f_b = g_b = -1.0 / b
                 value = ((1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
                          + g_s * g_b * exp(power) / zeta)
                 if isfinite(value):
@@ -184,15 +189,18 @@ def _terms_for_rate(rate: float) -> int:
     # smallest M with e^(-2 pi M rate) / (M (1 - e^(-2 pi rate))) < eps,
     # conservatively dropping the helpful 1/M factor
     denom = -math.expm1(-_TWO_PI * rate)
-    terms = max(1, math.ceil(-math.log(LAMBERT_EPS * denom) / (_TWO_PI * rate)))
-    if terms > LAMBERT_MAX_TERMS:
-        achieved = math.exp(-_TWO_PI * LAMBERT_MAX_TERMS * rate) / (LAMBERT_MAX_TERMS * denom)
+    target = LAMBERT_EPS * denom
+    # compared before ceil, which fails on the inf an underflowed target gives
+    length = -math.log(target) / (_TWO_PI * rate) if target else math.inf
+    if not length <= LAMBERT_MAX_TERMS:
+        achieved = (math.exp(-_TWO_PI * LAMBERT_MAX_TERMS * rate) / (LAMBERT_MAX_TERMS * denom)
+                    if target else math.inf)
         raise ConvergenceError(
             f"Lambert tail bound {achieved:.3e} > eps={LAMBERT_EPS:.3e} "
             f"at {LAMBERT_MAX_TERMS} terms",
             achieved=achieved,
         )
-    return terms
+    return max(1, math.ceil(length))
 
 
 def lambert_terms(p: DomainPoint) -> int:
@@ -214,13 +222,14 @@ def _lambert_side(u: complex, h: float, div: float, terms: int) -> list[complex]
     # terms m = 1..terms of one side's three Lambert sums, with s = 2 pi m/div
     # and s h = 2 pi m Im tau:
     # (1/m)/(1-e^(s h)) + (e^(s u)/m)/(1-e^(s h)) + (e^(-s u)/m) e^(s h)/(1-e^(s h)),
-    # rewritten through e^(-s h) so nothing overflows.  The tau side is
-    # (i z, y, 1) and the inverted side (z, 1, y); s = 2 pi m/1.0 is exact.
+    # rewritten through e^(-s h) so nothing overflows, and 1 - e^(-s h)
+    # through expm1 where it cancels.  The tau side is (i z, y, 1) and the
+    # inverted side (z, 1, y); s = 2 pi m/1.0 is exact.
     side = []
     for m in range(1, terms + 1):
         s = _TWO_PI * m / div
         decay = math.exp(-s * h)
-        d = 1.0 - decay
+        d = 1.0 - decay if decay < 0.5 else -math.expm1(-s * h)
         side.append((-decay / d + -cmath.exp(s * (u - h)) / d + -cmath.exp(-s * u) / d) / m)
     return side
 

@@ -684,6 +684,13 @@ def test_reduction_rounding_bound_is_a_convergence_error():
     assert info.value.achieved > 5e-10
 
 
+def test_series_sum_that_rounds_to_zero_off_the_zero_lattice_is_an_underflow():
+    # 1 - w^2 at the smallest subnormal z makes the series' product -0j
+    # though z is not 0: the value is nonzero and has no binary64 digits
+    with pytest.raises(OverflowError, match="^theta1 series underflowed the binary64 range$"):
+        theta1_series(5e-324, 0.1j)
+
+
 def test_overflow_names_the_product():
     with pytest.raises(OverflowError, match="reduced theta1 overflowed the binary64"):
         theta4(0.3 + 300j, 1j)
