@@ -260,8 +260,8 @@ def _theta1_product(z: complex, tau: complex):
 
 
 def _scaled(unit: complex, exponent: complex, prod: complex, what: str) -> complex:
-    """unit e^exponent prod: the one place where theta1 and the plain
-    product decide that a value has left binary64.
+    """unit e^exponent prod: the one place where theta1, the plain product
+    and the inversion right side decide that a value has left binary64.
 
     Where e^exponent is a normal binary64 number the value is formed
     directly, so a plain product keeps its bits; elsewhere, and where that
