@@ -238,15 +238,21 @@ def _theta1_product(z: complex, tau: complex):
     try:  # cmath.exp raises where a factor overflows
         terms = _product_length(-_PI * tau.imag, -_PI * z.imag)
         two_z = 2.0 * z
+        # factor n is (1 - q^(2n)) (1 - w^2 q^(2n)) (1 - w^-2 q^(2n+trail)):
+        # each power is the one before times q^2, the largest at n = 1
+        q2 = cmath.exp(_TWO_IPI * tau)
+        power1 = q2
+        power2 = cmath.exp(_IPI * (2.0 * tau + two_z))
+        power3 = cmath.exp(_IPI * ((2.0 + trail) * tau - two_z))
         prod = 1.0 + 0.0j
-        for n in range(1, terms + 1):
-            two_n = 2.0 * n
-            f1 = 1.0 - cmath.exp(_IPI * two_n * tau)
-            f2 = 1.0 - cmath.exp(_IPI * (two_n * tau + two_z))
-            f3 = 1.0 - cmath.exp(_IPI * ((two_n + trail) * tau - two_z))
+        for _ in range(terms):
+            f1, f2, f3 = 1.0 - power1, 1.0 - power2, 1.0 - power3
             if f1 == 0 or f2 == 0 or f3 == 0:
                 return -1j, 0j, 0j
             prod *= f1 * f2 * f3
+            power1 *= q2
+            power2 *= q2
+            power3 *= q2
         if near:
             prod *= _one_minus_exp(-2.0 * _IPI * z)
         if cmath.isfinite(prod):

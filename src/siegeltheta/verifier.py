@@ -36,7 +36,7 @@ from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_c
                      finite_real, positive_int)
 # the plain product, with no T/S step, so that checking the law does not use
 # it; bound as theta1, the name the benchmark's verify_all trace wraps
-from .theta import _theta1_plain as theta1, inversion_rhs, require_tau
+from .theta import _one_minus_exp, _theta1_plain as theta1, inversion_rhs, require_tau
 
 __all__ = [
     "EDGES",
@@ -119,7 +119,7 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
         cap, y = self.N, self.y
         two_pi_cap, b_scale = _TWO_PI * cap, -2j * _PI * (cap / y)
         one_minus_z, guard = 1.0 - self.z, 1e-12 / cap
-        exp, isfinite = cmath.exp, cmath.isfinite
+        exp, isfinite, one_minus_exp = cmath.exp, cmath.isfinite, _one_minus_exp
 
         def kernel(zeta: complex) -> complex:
             # every pole lies on an axis, and _pole_distance keeps Re zeta and
@@ -131,33 +131,39 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # with s = 2 pi N zeta, b = -2 pi i (N/y) zeta and a = (1 - z) b,
             # the kernel is -cot_s cot_b/(8 zeta) + f_s f_b e^a/zeta, where
             # f_w = 1/(1 - e^w), cot_s = cot(pi i N zeta) = -i (1 - 2 f_s)
-            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  f_w = g_w, or
-            # where Re w > 0, f_w = e^-w g_w with g_w = 1/(e^-w - 1), and that
-            # e^-w joins e^a's exponent: f_s f_b e^a = g_s g_b e^power.  As
-            # 0 < Re z < 1 and y > -Im z > 0, power's real part is never
-            # positive, and no exponential exceeds 1 in modulus
+            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  Take E_w = e^w
+            # and g_w = 1/(1 - E_w), or where Re w > 0, E_w = e^-w and
+            # g_w = 1/(E_w - 1); then f_w = g_w or e^-w g_w, that e^-w joins
+            # e^a's exponent, f_s f_b e^a = g_s g_b e^power, and in both
+            # branches 1 - 2 f_w = -(1 + E_w) g_w, so the kernel is
+            # g_s g_b ((1 + E_s)(1 + E_b)/8 + e^power)/zeta.  As 0 < Re z < 1
+            # and y > -Im z > 0, power's real part is never positive, and no
+            # exponential exceeds 1 in modulus.  1 - E_b cancels where b is
+            # small (a large y), and is formed by expm1 there; lemma2's nodes
+            # at y = 2 have |b| >= 0.78, and so |1 - E_b| >= 0.54: none does
             try:
                 s, b = two_pi_cap * zeta, b_scale * zeta
                 power = one_minus_z * b
                 if s.real > 0.0:
                     e_s = exp(-s)
                     g_s = 1.0 / (e_s - 1.0)
-                    f_s, power = e_s * g_s, power - s
+                    power -= s
                 else:
-                    f_s = g_s = 1.0 / (1.0 - exp(s))
-                try:
-                    if b.real > 0.0:
-                        e_b = exp(-b)
-                        g_b = 1.0 / (e_b - 1.0)
-                        f_b, power = e_b * g_b, power - b
-                    else:
-                        f_b = g_b = 1.0 / (1.0 - exp(b))
-                except ZeroDivisionError:
-                    # e^b rounded to 1: b is real (Re zeta = 0) and below
-                    # 2^-53 (a large y), where 1/(1 - e^b) is -1/b
-                    f_b = g_b = -1.0 / b
-                value = ((1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
-                         + g_s * g_b * exp(power) / zeta)
+                    e_s = exp(s)
+                    g_s = 1.0 / (1.0 - e_s)
+                # 1/g_b, formed by expm1 where it cancels
+                if b.real > 0.0:
+                    e_b = exp(-b)
+                    power -= b
+                    d_b = e_b - 1.0
+                    if abs(d_b) < _CANCELS:
+                        d_b = -one_minus_exp(-b)
+                else:
+                    e_b = exp(b)
+                    d_b = 1.0 - e_b
+                    if abs(d_b) < _CANCELS:
+                        d_b = one_minus_exp(b)
+                value = g_s / d_b * ((1.0 + e_s) * (1.0 + e_b) * 0.125 + exp(power)) / zeta
                 if isfinite(value):
                     return value
             except (OverflowError, ValueError):
@@ -222,15 +228,23 @@ def _lambert_side(u: complex, h: float, div: float, terms: int) -> list[complex]
     # terms m = 1..terms of one side's three Lambert sums, with s = 2 pi m/div
     # and s h = 2 pi m Im tau:
     # (1/m)/(1-e^(s h)) + (e^(s u)/m)/(1-e^(s h)) + (e^(-s u)/m) e^(s h)/(1-e^(s h)),
-    # rewritten through e^(-s h) so nothing overflows, and 1 - e^(-s h)
-    # through expm1 where it cancels.  The tau side is (i z, y, 1) and the
-    # inverted side (z, 1, y); s = 2 pi m/1.0 is exact.
+    # rewritten through e^(-s h) as -(e^(-s h) + e^(s (u-h)) + e^(-s u))/(m (1 - e^(-s h)))
+    # so nothing overflows, and 1 - e^(-s h) through expm1 where it cancels.
+    # The three exponentials are the m-th powers of their values at m = 1,
+    # each below 1 in modulus in the domain, so term m takes one product
+    # each from term m - 1's.  The tau side is (i z, y, 1) and the inverted
+    # side (z, 1, y); s = 2 pi m/1.0 is exact.
+    step = _TWO_PI / div
+    decay_ratio = math.exp(-step * h)
+    rise_ratio, fall_ratio = cmath.exp(step * (u - h)), cmath.exp(-step * u)
+    decay, rise, fall = decay_ratio, rise_ratio, fall_ratio
     side = []
     for m in range(1, terms + 1):
-        s = _TWO_PI * m / div
-        decay = math.exp(-s * h)
-        d = 1.0 - decay if decay < 0.5 else -math.expm1(-s * h)
-        side.append((-decay / d + -cmath.exp(s * (u - h)) / d + -cmath.exp(-s * u) / d) / m)
+        d = 1.0 - decay if decay < 0.5 else -math.expm1(-(_TWO_PI * m / div) * h)
+        side.append(-(decay + rise + fall) / (m * d))
+        decay *= decay_ratio
+        rise *= rise_ratio
+        fall *= fall_ratio
     return side
 
 
@@ -284,6 +298,9 @@ def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
 # ---------------------------------------------------------------------------
 
 _KERNEL_OVERFLOW = "residue kernel overflowed the binary64 range"
+# the kernel forms 1 - E_b by expm1 where its modulus is below this: above
+# it, the subtraction loses at most a rounding or two
+_CANCELS = 0.5
 
 
 def _finite(value: complex, what: str) -> complex:
@@ -343,11 +360,13 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
 def residue_at_zero(p: DomainPoint) -> complex:
     """Residue at the triple pole: i(y - 1/y)/8 + z/2 - i z^2/(2y) + i z/(2y) - 1/4.
 
-    Carries no N, hence no dependence on p.n.
+    Carries no N, hence no dependence on p.n.  z^2/y is formed as z (z/y):
+    as y > |Im z| and 0 < Re z < 1, |z/y| is at most about 1 where z is
+    large, so that product is in range wherever the residue is.
     """
     _point(p)
     z, y = p.z, p.y
-    return _finite(0.125j * (y - 1.0 / y) + 0.5 * z - 0.5j * z * z / y + 0.5j * z / y - 0.25,
+    return _finite(0.125j * (y - 1.0 / y) + 0.5 * z - 0.5j * z * (z / y) + 0.5j * z / y - 0.25,
                    "residue at 0")
 
 
@@ -474,10 +493,16 @@ def transformation_residual(z, tau) -> float:
     """Relative gap between theta1(z/tau, -1/tau) and the inversion right side.
 
     Normalized by max(1, |rhs|); works for general tau in the upper
-    half-plane, not only tau = iy.
+    half-plane, not only tau = iy.  OverflowError, naming the inverted
+    point, where z/tau or -1/tau is not finite or Im(-1/tau) underflows.
     """
     tau = require_tau(tau)
     z = finite_complex(z, "z")
     rhs = inversion_rhs(z, tau)
-    lhs = theta1(z / tau, -1.0 / tau)
+    inverted_z, inverted_tau = z / tau, -1.0 / tau
+    if not (inverted_tau.imag > 0.0 and cmath.isfinite(inverted_z)
+            and cmath.isfinite(inverted_tau)):
+        raise OverflowError(f"inverted point (z/tau, -1/tau) = ({inverted_z!r}, "
+                            f"{inverted_tau!r}) left the binary64 range")
+    lhs = theta1(inverted_z, inverted_tau)
     return abs(lhs - rhs) / max(1.0, abs(rhs))

@@ -244,6 +244,36 @@ def test_edge_quadrature_reuses_nodes_bit_for_bit(f, start, end, tol):
         lambda j, n: mid + half * math.cos(math.pi * j / n), 16, count - 1, 1)
 
 
+@pytest.mark.parametrize(
+    "f,vertices,tol",
+    [
+        (lambda w: 1.0 / w, rhombus_contour(2.0), 1e-10),
+        (lambda w: cmath.exp(w) / (w - (0.3 + 0.3j)), (0j, 1 + 0j, 1 + 1j, 0.5j), 1e-12),
+        (lambda w: w**3 - 1j * w, (0.5 - 1j, 1.5 + 0.5j, -0.5 + 1j), 1e-12),
+    ],
+)
+def test_closed_quadrature_reuses_vertex_values_bit_for_bit(f, vertices, tol):
+    # each edge on its own, with both its ends; at these vertices an edge's
+    # end nodes mid +- half are the vertices themselves, bit for bit
+    edges = [integrate_edge(f, a, b, tol) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    expected = 0.0j
+    for value, _, _ in edges:
+        expected += value
+    nodes = []
+
+    def counted(w):
+        nodes.append(w)
+        return f(w)
+
+    value, err, returned_nodes = integrate_closed(counted, vertices, tol)
+    assert repr(value) == repr(expected) and err == sum(gap for _, gap, _ in edges)
+    # once per vertex, which ends one edge and starts the next, and once per
+    # other node of each edge's last rule; the count returned is the calls
+    assert returned_nodes == len(nodes) == len(set(nodes))
+    assert returned_nodes == sum(count for _, _, count in edges) - len(vertices)
+    assert nodes[:len(vertices)] == list(vertices)
+
+
 def test_edge_quadrature_stops_at_a_non_finite_integrand():
     for value in (math.nan, math.inf, complex(0.0, -math.inf)):
         calls = []

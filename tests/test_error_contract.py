@@ -5,7 +5,8 @@ PoleProximityError, on arguments from the subnormal range to 1e300.
 A seeded draw calls each replay entry; no hypothesis, so the gate is the
 same on every run and takes well under a second.  The named cases below
 are points where an entry used to leak a ValueError, a ZeroDivisionError or
-a NaN; where they answer, they are checked against mpmath.
+a NaN, or raised an error that named the wrong point or refused a value in
+range; where they answer, they are checked against mpmath.
 """
 
 import cmath
@@ -128,10 +129,11 @@ FLAT = DomainPoint(1e-300, -0.25, 1e30)  # the inverted side's rate a/y underflo
     (lambda: inversion_rhs(9.539244166519702e+265 - 2.290611591617558j,
                            8.308145596475298e+63 + 1.0709004573895002j),
      OverflowError, "^inversion right side overflowed the binary64 range$"),
-    # z^2 overflows; the value, about 8e288i, is not formed
-    (lambda: residue_at_zero(DomainPoint(0.97095088934662, -4.195108307611371e+288,
-                                         6.640907113846415e+289, 5)),
-     OverflowError, "^residue at 0 overflowed the binary64 range$"),
+    # Im(-1/tau) underflows: the error names the inverted point, not the
+    # caller's tau
+    (lambda: transformation_residual(0.3, 1e200 + 1j), OverflowError,
+     r"^inverted point \(z/tau, -1/tau\) = \(\(3e-201-0j\), \(-1e-200\+0j\)\) "
+     "left the binary64 range$"),
     # coth(pi y)/(8 pi) is about 5e318
     (lambda: residue_real_pole(1, SUBNORMAL_Y),
      OverflowError, "^real-axis residue overflowed the binary64 range$"),
@@ -195,3 +197,9 @@ def test_named_cases_that_answer_match_mpmath():
                 + mpmath.exp((1 - zm) * b) / (1 - mpmath.exp(2 * pi * cap * zeta))
                 / (1 - mpmath.exp(b)) / zeta)
         close(residue_kernel(zeta, p), want, 1e-14)
+
+        # z^2 overflows, but z (z/y) does not: the residue is about 6.3e288i
+        p = DomainPoint(0.97095088934662, -4.195108307611371e+288, 6.640907113846415e+289, 5)
+        zm, y = mpc(p.z), mpmath.mpf(p.y)
+        close(residue_at_zero(p), 1j * (y - 1 / y) / 8 + zm / 2 - 1j * zm * zm / (2 * y)
+              + 1j * zm / (2 * y) - mpmath.mpf(1) / 4, 1e-15)

@@ -14,10 +14,20 @@ Run as a script to rewrite golden files from the current code, only those
 named on the command line:
 
     PYTHONPATH=src python tests/test_golden.py eval_reduce_t_step.txt
+
+or, with --compare, to print how the current output differs from the named
+files, writing nothing: each record that differs (a line of a .jsonl or
+.txt file, a data row of a .csv file, an element of a .json file), its
+fields that differ with their old and new values, and for each numeric
+field that moved its largest change and its largest value before and after:
+
+    PYTHONPATH=src python tests/test_golden.py --compare verify_lemma2_n1.jsonl
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
 import random
 import sys
@@ -118,18 +128,92 @@ def test_every_golden_file_has_a_case():
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
 
 
-def rewrite(names):
-    """Write each named golden file from its CASES argv; reject unknown names."""
+def _known(names, what):
+    # every name is checked before any file is read or written
     unknown = [name for name in names if name not in CASES]
     if unknown or not names:
         sys.exit(f"unknown golden files: {' '.join(unknown)}" if unknown
-                 else "name the golden files to rewrite")
+                 else f"name the golden files to {what}")
+
+
+def _current(name):
+    code, out = _output(CASES[name])
+    if code != 0:
+        sys.exit(f"{name}: siegeltheta exited {code}")
+    return out
+
+
+def rewrite(names):
+    """Write each named golden file from its CASES argv; reject unknown names."""
+    _known(names, "rewrite")
     for name in names:
-        code, out = _output(CASES[name])
-        if code != 0:
-            sys.exit(f"{name}: siegeltheta exited {code}")
-        (GOLDEN / name).write_text(out, encoding="utf-8")
+        (GOLDEN / name).write_text(_current(name), encoding="utf-8")
         print(f"rewrote {name}")
+
+
+def _flat(row, prefix=""):
+    # a record's fields, nested keys joined by dots
+    fields = {}
+    for key, value in row.items():
+        if isinstance(value, dict):
+            fields.update(_flat(value, f"{prefix}{key}."))
+        else:
+            fields[prefix + key] = value
+    return fields
+
+
+def _records(name, text):
+    if name.endswith(".jsonl"):
+        rows = [json.loads(line) for line in text.splitlines()]
+    elif name.endswith(".json"):
+        rows = json.loads(text)
+    elif name.endswith(".csv"):
+        rows = list(csv.DictReader(io.StringIO(text)))
+    else:
+        rows = [{"line": line} for line in text.splitlines()]
+    return [_flat(row) for row in rows]
+
+
+def _number(value):
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(names):
+    """Print how the current output differs from each named golden file,
+    field by field; write nothing.  Reject unknown names."""
+    _known(names, "compare")
+    for name in names:
+        old = _records(name, (GOLDEN / name).read_text(encoding="utf-8"))
+        new = _records(name, _current(name))
+        differ = 0
+        largest = {}  # field -> (|new - old|, record, old, new), where it moved
+        tops = {}  # numeric field -> (its largest value before, now)
+        for index, (before, after) in enumerate(zip(old, new), 1):
+            fields = [key for key in sorted(before.keys() | after.keys())
+                      if before.get(key) != after.get(key)]
+            if fields:
+                differ += 1
+                print(f"{name} record {index}: " + ", ".join(
+                    f"{key} {before.get(key)!r} -> {after.get(key)!r}" for key in fields))
+            for key in before.keys() & after.keys():
+                x, y = _number(before[key]), _number(after[key])
+                if x is None or y is None:
+                    continue
+                top_old, top_new = tops.get(key, (x, y))
+                tops[key] = (max(top_old, x), max(top_new, y))
+                if x != y and abs(y - x) > largest.get(key, (-1.0,))[0]:
+                    largest[key] = (abs(y - x), index, x, y)
+        if len(old) != len(new):
+            print(f"{name}: {len(old)} records before, {len(new)} now")
+        print(f"{name}: {differ} of {len(old)} records differ")
+        for key, (change, index, x, y) in sorted(largest.items()):
+            print(f"{name}: largest change in {key} {change:.3g} at record {index} "
+                  f"({x!r} -> {y!r}); largest {key} {tops[key][0]!r} -> {tops[key][1]!r}")
 
 
 def test_rewrite_rejects_unknown_names_before_writing():
@@ -138,5 +222,36 @@ def test_rewrite_rejects_unknown_names_before_writing():
         rewrite(["eval_reduce_t_step.txt", "bogus.txt"])
 
 
+def test_compare_prints_the_fields_that_differ_and_writes_nothing(tmp_path, monkeypatch,
+                                                                  capsys):
+    # a copy of the current output with one record changed
+    name = "verify_lemma2_n1.jsonl"
+    lines = _current(name).splitlines(keepends=True)
+    largest = max(json.loads(line)["residual"] for line in lines)
+    record = json.loads(lines[1])
+    residual = record["residual"]
+    record["residual"], record["terms_or_nodes"] = 1e-3, 7
+    lines[1] = json.dumps(record) + "\n"
+    (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+    before = (tmp_path / name).read_bytes()
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    compare([name])
+    out = capsys.readouterr().out.splitlines()
+    assert (tmp_path / name).read_bytes() == before
+    assert out == [
+        f"{name} record 2: residual 0.001 -> {residual!r}, terms_or_nodes 7 -> 32",
+        f"{name}: 1 of {len(lines)} records differ",
+        f"{name}: largest change in residual {abs(residual - 1e-3):.3g} at record 2 "
+        f"(0.001 -> {residual!r}); largest residual 0.001 -> {largest!r}",
+        f"{name}: largest change in terms_or_nodes 25 at record 2 (7.0 -> 32.0); "
+        "largest terms_or_nodes 512.0 -> 512.0",
+    ]
+    with pytest.raises(SystemExit, match="^unknown golden files: bogus.txt$"):
+        compare([name, "bogus.txt"])
+
+
 if __name__ == "__main__":
-    rewrite(sys.argv[1:])
+    if sys.argv[1:2] == ["--compare"]:
+        compare(sys.argv[2:])
+    else:
+        rewrite(sys.argv[1:])

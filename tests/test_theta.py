@@ -214,6 +214,26 @@ def test_plain_product_forms_a_subnormal_value_through_its_log():
     assert abs(_theta1_plain(0.3, 905j) - want) <= 1e-12 * want
 
 
+def test_plain_product_keeps_its_accuracy_over_long_products():
+    # every factor's powers of q^2 are products of the ones before: at
+    # Im tau = 3e-3 that is 1,736 factors.  The bound is the worst error the
+    # earlier form, three exps per factor, made on this draw (2.599e-13);
+    # near the real axis the rounding of tau and z, which both forms share,
+    # sets it.  References from perfbench/reference.py
+    reference = pytest.importorskip("perfbench.reference")
+    rng = random.Random(20261020)
+    worst, longest = 0.0, 0
+    for index in range(40):
+        im = 3e-3 if index < 4 else 10.0 ** rng.uniform(math.log10(3e-3), math.log10(3e-2))
+        tau = complex(rng.uniform(-0.5, 0.5), im)
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * im)
+        want = reference.theta_reference("theta1", z, tau).value
+        worst = max(worst, abs(_theta1_plain(z, tau) - want) / abs(want))
+        longest = max(longest, product_terms(z, tau))
+    assert longest == 1736
+    assert worst <= 2.59e-13
+
+
 def test_transformation_law_on_grid():
     for z, tau in sample_grid(25, seed=3):
         rhs = inversion_rhs(z, tau)

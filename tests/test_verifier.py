@@ -34,7 +34,8 @@ from siegeltheta import (
     transformation_residual,
 )
 from siegeltheta.suites import _lemma2_circles, sample_domain_points, sample_grid
-from siegeltheta.verifier import LAMBERT_EPS, _inverted_side_terms
+from siegeltheta.theta import _one_minus_exp
+from siegeltheta.verifier import LAMBERT_EPS, LAMBERT_MAX_TERMS, _both_sides, _inverted_side_terms
 
 PI = math.pi
 
@@ -121,46 +122,52 @@ def test_phi_arrangements_agree_on_seeded_points():
 
 
 def _lambert_as_first_written(p, sums):
-    # the sums with one call per term, each term formed on its own, as they
-    # were before the points shared their Lambert terms between arrangements;
-    # sums names the function to rebuild
-    def term(m, s, u, h):
-        decay = math.exp(-s * h)
-        d = 1.0 - decay
-        t1 = -decay / d
-        t2 = -cmath.exp(s * (u - h)) / d
-        t3 = -cmath.exp(-s * u) / d
-        return (t1 + t2 + t3) / m
+    # the sums with each side's terms formed afresh for every sum, as they
+    # were before the points shared their Lambert terms between arrangements:
+    # term m is -(e^(-s h) + e^(s (u-h)) + e^(-s u))/(m (1 - e^(-s h))),
+    # s = 2 pi m/div, each exponential the one of term m - 1 times its value
+    # at m = 1; sums names the function to rebuild
+    def side(u, h, div, count):
+        step = 2.0 * PI / div
+        decay_ratio = math.exp(-step * h)
+        rise_ratio, fall_ratio = cmath.exp(step * (u - h)), cmath.exp(-step * u)
+        decay, rise, fall = decay_ratio, rise_ratio, fall_ratio
+        terms = []
+        for m in range(1, count + 1):
+            assert decay < 0.5  # these points never take the expm1 branch
+            terms.append(-(decay + rise + fall) / (m * (1.0 - decay)))
+            decay, rise, fall = decay * decay_ratio, rise * rise_ratio, fall * fall_ratio
+        return terms
 
-    def tau_term(m):
-        return term(m, 2.0 * PI * m, 1j * z, y)
+    def tau_terms(count):
+        return side(1j * z, y, 1.0, count)
 
-    def inverted_term(m):
-        return term(m, 2.0 * PI * m / y, z, 1.0)
+    def inverted_terms(count):
+        return side(z, 1.0, y, count)
 
-    def six_sums(terms):
+    def six_sums(count):
         total = 0.0j
-        for m in range(1, terms + 1):
-            total += tau_term(m) - inverted_term(m)
+        for tau_term, inverted_term in zip(tau_terms(count), inverted_terms(count)):
+            total += tau_term - inverted_term
         return total
 
     z, y = p.z, p.y
     tail = -PI * z / y + 1j * PI * z - (PI / 4.0) * (y - 1.0 / y)
     tau_log = complex(0.0, -PI / 2.0) + 1j * PI * z - PI * y / 4.0
-    for m in range(1, lambert_terms(p) + 1):
-        tau_log += tau_term(m)
+    for tau_term in tau_terms(lambert_terms(p)):
+        tau_log += tau_term
     if sums is log_theta1_lambert:
         return tau_log
     if sums is closed_residue_sum:
         return six_sums(p.n) + tail + PI * z * z / y - 0.5j * PI
-    inverted_terms = _inverted_side_terms(p)
+    inverted_count = _inverted_side_terms(p)
     if sums is inversion_log_ratio:
         inverted_log = complex(0.0, -PI / 2.0) + PI * z / y - PI / (4.0 * y)
-        for m in range(1, inverted_terms + 1):
-            inverted_log += inverted_term(m)
+        for inverted_term in inverted_terms(inverted_count):
+            inverted_log += inverted_term
         return tau_log - inverted_log
     assert sums is inversion_log_ratio_lambert
-    return six_sums(max(lambert_terms(p), inverted_terms)) + tail
+    return six_sums(max(lambert_terms(p), inverted_count)) + tail
 
 
 def test_lambert_sums_match_their_per_term_formula_bit_for_bit():
@@ -178,6 +185,42 @@ def test_lambert_sums_match_their_per_term_formula_bit_for_bit():
             # on a fresh point, and on p, whose terms the earlier sums formed
             for fresh in (p._replace(), p):
                 assert repr(sums(fresh)) == repr(_lambert_as_first_written(p, sums)), (sums, p)
+
+
+def test_lambert_sides_keep_their_accuracy_near_the_term_cap():
+    # term m's exponentials are the m-th powers of three ratios, by one
+    # product each from term m - 1's; here the sides run to up to 3,960 of
+    # the LAMBERT_MAX_TERMS = 4000 terms.  The reference is each side's
+    # three sums at 30 digits for the same binary64 point; the bound is the
+    # worst error the earlier form, three exps per term, made on this draw
+    # (4.339e-15), relative to max(1, |sum|)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261020)
+    worst, longest = 0.0, 0
+    for index in range(4):
+        rate = 10.0 ** rng.uniform(math.log10(0.00138), math.log10(0.00145))
+        if index % 2 == 0:  # the tau side is the long one
+            p = DomainPoint(rng.uniform(0.05, 0.95), -rate, rng.uniform(0.5, 3.0))
+        else:  # the inverted side, at a near 0 or near 1
+            y = rng.uniform(1.0, 3.0)
+            a = rate * y if index == 1 else 1.0 - rate * y
+            p = DomainPoint(a, -rng.uniform(0.05, 0.45), y)
+        terms = max(lambert_terms(p), _inverted_side_terms(p))
+        longest = max(longest, terms)
+        for side, (u, h, div) in zip(_both_sides(p.z, p.y, terms),
+                                     ((1j * p.z, p.y, 1.0), (p.z, 1.0, p.y))):
+            with mpmath.workdps(30):
+                step = 2 * mpmath.pi / div
+                ratios = (mpmath.exp(-step * h), mpmath.exp(step * (mpmath.mpc(u) - h)),
+                          mpmath.exp(-step * mpmath.mpc(u)))
+                powers, want = ratios, mpmath.mpc(0)
+                for m in range(1, terms + 1):
+                    want -= sum(powers) / (m * (1 - powers[0]))
+                    powers = [power * ratio for power, ratio in zip(powers, ratios)]
+                want = complex(want)
+            worst = max(worst, abs(sum(side, 0j) - want) / max(1.0, abs(want)))
+    assert 3900 < longest < LAMBERT_MAX_TERMS
+    assert worst <= 4.3e-15
 
 
 def test_shared_lambert_terms_do_not_widen_failures():
@@ -222,34 +265,33 @@ def test_kernel_finite_at_generic_points():
         assert math.isfinite(value.real) and math.isfinite(value.imag)
 
 
-def _inverse_one_minus_exp(w):
-    # (1/(1 - e^w), g, shift): where Re w > 0 the first is e^-w g with
-    # g = 1/(e^-w - 1), and shift is the w that e^a's exponent gives up;
-    # else the first is g = 1/(1 - e^w), and shift is 0
+def _exp_and_difference(w):
+    # (E, D, shift): E = e^w and D = 1 - E, or where Re w > 0, E = e^-w and
+    # D = E - 1, shift being the w that e^a's exponent gives up there
     if w.real > 0.0:
         e = cmath.exp(-w)
-        g = 1.0 / (e - 1.0)
-        return e * g, g, w
-    g = 1.0 / (1.0 - cmath.exp(w))
-    return g, g, 0.0
+        return e, e - 1.0, w
+    e = cmath.exp(w)
+    return e, 1.0 - e, 0.0
 
 
 def _kernel_per_call(zeta, p):
     # the kernel with every factor recomputed per call:
-    # -cot(pi i N zeta) cot(pi N zeta/y)/(8 zeta) + f_s f_b e^a/zeta, with
-    # f_w = 1/(1 - e^w), each cotangent -i (1 - 2 f) and f_s f_b e^a formed
-    # as g_s g_b e^(a - shift_s - shift_b)
+    # ((1 + E_s)(1 + E_b)/8 + e^(a - shift_s - shift_b))/(D_s D_b zeta), the
+    # two divisions by D_s and D_b taken one at a time, and D_b formed by
+    # expm1 where it is below 1/2 in modulus
     zeta = complex(zeta)
     if pole_distance(zeta, p) < 1e-12 / p.N:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
     cap, y, z = p.N, p.y, p.z
     s = 2.0 * PI * cap * zeta
     b = -2j * PI * (cap / y) * zeta
-    f_s, g_s, shift_s = _inverse_one_minus_exp(s)
-    f_b, g_b, shift_b = _inverse_one_minus_exp(b)
+    e_s, d_s, shift_s = _exp_and_difference(s)
+    e_b, d_b, shift_b = _exp_and_difference(b)
+    if abs(d_b) < 0.5:
+        d_b = -_one_minus_exp(-b) if b.real > 0.0 else _one_minus_exp(b)
     a = (1.0 - z) * b - shift_s - shift_b
-    first = (1.0 - 2.0 * f_s) * (1.0 - 2.0 * f_b) / (8.0 * zeta)
-    return first + g_s * g_b * cmath.exp(a) / zeta
+    return 1.0 / d_s / d_b * ((1.0 + e_s) * (1.0 + e_b) * 0.125 + cmath.exp(a)) / zeta
 
 
 def _kernel_outcome(kernel, zeta, p):
@@ -266,7 +308,7 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
                     rng.uniform(0.5, 4.0), rng.randint(1, 25))
         for _ in range(40)
     ]
-    poles = 0
+    poles = cancels = 0
     for index in range(2000):
         p = points[index % len(points)]
         if index % 4 == 0:  # around a pole, some within the 1e-12/N guard
@@ -279,7 +321,9 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
         expected = _kernel_outcome(_kernel_per_call, zeta, p)
         assert _kernel_outcome(residue_kernel, zeta, p) == expected, (zeta, p)
         poles += expected == "pole"
+        cancels += abs(_exp_and_difference(-2j * PI * (p.N / p.y) * zeta)[1]) < 0.5
     assert 100 < poles < 500
+    assert 100 < cancels < 1900  # both forms of D_b are reached
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
@@ -391,6 +435,25 @@ def test_kernel_matches_mpmath_at_generic_points():
         assert abs(residue_kernel(zeta, p) - complex(exact)) <= 1e-13 * abs(complex(exact)), (
             zeta, p)
         checked += 1
+
+
+@pytest.mark.parametrize("y", [2.0, 1e6, 1e10, 1e12, 1e14, 1e20])
+def test_kernel_keeps_its_accuracy_at_a_large_y(y):
+    # b = -2 pi i (N/y) zeta is small here, and 1 - e^b cancels unless it
+    # is formed by expm1: as a difference it was 4e-4 off at y = 1e14
+    mpmath = pytest.importorskip("mpmath")
+    p = DomainPoint(0.5, -0.25, y, 3)
+    with mpmath.workdps(50):
+        cap, y_mp = mpmath.mpf(p.N), mpmath.mpf(y)
+        for zeta in (0.3j, 0.2 + 0.3j, -0.1 - 0.25j):
+            w = mpmath.mpc(zeta)
+            b = -2j * mpmath.pi * (cap / y_mp) * w
+            exact = complex(
+                -mpmath.cot(mpmath.pi * 1j * cap * w) * mpmath.cot(mpmath.pi * cap * w / y_mp)
+                / (8 * w)
+                + mpmath.exp((1 - mpmath.mpc(p.z)) * b)
+                / ((1 - mpmath.exp(2 * mpmath.pi * cap * w)) * (1 - mpmath.exp(b)) * w))
+            assert abs(residue_kernel(zeta, p) - exact) <= 1e-13 * abs(exact), zeta
 
 
 def test_pole_distance_overflow_is_typed():
@@ -562,9 +625,10 @@ def test_rhombus_integral_matches_the_closed_residue_sum(n):
 
     value, _, nodes = integrate_closed(kernel, rhombus_contour(p.y))
     assert abs(value - closed_residue_sum(p)) <= 2e-15
-    # the node count returned is the kernel calls made: 516 at lemma2's n = 3
-    assert nodes == len(calls)
-    assert n != 3 or nodes == 516
+    # the node count returned is the kernel calls made, one per vertex and
+    # one per other node of each edge's last rule: 512 at lemma2's n = 3
+    assert nodes == len(calls) == len(set(calls))
+    assert n != 3 or nodes == 512
 
 
 def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
@@ -582,7 +646,7 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
     reports = run_suite("lemma2", seed=0)
     nodes = sum(r.terms_or_nodes for r in reports
                 if r.check_name.endswith(("_vs_circle", "_theorem_contour")))
-    assert len(calls) == nodes == 804
+    assert len(calls) == nodes == 800
     assert all(r.passed for r in reports)
 
 
