@@ -440,7 +440,7 @@ def test_kernel_matches_mpmath_at_generic_points():
 @pytest.mark.parametrize("y", [2.0, 1e6, 1e10, 1e12, 1e14, 1e20])
 def test_kernel_keeps_its_accuracy_at_a_large_y(y):
     # b = -2 pi i (N/y) zeta is small here, and 1 - e^b cancels unless it
-    # is formed by expm1: as a difference it was 4e-4 off at y = 1e14
+    # is formed by expm1: as a difference it is 4e-4 off at y = 1e14
     mpmath = pytest.importorskip("mpmath")
     p = DomainPoint(0.5, -0.25, y, 3)
     with mpmath.workdps(50):
