@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("integrate_closed", "integrate_edge", "residue_by_circle", "rhombus_contour"),
+        ("integrate_closed", "integrate_edge", "residue_by_circle", "residue_pair_by_circle",
+         "rhombus_contour"),
         "contour",
     ),
     **dict.fromkeys(
@@ -58,6 +59,7 @@ _EXPORTS = {
             "residue_at_zero",
             "residue_imag_pole",
             "residue_kernel",
+            "residue_kernel_pair",
             "residue_real_pole",
             "transformation_residual",
         ),

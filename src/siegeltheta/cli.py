@@ -2,8 +2,9 @@
 suites as JSON lines, and write convergence sweeps as CSV or JSON tables.
 
 Exit codes: 0 success (all checks passed), 1 some check failed, 2 bad
-arguments (including tau outside the upper half-plane), 3 no binary64
-result (non-convergence or overflow), 4 unwritable output path.
+arguments (including tau outside the upper half-plane, and a kernel
+evaluated within 1e-12/N of one of its poles), 3 no binary64 result
+(non-convergence or overflow), 4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConvergenceError, DomainError, finite_complex
+from .errors import ConvergenceError, DomainError, PoleProximityError, finite_complex
 # eval loads only theta; verify and sweep import the suites module when they run
 from .theta import _HALVES, SUITES, SWEEP_TARGETS, EvalConfig, _evaluate, format_complex
 
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DomainError as exc:
+    except (DomainError, PoleProximityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, OverflowError) as exc:

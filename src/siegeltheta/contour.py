@@ -6,7 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
-from operator import mul
+from operator import mul, sub
 
 from .errors import ConvergenceError, DomainError, finite_complex, finite_real
 
@@ -14,6 +14,7 @@ __all__ = [
     "integrate_closed",
     "integrate_edge",
     "residue_by_circle",
+    "residue_pair_by_circle",
     "rhombus_contour",
 ]
 
@@ -79,7 +80,7 @@ def _directions(count: int) -> tuple[complex, ...]:
 
 def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, what: str,
             rate: float = 1.0, values: list | None = None):
-    """(estimate, gap, nodes in the last rule) from nested rules of count,
+    """(estimates, gap, nodes in the last rule) from nested rules of count,
     2 count, 4 count, ... intervals.
 
     nodes(count) is the table of the rule's nodes, in index order, and
@@ -87,7 +88,9 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
     order; values, where given, are the first rule's.  Node 2j of a doubled
     rule is node j of the one before, bit for bit, so each doubling asks
     only for the new odd j, once per node of the last rule in all;
-    estimate(values, count) combines them.
+    estimate(values, count) combines them into a tuple of estimates, one
+    per integral that the rules share, and the gap is the largest of their
+    changes.
 
     Stops once two successive estimates differ by at most tol.  Where the
     rule of M intervals is known to err like rate^M, it also accepts the
@@ -109,10 +112,10 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
             merged[::2], merged[1::2] = values, fresh
             values = merged
         approx = estimate(values, count)
-        if not cmath.isfinite(approx):
+        if not all(map(cmath.isfinite, approx)):
             raise ConvergenceError(f"{what} estimate is not finite at {len(values)} nodes")
         if previous is not None:
-            last_gap, gap = gap, abs(approx - previous)
+            last_gap, gap = gap, max(map(abs, map(sub, approx, previous)))
             if gap <= tol or (level > 1 and gap <= last_gap * rate ** (count // 4)
                               and gap * rate ** (count // 2) <= tol):
                 return approx, gap, len(values)
@@ -157,14 +160,15 @@ def _edge(f: Integrand, start: complex, end: complex, tol: float, ends=None):
         return [f(mid + half * x) for x in xs]
 
     def estimate(values, count):
-        return half * sum(map(mul, _clenshaw_curtis(count), values), 0j)
+        return (half * sum(map(mul, _clenshaw_curtis(count), values), 0j),)
 
     values = None
     if ends is not None:
         at_end, at_start = ends
         values = [at_end, *values_at(_cosines(16)[1:-1]), at_start]
-    return _nested(values_at, _cosines, estimate, 16, _EDGE_LEVELS, tol, "edge quadrature",
-                   values=values)
+    (value,), gap, nodes = _nested(values_at, _cosines, estimate, 16, _EDGE_LEVELS, tol,
+                                   "edge quadrature", values=values)
+    return value, gap, nodes
 
 
 def integrate_closed(
@@ -217,7 +221,50 @@ def residue_by_circle(f: Integrand, center, radius: float,
 
     def estimate(terms, count):
         # in index order, as a single pass would add them
-        return sum(terms, 0j) * radius / count
+        return (sum(terms, 0j) * radius / count,)
 
-    return _nested(lambda ds: [f(center + radius * d) * d for d in ds], _directions, estimate,
-                   8, _MAX_LEVELS, tol, "circle quadrature", rate=0.5)
+    (value,), gap, nodes = _nested(lambda ds: [f(center + radius * d) * d for d in ds],
+                                   _directions, estimate, 8, _MAX_LEVELS, tol,
+                                   "circle quadrature", rate=0.5)
+    return value, gap, nodes
+
+
+def residue_pair_by_circle(pair: Callable[[complex], tuple[complex, complex]], center,
+                           radius: float, tol: float = 1e-10
+                           ) -> tuple[complex, complex, float, int]:
+    """The residues of f at center and at -center, from one nested
+    trapezoid rule, as (residue at center, residue at -center, the larger
+    of their gaps, nodes), pair(zeta) being (f(zeta), f(-zeta)), called
+    once per node.
+
+    The circle around center takes the nodes center + radius d_j of
+    `residue_by_circle`, and the one around -center their negations,
+    -center + radius (-d_j): a trapezoid rule turned by pi, with the same
+    error.  So each node gives a term of each rule, and both rules stop
+    together, by residue_by_circle's stop applied to the larger gap.  The
+    caller keeps residue_by_circle's radius contract around both centers,
+    as an f whose poles are symmetric about 0 does around one where it
+    does around the other.  The residue at center is residue_by_circle's,
+    bit for bit, wherever both circles stop at the same rule.  DomainError
+    for a non-finite center.
+    """
+    _positive(tol, "tol")
+    center = finite_complex(center, "center")
+    _positive(radius, "radius")
+
+    def values_at(ds):
+        terms = []
+        for d in ds:
+            at, mirrored = pair(center + radius * d)
+            terms.append((at * d, mirrored * d))
+        return terms
+
+    def estimate(terms, count):
+        # each rule's terms in index order, as residue_by_circle adds them;
+        # the mirrored rule's directions are -d_j
+        at, mirrored = zip(*terms)
+        return sum(at, 0j) * radius / count, -sum(mirrored, 0j) * radius / count
+
+    (value, mirrored), gap, nodes = _nested(values_at, _directions, estimate, 8, _MAX_LEVELS,
+                                            tol, "circle quadrature", rate=0.5)
+    return value, mirrored, gap, nodes

@@ -56,6 +56,7 @@ __all__ = [
     "residue_at_zero",
     "residue_imag_pole",
     "residue_kernel",
+    "residue_kernel_pair",
     "residue_real_pole",
     "transformation_residual",
 ]
@@ -114,17 +115,19 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
 
     @cached_property
     def _kernel(self):
-        # residue_kernel at this point, for a finite complex zeta, with its
-        # zeta-free factors bound once
+        # kernel(zeta, pair): residue_kernel at this point for a finite
+        # complex zeta, and with pair, (K(zeta), K(-zeta)); the zeta-free
+        # factors are bound once
         cap, y = self.N, self.y
         two_pi_cap, b_scale = _TWO_PI * cap, -2j * _PI * (cap / y)
         one_minus_z, guard = 1.0 - self.z, 1e-12 / cap
         exp, isfinite, one_minus_exp = cmath.exp, cmath.isfinite, _one_minus_exp
 
-        def kernel(zeta: complex) -> complex:
+        def kernel(zeta: complex, pair: bool = False):
             # every pole lies on an axis, and _pole_distance keeps Re zeta and
             # Im zeta as legs of its hypots, so it is below guard only where
-            # one of them is
+            # one of them is; the pole set is symmetric about 0, so the guard
+            # at zeta is the guard at -zeta
             if abs(zeta.real) < guard or abs(zeta.imag) < guard:
                 if _pole_distance(zeta, cap, y) < guard:
                     raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
@@ -138,20 +141,34 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # branches 1 - 2 f_w = -(1 + E_w) g_w, so the kernel is
             # g_s g_b ((1 + E_s)(1 + E_b)/8 + e^power)/zeta.  As 0 < Re z < 1
             # and y > -Im z > 0, power's real part is never positive, and no
-            # exponential exceeds 1 in modulus.  1 - E_b cancels where b is
-            # small (a large y), and is formed by expm1 there; lemma2's nodes
-            # at y = 2 have |b| >= 0.78, and so |1 - E_b| >= 0.54: none does
+            # exponential exceeds 1 in modulus.  1 - E_s cancels near the
+            # triple pole at 0 and 1 - E_b where b is small (a large y); each
+            # is formed by expm1 there.  lemma2's nodes have |1 - E_s| >= 0.79
+            # and at y = 2 |1 - E_b| >= 0.54: none is.
+            # At -zeta, s, b and a change sign: E_w is the same, g_w changes
+            # sign, the cotangents' product is the same, and f_-s f_-b e^-a
+            # = g_s g_b e^mirror, mirror being -a plus each of s and b that
+            # the branch above did not subtract; so K(-zeta) is
+            # -g_s g_b ((1 + E_s)(1 + E_b)/8 + e^mirror)/zeta.  mirror is
+            # power at -zeta up to a pure imaginary s or b, so its real part
+            # is never positive either; its own exp, not E_s E_b/e^power,
+            # since e^power underflows at a large N
             try:
                 s, b = two_pi_cap * zeta, b_scale * zeta
                 power = one_minus_z * b
+                mirror = -power
                 if s.real > 0.0:
                     e_s = exp(-s)
-                    g_s = 1.0 / (e_s - 1.0)
+                    d_s = e_s - 1.0
+                    if abs(d_s) < _CANCELS:
+                        d_s = -one_minus_exp(-s)
                     power -= s
                 else:
                     e_s = exp(s)
-                    g_s = 1.0 / (1.0 - e_s)
-                # 1/g_b, formed by expm1 where it cancels
+                    d_s = 1.0 - e_s
+                    if abs(d_s) < _CANCELS:
+                        d_s = one_minus_exp(s)
+                    mirror += s
                 if b.real > 0.0:
                     e_b = exp(-b)
                     power -= b
@@ -163,9 +180,17 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
                     d_b = 1.0 - e_b
                     if abs(d_b) < _CANCELS:
                         d_b = one_minus_exp(b)
-                value = g_s / d_b * ((1.0 + e_s) * (1.0 + e_b) * 0.125 + exp(power)) / zeta
-                if isfinite(value):
-                    return value
+                    mirror += b
+                g = 1.0 / d_s / d_b
+                even = (1.0 + e_s) * (1.0 + e_b) * 0.125
+                value = g * (even + exp(power)) / zeta
+                if not pair:
+                    if isfinite(value):
+                        return value
+                else:
+                    other = -g * (even + exp(mirror)) / zeta
+                    if isfinite(value) and isfinite(other):
+                        return value, other
             except (OverflowError, ValueError):
                 # exp: an infinite imaginary part; or an overflow, as the
                 # joined exponent is not positive in exact arithmetic only
@@ -355,6 +380,24 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     if type(zeta) is complex and cmath.isfinite(zeta):
         return p._kernel(zeta)
     return p._kernel(finite_complex(zeta, "zeta"))
+
+
+def residue_kernel_pair(zeta, p: DomainPoint) -> tuple[complex, complex]:
+    """(residue_kernel(zeta, p), the kernel at -zeta), from one evaluation.
+
+    The first value is residue_kernel's, bit for bit.  The second shares
+    its exponentials, its two differences 1 - e^w and its pole guard (the
+    pole set is symmetric about 0), and takes one exp of its own: four
+    exps for the pair, where two calls take six.  It matches a separate
+    call at -zeta to rounding, not bit for bit.  The arguments are checked
+    and the errors raised as in residue_kernel; OverflowError where either
+    value leaves the binary64 range.
+    """
+    if not isinstance(p, DomainPoint):
+        _point(p)  # raises
+    if type(zeta) is complex and cmath.isfinite(zeta):
+        return p._kernel(zeta, True)
+    return p._kernel(finite_complex(zeta, "zeta"), True)
 
 
 def residue_at_zero(p: DomainPoint) -> complex:

@@ -38,6 +38,8 @@ from siegeltheta import (
     residue_by_circle,
     residue_imag_pole,
     residue_kernel,
+    residue_kernel_pair,
+    residue_pair_by_circle,
     residue_real_pole,
     rhombus_contour,
     run_suite,
@@ -55,6 +57,7 @@ from siegeltheta import (
 
 P = DomainPoint(0.5, -0.25, 2.0)
 F = lambda w: 1.0 / w  # noqa: E731
+PAIR = lambda w: (1.0 / w, -1.0 / w)  # noqa: E731
 
 _NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(-math.inf, 1.0)]
 # the malformed values of each kind, and the message each draws
@@ -101,6 +104,9 @@ CASES = [
     ("integrate_edge-end", "complex", "end", lambda v: integrate_edge(F, 1.0, v)),
     ("residue_by_circle-center", "complex", "center", lambda v: residue_by_circle(F, v, 0.5)),
     ("residue_kernel-zeta", "complex", "zeta", lambda v: residue_kernel(v, P)),
+    ("residue_kernel_pair-zeta", "complex", "zeta", lambda v: residue_kernel_pair(v, P)),
+    ("residue_pair_by_circle-center", "complex", "center",
+     lambda v: residue_pair_by_circle(PAIR, v, 0.5)),
     ("pole_distance-zeta", "complex", "zeta", lambda v: pole_distance(v, P)),
     ("EvalConfig-eps", "real", "eps", lambda v: EvalConfig(eps=v)),
     ("integrate_edge-tol", "real", "tol", lambda v: integrate_edge(F, 1.0, 1j, tol=v)),
@@ -108,6 +114,10 @@ CASES = [
      lambda v: integrate_closed(F, rhombus_contour(1.0), tol=v)),
     ("residue_by_circle-radius", "real", "radius", lambda v: residue_by_circle(F, 0.0, v)),
     ("residue_by_circle-tol", "real", "tol", lambda v: residue_by_circle(F, 0.0, 0.5, tol=v)),
+    ("residue_pair_by_circle-radius", "real", "radius",
+     lambda v: residue_pair_by_circle(PAIR, 0.0, v)),
+    ("residue_pair_by_circle-tol", "real", "tol",
+     lambda v: residue_pair_by_circle(PAIR, 0.0, 0.5, tol=v)),
     ("rhombus_contour-y", "real", "y", rhombus_contour),
     ("DomainPoint-a", "real", "a", lambda v: DomainPoint(v, -0.25, 2.0)),
     ("DomainPoint-b", "real", "b", lambda v: DomainPoint(0.5, v, 2.0)),
@@ -146,6 +156,7 @@ CASES += [(f"{call.__qualname__}-p", "point", "p", call) for call in (
 CASES += [
     ("pole_distance-p", "point", "p", lambda v: pole_distance(0.3, v)),
     ("residue_kernel-p", "point", "p", lambda v: residue_kernel(0.3, v)),
+    ("residue_kernel_pair-p", "point", "p", lambda v: residue_kernel_pair(0.3, v)),
     ("residue_imag_pole-p", "point", "p", lambda v: residue_imag_pole(1, v)),
     ("residue_real_pole-p", "point", "p", lambda v: residue_real_pole(1, v)),
     ("edge_limit_value-p", "point", "p", lambda v: edge_limit_value("E1", 0.5, v)),

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from siegeltheta import (
-    DomainError, EvalConfig, format_complex, theta1, theta1_reduced, theta2, theta3,
+    DomainError, DomainPoint, EvalConfig, format_complex, residue_kernel, theta1,
+    theta1_reduced, theta2, theta3,
 )
 from siegeltheta import suites
 from siegeltheta.cli import main, parse_complex
@@ -316,6 +317,19 @@ def test_bad_suite_and_sweep_inputs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_kernel_pole_proximity_exits_2_with_one_line(capsys, monkeypatch):
+    # no verify argument puts a kernel node within 1e-12/N of a pole; a
+    # suite that evaluates one exits 2, the code of an argument outside an
+    # operation's domain, with the one-line message and no traceback
+    def near_a_pole(seed, size, tol):
+        yield residue_kernel(0.0, DomainPoint(0.5, -0.25, 2.0, 3))
+
+    monkeypatch.setitem(suites._SUITES, "lemma2", (near_a_pole, 1e-8, 3, False))
+    code, out, err = run_cli(capsys, "verify", "lemma2")
+    assert (code, out) == (2, "")
+    assert err == "error: zeta=0j is within 1e-12/N of a kernel pole\n"
 
 
 # what the eval path must not import: the proof-replay harness and the stdlib

@@ -9,6 +9,7 @@ from siegeltheta import (
     integrate_closed,
     integrate_edge,
     residue_by_circle,
+    residue_pair_by_circle,
     rhombus_contour,
 )
 from siegeltheta.contour import _clenshaw_curtis
@@ -318,6 +319,61 @@ def test_residue_by_circle_past_its_radius_contract_stops_at_the_gap(pole):
                                       tol=1e-12)
     assert gap <= 1e-12
     assert abs(value - 1.0) <= 1e-12
+
+
+def _pair_of(f):
+    return lambda w: (f(w), f(-w))
+
+
+@pytest.mark.parametrize(
+    "f,center,radius,tol",
+    [
+        (lambda w: 1.0 / (w - 0.5j) + 2.0 / (w + 0.5j) + w * w, 0.5j, 0.2, 1e-12),
+        (lambda w: cmath.exp(w) / (w - 1.0 + 0.3j) - 1j / (w + 1.0 - 0.3j) ** 2,
+         1.0 - 0.3j, 0.5, 1e-10),
+        (lambda w: 1.0 / cmath.sin(w), math.pi, 1.0, 1e-12),
+    ],
+)
+def test_residue_pair_by_circle_takes_both_residues_from_one_rule(f, center, radius, tol):
+    calls = []
+
+    def pair(w):
+        calls.append(w)
+        return f(w), f(-w)
+
+    value, mirrored, gap, nodes = residue_pair_by_circle(pair, center, radius, tol)
+    alone, _, alone_nodes = residue_by_circle(f, center, radius, tol)
+    assert nodes == len(calls) == alone_nodes
+    # the residue at center is residue_by_circle's, at the same nodes in
+    # the same order
+    assert repr(value) == repr(alone)
+    assert calls == _call_order(
+        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 8, nodes, 0)
+    # the one at -center is the rule on the negated nodes, directions -d_j,
+    # its terms added in index order
+    directions = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
+    total = 0j
+    for d in directions:
+        total += f(-(center + radius * d)) * d
+    assert repr(mirrored) == repr(-total * radius / nodes)
+    assert abs(mirrored - residue_by_circle(f, -center, radius, tol)[0]) <= 1e-12
+
+
+def test_residue_pair_by_circle_stops_once_both_rules_do():
+    # a pole 1.5 radii from -center, none near center: the circle around
+    # -center needs more nodes, and the pair takes them for both
+    f = lambda w: 1.0 / (w - 1.0) + 1.0 / (w + 1.0) + 1.0 / (w + 1.0 + 0.3)  # noqa: E731
+    value, mirrored, gap, nodes = residue_pair_by_circle(_pair_of(f), 1.0, 0.2, tol=1e-12)
+    fast = residue_by_circle(f, 1.0, 0.2, tol=1e-12)[2]
+    assert nodes == residue_by_circle(f, -1.0, 0.2, tol=1e-12)[2] > fast
+    assert gap <= 1e-12
+    assert abs(value - 1.0) <= 1e-12 and abs(mirrored - 1.0) <= 1e-12
+
+
+def test_residue_pair_by_circle_stops_at_a_non_finite_estimate():
+    # a NaN in the mirrored values alone ends the pair at its first rule
+    with pytest.raises(ConvergenceError, match="^circle quadrature estimate is not finite at 8 "):
+        residue_pair_by_circle(lambda w: (1.0 / w, math.nan), 0.0, 1.0)
 
 
 def test_residue_by_circle_rejects_bad_radius():

@@ -32,6 +32,7 @@ from siegeltheta import (
     residue_at_zero,
     residue_imag_pole,
     residue_kernel,
+    residue_kernel_pair,
     residue_real_pole,
     transformation_residual,
 )
@@ -83,6 +84,7 @@ def _calls(rng):
         ("residue_real_pole", lambda: residue_real_pole(k, p)),
         ("ResidueBreakdown.compute", lambda: ResidueBreakdown.compute(p)),
         ("residue_kernel", lambda: residue_kernel(zeta, p)),
+        ("residue_kernel_pair", lambda: residue_kernel_pair(zeta, p)),
         ("edge_limit_residual", lambda: edge_limit_residual(edge, t, p)),
     ]
 
@@ -91,6 +93,8 @@ def _all_finite(value) -> bool:
     if isinstance(value, ResidueBreakdown):
         return all(map(_all_finite, (value.at_zero, value.total_times_2pi_i,
                                  *(v for _, v in value.at_imag + value.at_real))))
+    if isinstance(value, tuple):  # the kernel's pair
+        return all(map(_all_finite, value))
     return cmath.isfinite(value)
 
 

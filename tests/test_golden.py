@@ -244,7 +244,7 @@ def test_compare_prints_the_fields_that_differ_and_writes_nothing(tmp_path, monk
         f"{name}: largest change in residual {abs(residual - 1e-3):.3g} at record 2 "
         f"(0.001 -> {residual!r}); largest residual 0.001 -> {largest!r}",
         f"{name}: largest change in terms_or_nodes 25 at record 2 (7.0 -> 32.0); "
-        "largest terms_or_nodes 512.0 -> 512.0",
+        "largest terms_or_nodes 258.0 -> 258.0",
     ]
     with pytest.raises(SystemExit, match="^unknown golden files: bogus.txt$"):
         compare([name, "bogus.txt"])

@@ -17,7 +17,6 @@ from siegeltheta import (
     edge_limit_residual,
     edge_limit_target,
     edge_limit_value,
-    integrate_closed,
     inversion_log_ratio,
     inversion_log_ratio_lambert,
     lambert_terms,
@@ -28,12 +27,14 @@ from siegeltheta import (
     residue_by_circle,
     residue_imag_pole,
     residue_kernel,
+    residue_kernel_pair,
+    residue_pair_by_circle,
     residue_real_pole,
-    rhombus_contour,
     theta1,
     transformation_residual,
 )
-from siegeltheta.suites import _lemma2_circles, sample_domain_points, sample_grid
+from siegeltheta.suites import (_lemma2_circles, _lemma2_rhombus, sample_domain_points,
+                                sample_grid)
 from siegeltheta.theta import _one_minus_exp
 from siegeltheta.verifier import LAMBERT_EPS, LAMBERT_MAX_TERMS, _both_sides, _inverted_side_terms
 
@@ -275,21 +276,29 @@ def _exp_and_difference(w):
     return e, 1.0 - e, 0.0
 
 
+def _difference(w):
+    # D of _exp_and_difference, formed by expm1 where it is below 1/2 in
+    # modulus
+    d = _exp_and_difference(w)[1]
+    if abs(d) < 0.5:
+        d = -_one_minus_exp(-w) if w.real > 0.0 else _one_minus_exp(w)
+    return d
+
+
 def _kernel_per_call(zeta, p):
     # the kernel with every factor recomputed per call:
     # ((1 + E_s)(1 + E_b)/8 + e^(a - shift_s - shift_b))/(D_s D_b zeta), the
-    # two divisions by D_s and D_b taken one at a time, and D_b formed by
-    # expm1 where it is below 1/2 in modulus
+    # two divisions by D_s and D_b taken one at a time, and D_s and D_b
+    # formed by expm1 where they are below 1/2 in modulus
     zeta = complex(zeta)
     if pole_distance(zeta, p) < 1e-12 / p.N:
         raise PoleProximityError(f"zeta={zeta!r} is within 1e-12/N of a kernel pole")
     cap, y, z = p.N, p.y, p.z
     s = 2.0 * PI * cap * zeta
     b = -2j * PI * (cap / y) * zeta
-    e_s, d_s, shift_s = _exp_and_difference(s)
-    e_b, d_b, shift_b = _exp_and_difference(b)
-    if abs(d_b) < 0.5:
-        d_b = -_one_minus_exp(-b) if b.real > 0.0 else _one_minus_exp(b)
+    e_s, _, shift_s = _exp_and_difference(s)
+    e_b, _, shift_b = _exp_and_difference(b)
+    d_s, d_b = _difference(s), _difference(b)
     a = (1.0 - z) * b - shift_s - shift_b
     return 1.0 / d_s / d_b * ((1.0 + e_s) * (1.0 + e_b) * 0.125 + cmath.exp(a)) / zeta
 
@@ -308,7 +317,7 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
                     rng.uniform(0.5, 4.0), rng.randint(1, 25))
         for _ in range(40)
     ]
-    poles = cancels = 0
+    poles = cancels = near_zero = 0
     for index in range(2000):
         p = points[index % len(points)]
         if index % 4 == 0:  # around a pole, some within the 1e-12/N guard
@@ -320,10 +329,16 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
             zeta = complex(rng.uniform(-1.2, 1.2) * p.y, rng.uniform(-1.2, 1.2))
         expected = _kernel_outcome(_kernel_per_call, zeta, p)
         assert _kernel_outcome(residue_kernel, zeta, p) == expected, (zeta, p)
+        # the pair's first value is residue_kernel's
+        first = _kernel_outcome(lambda w, q: residue_kernel_pair(w, q)[0], zeta, p)
+        assert first == expected, (zeta, p)
         poles += expected == "pole"
         cancels += abs(_exp_and_difference(-2j * PI * (p.N / p.y) * zeta)[1]) < 0.5
+        near_zero += (expected != "pole"
+                      and abs(_exp_and_difference(2.0 * PI * p.N * zeta)[1]) < 0.5)
     assert 100 < poles < 500
     assert 100 < cancels < 1900  # both forms of D_b are reached
+    assert 10 < near_zero < 500  # and of D_s, near the triple pole
 
 
 @pytest.mark.parametrize("n", [1, 3, 25])
@@ -408,10 +423,20 @@ def test_kernel_answers_where_its_factors_leave_the_binary64_range():
     assert abs(residue_kernel(2 + 0j, DomainPoint(0.5, -0.25, 2.0, 452))) <= 1e-13
 
 
+def _kernel_mpmath(mp, zeta, p):
+    # the kernel in mp's precision, from its cotangent form, at the same
+    # binary64 inputs
+    w, cap, y = mp.mpc(zeta), mp.mpf(p.n) + mp.mpf(0.5), mp.mpf(p.y)
+    b = -2j * mp.pi * (cap / y) * w
+    return complex(-mp.cot(mp.pi * 1j * cap * w) * mp.cot(mp.pi * cap * w / y) / (8 * w)
+                   + mp.exp((1 - mp.mpc(p.a, p.b)) * b)
+                   / ((1 - mp.exp(2 * mp.pi * cap * w)) * (1 - mp.exp(b)) * w))
+
+
 def test_kernel_matches_mpmath_at_generic_points():
     # 40-digit cotangents and exponentials of the same binary64 inputs; a
     # point is generic at a quarter of the pole spacing or more from every
-    # pole, where lemma2's circles run
+    # pole, where lemma2's circles run.  Both values of the pair too
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
@@ -427,14 +452,31 @@ def test_kernel_matches_mpmath_at_generic_points():
         zeta = complex(rng.uniform(-1.2, 1.2) * p.y, rng.uniform(-1.2, 1.2))
         if pole_distance(zeta, p) < 0.25 / p.N:
             continue
-        w, cap, y = mp.mpc(zeta), mp.mpf(p.n) + mp.mpf(0.5), mp.mpf(p.y)
-        b = -2j * mp.pi * (cap / y) * w
-        exact = (-mp.cot(mp.pi * 1j * cap * w) * mp.cot(mp.pi * cap * w / y) / (8 * w)
-                 + mp.exp((1 - mp.mpc(p.a, p.b)) * b)
-                 / ((1 - mp.exp(2 * mp.pi * cap * w)) * (1 - mp.exp(b)) * w))
-        assert abs(residue_kernel(zeta, p) - complex(exact)) <= 1e-13 * abs(complex(exact)), (
-            zeta, p)
+        exact, mirror = _kernel_mpmath(mp, zeta, p), _kernel_mpmath(mp, -zeta, p)
+        assert abs(residue_kernel(zeta, p) - exact) <= 1e-13 * abs(exact), (zeta, p)
+        at, mirrored = residue_kernel_pair(zeta, p)
+        assert abs(at - exact) <= 1e-13 * abs(exact), (zeta, p)
+        assert abs(mirrored - mirror) <= 1e-13 * abs(mirror), (zeta, p)
         checked += 1
+
+
+@pytest.mark.parametrize("zeta", [1e-2 * (1 + 1j), 1e-5 * (1 + 1j), 1e-9 * (1 + 1j),
+                                  1e-11 * (1 + 1j), 3e-7 - 2e-8j, -4e-10j + 1e-13],
+                         ids=repr)
+def test_kernel_keeps_its_accuracy_near_its_triple_pole(zeta):
+    # s = 2 pi N zeta is small, and 1 - e^s cancels unless it is formed by
+    # expm1: as a difference it was 1.8e-13 off at 1e-5 (1+i) and 1.5e-7
+    # at 1e-11 (1+i).  Judged against the larger of the value and the
+    # kernel's scale 1/(8|zeta|), as near a vertex the value is far below
+    # that scale and near 0 far above it
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+    for w, value in zip((zeta, -zeta), residue_kernel_pair(zeta, p)):
+        exact = _kernel_mpmath(mp, w, p)
+        assert abs(value - exact) <= 1e-15 * max(abs(exact), 0.125 / abs(w)), w
+    assert residue_kernel(zeta, p) == residue_kernel_pair(zeta, p)[0]
 
 
 @pytest.mark.parametrize("y", [2.0, 1e6, 1e10, 1e12, 1e14, 1e20])
@@ -614,54 +656,80 @@ def test_transformation_residual_general_tau():
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 10, 25, 100, 400])
-def test_rhombus_integral_matches_the_closed_residue_sum(n):
+def test_rhombus_integral_matches_the_closed_residue_sum(n, monkeypatch):
     # the lemma2 contour check at its point, far below its 1e-8 tolerance
+    from siegeltheta import suites
+
     p = DomainPoint(0.5, -0.25, 2.0, n)
     calls = []
 
-    def kernel(zeta):
+    def pair(zeta, point):
         calls.append(zeta)
-        return residue_kernel(zeta, p)
+        return residue_kernel_pair(zeta, point)
 
-    value, _, nodes = integrate_closed(kernel, rhombus_contour(p.y))
+    monkeypatch.setattr(suites, "residue_kernel_pair", pair)
+    value, nodes = _lemma2_rhombus(p)
     assert abs(value - closed_residue_sum(p)) <= 2e-15
-    # the node count returned is the kernel calls made, one per vertex and
-    # one per other node of each edge's last rule: 512 at lemma2's n = 3
-    assert nodes == len(calls) == len(set(calls))
-    assert n != 3 or nodes == 512
+    # the node count returned is the pair evaluations made, one per node
+    # of E1's and E2's last rules (their shared vertex y twice): 258 at
+    # lemma2's n = 3
+    assert nodes == len(calls) == len(set(calls)) + 1
+    assert n != 3 or nodes == 258
 
 
 def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
-    # a trace that wraps suites.residue_kernel sees each node the circles
-    # and the rhombus evaluate
+    # a trace that wraps suites.residue_kernel and suites.residue_kernel_pair
+    # sees each evaluation the circles and the rhombus make: the zero
+    # circle's single ones, and one pair per node of each pair of circles
+    # (whose two lines report the same rule) and of the rhombus
     from siegeltheta import run_suite, suites
 
     calls = []
 
-    def counted(zeta, p):
-        calls.append(zeta)
-        return residue_kernel(zeta, p)
+    def counted(kernel):
+        def call(zeta, p):
+            calls.append(zeta)
+            return kernel(zeta, p)
+        return call
 
-    monkeypatch.setattr(suites, "residue_kernel", counted)
+    monkeypatch.setattr(suites, "residue_kernel", counted(residue_kernel))
+    monkeypatch.setattr(suites, "residue_kernel_pair", counted(residue_kernel_pair))
     reports = run_suite("lemma2", seed=0)
-    nodes = sum(r.terms_or_nodes for r in reports
-                if r.check_name.endswith(("_vs_circle", "_theorem_contour")))
-    assert len(calls) == nodes == 800
+    nodes = {r.check_name: 0 for r in reports}
+    for r in reports:  # the lines of a pair of circles once
+        if r.check_name.endswith("_vs_circle") and r.parameters.get("k", 0) > 0:
+            continue
+        nodes[r.check_name] += r.terms_or_nodes
+    assert nodes["lemma2_residue_zero_vs_circle"] == 32
+    assert nodes["lemma2_residue_imag_vs_circle"] == nodes["lemma2_residue_real_vs_circle"] == 64
+    assert nodes["lemma2_residue_theorem_contour"] == 258
+    assert len(calls) == 32 + 64 + 64 + 258 == 418
     assert all(r.passed for r in reports)
 
 
 def _circle_gate(ys):
     # lemma2's circles at radius 1/(4N) and tol 1e-12, on a grid of points;
-    # the worst error against the closed forms, relative to max(1, |residue|)
+    # the worst error against the closed forms, relative to max(1, |residue|),
+    # of each circle alone and of each pair of circles around c and -c
     worst = 0.0
     for y in ys:
         for n in (1, 3, 10, 100, 451):
             for a, b in ((0.5, -0.25), (0.1, -0.2), (0.9, -0.29)):
                 p = DomainPoint(a, b, y, n)
-                for _, _, center, residue in _lemma2_circles(p, ResidueBreakdown.compute(p)):
+                radius = 1.0 / (4.0 * p.N)
+                residues = {center: residue for _, _, center, residue
+                            in _lemma2_circles(p, ResidueBreakdown.compute(p))}
+                found = []
+                for center, residue in residues.items():
                     oracle, _, _ = residue_by_circle(
-                        lambda zeta: residue_kernel(zeta, p), center, 1.0 / (4.0 * p.N),
-                        tol=1e-12)
+                        lambda zeta: residue_kernel(zeta, p), center, radius, tol=1e-12)
+                    found.append((oracle, residue))
+                    if center:
+                        at, mirrored, _, _ = residue_pair_by_circle(
+                            lambda zeta: residue_kernel_pair(zeta, p), center, radius,
+                            tol=1e-12)
+                        found += [(at, residue), (mirrored, residues[-center])]
+                for oracle, residue in found:
                     worst = max(worst, abs(oracle - residue) / max(1.0, abs(residue)))
     return worst
 
