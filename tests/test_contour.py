@@ -321,10 +321,6 @@ def test_residue_by_circle_past_its_radius_contract_stops_at_the_gap(pole):
     assert abs(value - 1.0) <= 1e-12
 
 
-def _pair_of(f):
-    return lambda w: (f(w), f(-w))
-
-
 @pytest.mark.parametrize(
     "f,center,radius,tol",
     [
@@ -363,7 +359,8 @@ def test_residue_pair_by_circle_stops_once_both_rules_do():
     # a pole 1.5 radii from -center, none near center: the circle around
     # -center needs more nodes, and the pair takes them for both
     f = lambda w: 1.0 / (w - 1.0) + 1.0 / (w + 1.0) + 1.0 / (w + 1.0 + 0.3)  # noqa: E731
-    value, mirrored, gap, nodes = residue_pair_by_circle(_pair_of(f), 1.0, 0.2, tol=1e-12)
+    value, mirrored, gap, nodes = residue_pair_by_circle(lambda w: (f(w), f(-w)), 1.0, 0.2,
+                                                       tol=1e-12)
     fast = residue_by_circle(f, 1.0, 0.2, tol=1e-12)[2]
     assert nodes == residue_by_circle(f, -1.0, 0.2, tol=1e-12)[2] > fast
     assert gap <= 1e-12
