@@ -24,6 +24,11 @@ Integrand = Callable[[complex], complex]
 # nodes; an edge from 17 to 2,049, as its weights take O(N^2) work to form
 _MAX_LEVELS = 17
 _EDGE_LEVELS = 7
+# the rate stop's margin on the decay a rate predicts: where a circle's
+# radius is exactly its contract's, the gaps decay at that rate itself, and
+# their rounding and lower-order terms leave a gap a hair above it (4.1003e-12
+# against 4.0994e-12 for the zero circle of DomainPoint(0.5, -0.25, 0.5, 1))
+_DECAY_MARGIN = 1.01
 # node tables by interval count, formed on first use: the Clenshaw-Curtis
 # weights, the edge cosines cos(pi j/count) and the circle directions
 # e^(2 pi i j/count).  A circle past 2,048 intervals, an edge's last rule,
@@ -95,9 +100,10 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
     Stops once two successive estimates differ by at most tol.  Where the
     rule of M intervals is known to err like rate^M, it also accepts the
     rule of 2M once the last gap is at most the gap before it times
-    rate^(M/2), the decay that rate predicts, and the gap times rate^M,
-    the error that decay leaves in the finer rule, is at most tol; at
-    rate 1, the default, that adds nothing to the gap test.  Raises
+    rate^(M/2), the decay that rate predicts (within _DECAY_MARGIN), and
+    the gap times rate^M, the error that decay leaves in the finer rule,
+    is at most tol; at rate 1, the default, that adds nothing to the gap
+    test.  Raises
     ConvergenceError after `levels` doublings, or at the first estimate
     that is not finite.
     """
@@ -116,7 +122,8 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
             raise ConvergenceError(f"{what} estimate is not finite at {len(values)} nodes")
         if previous is not None:
             last_gap, gap = gap, max(map(abs, map(sub, approx, previous)))
-            if gap <= tol or (level > 1 and gap <= last_gap * rate ** (count // 4)
+            if gap <= tol or (level > 1
+                              and gap <= _DECAY_MARGIN * last_gap * rate ** (count // 4)
                               and gap * rate ** (count // 2) <= tol):
                 return approx, gap, len(values)
         previous = approx
@@ -210,8 +217,8 @@ def residue_by_circle(f: Integrand, center, radius: float,
     M nodes then errs like (radius/R)^M <= 2^-M (Trefethen and Weideman,
     SIAM Rev. 56, 2014).  So besides a gap within tol, the circle accepts
     the rule of 2M nodes once its gap is at most 2^-(M/2) times the gap
-    before it, the decay that rate predicts, and the gap times 2^-M is
-    within tol.  Where a radius breaks the contract, the gaps decay more
+    before it, the decay that rate predicts, within a margin of 1%, and
+    the gap times 2^-M is within tol.  Where a radius breaks the contract, the gaps decay more
     slowly, that guard fails, and the gap alone stops the rules.
     DomainError for a non-finite center.
     """

@@ -10,7 +10,10 @@ z first shifted by the lattice Z + tau Z into |Im z| <= Im tau/2, at
 Im z >= 0 (theta1 is odd).  Term k is then at most (2k+1) e^(-pi Im tau k^2),
 so the series is cut by a closed-form tail bound relative to the value,
 and its growth e^(pi Im z) q^(1/4) is kept as a log (Deconinck et al.,
-Math. Comp. 73, 2004).  The others are theta1 at a half period:
+Math. Comp. 73, 2004).  Its factor 1 - w^2 is the subtraction 1.0 - w^2
+wherever that has modulus at least 1/2 (`_CANCELS`), and is formed by
+expm1 only below, near the zero z = 0, where the subtraction cancels.
+The others are theta1 at a half period:
 theta2(z) = -theta1(z - 1/2), theta3(z) = theta4(z + 1/2) and
 theta4(z) = -i e^(i pi (u - tau/4)) theta1(u) at u = z + tau/2
 (DLMF 20.2.13), a prefactor that the series' exponent cancels exactly.
@@ -124,6 +127,9 @@ class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
 
 
 _DEFAULT_CFG = EvalConfig()
+# the series' length needs log eps at every call: formed once for the
+# default config, which every call without a config takes
+_DEFAULT_LOG_EPS = math.log(_DEFAULT_CFG.eps)
 
 ThetaEval = namedtuple("ThetaEval", "value terms_used reduced")
 
@@ -210,6 +216,12 @@ def product_terms(z, tau) -> int:
     tau = require_tau(tau)
     z = finite_complex(z, "z")
     return _product_length(-_PI * tau.imag, -_PI * z.imag)
+
+
+# 1 - e^x is formed by `_one_minus_exp` where its modulus is below this, by
+# the series and by the residue kernel: above it, the subtraction 1.0 - e^x
+# loses at most a rounding or two
+_CANCELS = 0.5
 
 
 def _one_minus_exp(x: complex) -> complex:
@@ -403,14 +415,18 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
     theta1(z, tau) = e^(i pi eighths/4) e^exponent prod, from the sine
     series 2 sum (-1)^k q^((k+1/2)^2) sin((2k+1) pi z) (DLMF 20.2.1).
 
-    z is first shifted into |Im z| <= Im tau/2 (see `_shift`) and taken at
-    Im z >= 0 (theta1 is odd).  With w = e^(i pi z) there,
+    z is first shifted into |Im z| <= Im tau/2 (see `_shift`), unless it
+    lies in the cell |Im z/Im tau| < 1/2, |Re z| < 1/2 already, where the
+    shift takes n = m = 0, and taken at Im z >= 0 (theta1 is odd).  With
+    w = e^(i pi z) there,
 
         theta1 = i e^(i pi (tau/4 - z)) (1 - w^2)
                  sum_k (-1)^k q^(k^2+k) w^(-2k) (1 + w^2 + ... + w^(4k)).
 
-    The growth e^(pi Im z) q^(1/4) stays in the exponent, 1 - w^2 is formed
-    without cancellation (`_one_minus_exp`), and prod is it times the sum.
+    The growth e^(pi Im z) q^(1/4) stays in the exponent, and prod is
+    1 - w^2 times the sum.  1 - w^2 is 1.0 - w^2, from the w^2 the terms
+    take, where its modulus is at least _CANCELS, and is formed without
+    the cancellation (`_one_minus_exp`) below it, near the zero z = 0.
     Term k is at most (2k+1) e^(-a k^2 - c k) <= e^(-a k^2 - (c - log 3) k),
     with a = pi Im tau and c = pi (Im tau - 2 Im z) >= 0; once
     (2k+1) a >= log 6 these bounds fall by half from one term to the next,
@@ -429,13 +445,17 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
     bound on their sum below.  ConvergenceError: more than max_terms terms,
     or a shift that is not finite (achieved inf).
     """
-    try:
-        z, turns, power, dz, error = _shift(z, tau, dz, dtau)
-    except OverflowError:
-        raise ConvergenceError(
-            f"series shift by {z.imag / tau.imag:.3e} periods of tau is not finite",
-            achieved=math.inf) from None
-    eighths = 4 * turns + 2  # the signs of the shift and the prefactor's i
+    if -0.5 < z.imag / tau.imag < 0.5 and -0.5 < z.real < 0.5:
+        # z lies in the cell: the shift would take n = m = 0
+        eighths, power, error = 2, 0j, 0.0  # the prefactor's i
+    else:
+        try:
+            z, turns, power, dz, error = _shift(z, tau, dz, dtau)
+        except OverflowError:
+            raise ConvergenceError(
+                f"series shift by {z.imag / tau.imag:.3e} periods of tau is not finite",
+                achieved=math.inf) from None
+        eighths = 4 * turns + 2  # the signs of the shift and the prefactor's i
     if z.imag < 0.0:
         z, eighths = -z, eighths + 4
     short = tau.imag >= _SHORT
@@ -443,7 +463,7 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
     b = _PI * (tau.imag - 2.0 * z.imag) - _LOG_THREE
     # log of 2 / the sum's floor; the length solves a K^2 + b K = target
     log_scale = _LOG_TWO + (_LOG_THREE if short else -_LOG_SUM_FLOOR)
-    target = log_scale - math.log(cfg.eps)
+    target = log_scale - (_DEFAULT_LOG_EPS if cfg is _DEFAULT_CFG else math.log(cfg.eps))
     if b > 0.0:
         length = 2.0 * target / (b + math.sqrt(b * b + 4.0 * a * target))
     else:
@@ -462,9 +482,12 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
         )
     terms = math.ceil(length) or 1  # 0 only where b * b overflows
     x = _TWO_IPI * z
+    w2 = cmath.exp(x)
+    rest = 1.0 - w2
+    if abs(rest) < _CANCELS:
+        rest = _one_minus_exp(x)
     total = 1.0 + 0.0j
     if terms > 1:
-        w2 = cmath.exp(x)
         factor = -cmath.exp(_TWO_IPI * (tau - z))  # -q^2 w^-2, then times q^2
         q2 = cmath.exp(_TWO_IPI * tau)
         w4, rise = w2 * w2, 1.0 + w2
@@ -490,8 +513,7 @@ def _series(z: complex, tau: complex, cfg: EvalConfig, dz: float = 0.0, dtau: fl
     size = abs(z) if z.imag < 1.0 else abs(z.real) + 1.0
     error += (_PI * (0.25 * dtau + 2.0 * dz) + _EPS * cancel * terms
               * (8.0 + terms * (3.0 + 2.0 * _PI * (abs(tau.real) + size))))
-    return (eighths, _IPI * (0.25 * tau - z - power), _one_minus_exp(x) * total, terms,
-            error)
+    return eighths, _IPI * (0.25 * tau - z - power), rest * total, terms, error
 
 
 def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: float,
@@ -657,10 +679,13 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, halves=(0, 0)):
     dz, dtau, error = 0.0, 0.0, 0.0
     while True:
         k = round(tau.real)
-        tau = complex(tau.real - k, tau.imag)  # exact; keeps a -0.0 real part
-        eighths += k
+        if k:
+            tau = complex(tau.real - k, tau.imag)  # exact
+            eighths += k
+        if abs(tau) >= 1.0:
+            break
         inverted_tau = -1.0 / tau
-        if abs(tau) >= 1.0 or not inverted_tau.imag > tau.imag:
+        if not inverted_tau.imag > tau.imag:
             break
         z, turns, power, dz, shift_error = _shift(z, tau, dz, dtau)
         # the signs of the shift, and 1/(-i) = i of the inversion prefactor

@@ -36,7 +36,7 @@ from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_c
                      finite_real, positive_int)
 # the plain product, with no T/S step, so that checking the law does not use
 # it; bound as theta1, the name the benchmark's verify_all trace wraps
-from .theta import _one_minus_exp, _theta1_plain as theta1, inversion_rhs, require_tau
+from .theta import _CANCELS, _one_minus_exp, _theta1_plain as theta1, inversion_rhs, require_tau
 
 __all__ = [
     "EDGES",
@@ -143,8 +143,10 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # and y > -Im z > 0, power's real part is never positive, and no
             # exponential exceeds 1 in modulus.  1 - E_s cancels near the
             # triple pole at 0 and 1 - E_b where b is small (a large y); each
-            # is formed by expm1 there.  lemma2's nodes have |1 - E_s| >= 0.79
-            # and at y = 2 |1 - E_b| >= 0.54: none is.
+            # is formed by expm1 there, by theta's rule for 1 - e^x, the one
+            # the series applies to 1 - w^2: `_one_minus_exp` below
+            # _CANCELS.  lemma2's nodes have |1 - E_s| >= 0.79 and at y = 2
+            # |1 - E_b| >= 0.54: none is.
             # At -zeta, s, b and a change sign: E_w is the same, g_w changes
             # sign, the cotangents' product is the same, and f_-s f_-b e^-a
             # = g_s g_b e^mirror, mirror being -a plus each of s and b that
@@ -323,9 +325,6 @@ def inversion_log_ratio_lambert(p: DomainPoint) -> complex:
 # ---------------------------------------------------------------------------
 
 _KERNEL_OVERFLOW = "residue kernel overflowed the binary64 range"
-# the kernel forms 1 - E_b by expm1 where its modulus is below this: above
-# it, the subtraction loses at most a rounding or two
-_CANCELS = 0.5
 
 
 def _finite(value: complex, what: str) -> complex:

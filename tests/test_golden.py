@@ -18,12 +18,17 @@ named on the command line:
 or, with --compare, to print how the current output differs from the named
 files, writing nothing: each record that differs (a line of a .jsonl or
 .txt file, a data row of a .csv file, an element of a .json file), its
-fields that differ with their old and new values, and for each numeric
-field that moved its largest change and its largest value before and after:
+fields that differ with their old and new values, for each numeric field
+that moved its largest change and its largest value before and after, and
+for each complex field that moved its largest relative change.  A .txt
+line is read as its value, term count, and reduced flag or error (see
+`_text_record`), and each .txt file also prints how many records moved
+in each of those fields:
 
     PYTHONPATH=src python tests/test_golden.py --compare verify_lemma2_n1.jsonl
 """
 
+import ast
 import contextlib
 import csv
 import io
@@ -31,6 +36,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -162,6 +168,28 @@ def _flat(row, prefix=""):
     return fields
 
 
+# the fields of a .txt record, in the order the tally prints them
+_TEXT_FIELDS = ("value", "terms", "reduced", "error")
+
+
+def _text_record(line):
+    """A steps_* line, "name z tau result", as its point and either the
+    result tuple's value, term count and reduced flag (theta1_reduced
+    only) or the error; an eval_* line, "value terms=N", as its value and
+    term count."""
+    if " terms=" in line:
+        value, terms = line.split(" terms=")
+        return {"value": complex(value.replace("i", "j")), "terms": int(terms)}
+    name, z, tau, result = line.split(" ", 3)
+    record = {"point": f"{name} {z} {tau}"}
+    if not result.startswith("("):
+        return {**record, "error": result}
+    record["value"], record["terms"], *flag = ast.literal_eval(result)
+    if flag:
+        record["reduced"] = flag[0]
+    return record
+
+
 def _records(name, text):
     if name.endswith(".jsonl"):
         rows = [json.loads(line) for line in text.splitlines()]
@@ -170,7 +198,7 @@ def _records(name, text):
     elif name.endswith(".csv"):
         rows = list(csv.DictReader(io.StringIO(text)))
     else:
-        rows = [{"line": line} for line in text.splitlines()]
+        rows = [_text_record(line) for line in text.splitlines()]
     return [_flat(row) for row in rows]
 
 
@@ -193,15 +221,25 @@ def compare(names):
         differ = 0
         largest = {}  # field -> (|new - old|, record, old, new), where it moved
         tops = {}  # numeric field -> (its largest value before, now)
+        relative = {}  # complex field -> (|new - old|/|old|, record, old, new)
+        moved = Counter()  # field -> records where it moved
         for index, (before, after) in enumerate(zip(old, new), 1):
+            # by repr, so a zero's sign moves a field as it moves the bytes
             fields = [key for key in sorted(before.keys() | after.keys())
-                      if before.get(key) != after.get(key)]
+                      if repr(before.get(key)) != repr(after.get(key))]
             if fields:
                 differ += 1
                 print(f"{name} record {index}: " + ", ".join(
                     f"{key} {before.get(key)!r} -> {after.get(key)!r}" for key in fields))
+            moved.update(fields)
             for key in before.keys() & after.keys():
-                x, y = _number(before[key]), _number(after[key])
+                x, y = before[key], after[key]
+                if isinstance(x, complex) and isinstance(y, complex):
+                    change = abs(y - x) / abs(x) if x else (math.inf if y else 0.0)
+                    if change > relative.get(key, (0.0,))[0]:
+                        relative[key] = (change, index, x, y)
+                    continue
+                x, y = _number(x), _number(y)
                 if x is None or y is None:
                     continue
                 top_old, top_new = tops.get(key, (x, y))
@@ -214,6 +252,12 @@ def compare(names):
         for key, (change, index, x, y) in sorted(largest.items()):
             print(f"{name}: largest change in {key} {change:.3g} at record {index} "
                   f"({x!r} -> {y!r}); largest {key} {tops[key][0]!r} -> {tops[key][1]!r}")
+        for key, (change, index, x, y) in sorted(relative.items()):
+            print(f"{name}: largest relative change in {key} {change:.3g} at record {index} "
+                  f"({x!r} -> {y!r})")
+        if name.endswith(".txt"):
+            print(f"{name}: records moved by field: "
+                  + ", ".join(f"{key} {moved[key]}" for key in _TEXT_FIELDS))
 
 
 def test_rewrite_rejects_unknown_names_before_writing():
@@ -248,6 +292,46 @@ def test_compare_prints_the_fields_that_differ_and_writes_nothing(tmp_path, monk
     ]
     with pytest.raises(SystemExit, match="^unknown golden files: bogus.txt$"):
         compare([name, "bogus.txt"])
+
+
+def test_compare_reads_a_txt_line_as_its_value_terms_flag_or_error(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a copy of the current steps output with a value nudged, a reduced flag
+    # and a term count changed, and an error reworded
+    name = "steps_seeded_points.txt"
+    lines = _current(name).splitlines(keepends=True)
+    records = [_text_record(line.rstrip("\n")) for line in lines]
+    first, second = records[0], records[1]
+    assert first["point"].startswith("theta1_reduced ") and first["reduced"] is True
+    assert second["point"].startswith("theta2 ") and "reduced" not in second
+    failed = next(index for index, record in enumerate(records) if "error" in record)
+    value, terms = first["value"], second["terms"]
+    nudged = value * (1.0 + 1e-6)
+    lines[0] = f"{first['point']} {(nudged, first['terms'], False)}\n"
+    lines[1] = f"{second['point']} {(second['value'], terms + 1)}\n"
+    lines[failed] = f"{records[failed]['point']} ConvergenceError: reworded\n"
+    (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+    before = (tmp_path / name).read_bytes()
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    compare([name])
+    out = capsys.readouterr().out.splitlines()
+    assert (tmp_path / name).read_bytes() == before
+    top = max(float(record["terms"]) for record in records if "terms" in record)
+    assert out == [
+        f"{name} record 1: reduced False -> True, value {nudged!r} -> {value!r}",
+        f"{name} record 2: terms {terms + 1} -> {terms}",
+        f"{name} record {failed + 1}: error 'ConvergenceError: reworded' -> "
+        f"{records[failed]['error']!r}",
+        f"{name}: 3 of {len(lines)} records differ",
+        f"{name}: largest change in terms 1 at record 2 ({terms + 1.0!r} -> {float(terms)!r}); "
+        f"largest terms {max(top, terms + 1.0)!r} -> {top!r}",
+        f"{name}: largest relative change in value {abs(value - nudged) / abs(nudged):.3g} "
+        f"at record 1 ({nudged!r} -> {value!r})",
+        f"{name}: records moved by field: value 1, terms 1, reduced 1, error 1",
+    ]
+    # an eval_* line: its value and term count
+    assert _text_record("0.647914765883838-0.1634820531528i terms=3") == {
+        "value": 0.647914765883838 - 0.1634820531528j, "terms": 3}
 
 
 if __name__ == "__main__":

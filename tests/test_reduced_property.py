@@ -19,6 +19,7 @@ range; a product taken with that prefactor is zero or off by up to 7%.
 
 import functools
 import math
+import random
 
 import pytest
 
@@ -147,3 +148,67 @@ def test_series_takes_at_most_5_terms_at_every_reduced_point(re_tau, lift, re_z,
     tau = complex(re_tau, math.sqrt(1.0 - re_tau * re_tau) * 10.0**lift)
     terms = theta._series(complex(re_z, im_z), tau, theta._DEFAULT_CFG)[3]
     assert 1 <= terms <= 5
+
+
+def _bound_draw(rng, count):
+    # count fundamental-domain points (perfbench's eval_fundamental shape)
+    # and count with Im tau log-uniform in 1e-4..1, Im z within 2 sqrt(Im tau)
+    points = []
+    for _ in range(count):
+        re_tau = rng.uniform(-0.5, 0.5)
+        floor = math.sqrt(1.0 - re_tau * re_tau)
+        points.append((complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)),
+                       complex(re_tau, rng.uniform(floor, 3.0))))
+        im_tau = 10.0 ** rng.uniform(-4.0, 0.0)
+        points.append((complex(rng.uniform(-1.0, 1.0),
+                               2.0 * math.sqrt(im_tau) * rng.uniform(-1.0, 1.0)),
+                       complex(rng.uniform(-2.0, 2.0), im_tau)))
+    return points
+
+
+# the draw's points whose value breaks its rounding bound, a known fault of
+# the bound (see CHANGES.md): the series charges the rounding of the
+# reduced z with |d log theta1/dz| <= 2 pi, but near the zero 0 that
+# derivative is about 1/|z|.  Here the steps end 0.089 from it, where it is
+# about 11, and the error is 1.10 times the bound
+_BREAKS_THE_BOUND = {
+    ("theta4", 0.014774845014643434 + 0.06097512791533739j,
+     -0.5656262376234085 + 0.0023235335314697554j),
+}
+
+
+def test_the_rounding_bound_holds_at_seeded_points(monkeypatch):
+    # _finish compares error + _EPS |exponent| with _ROUNDING_LIMIT: that
+    # bound, plus the roundings of the value's exp and product after it,
+    # holds the error against the reference.  eps = 1e-20 keeps the
+    # truncation below an ulp
+    bounds = []
+    finish = theta._finish
+
+    def captured(z, eighths, exponent, prod, error, what):
+        bounds.append(error + theta._EPS * abs(exponent))
+        return finish(z, eighths, exponent, prod, error, what)
+
+    monkeypatch.setattr(theta, "_finish", captured)
+    cfg = theta.EvalConfig(eps=1e-20)
+    functions = (("theta1", lambda z, tau: theta1_reduced(z, tau, cfg).value),
+                 ("theta2", lambda z, tau: theta2(z, tau, cfg)),
+                 ("theta3", lambda z, tau: theta3(z, tau, cfg)),
+                 ("theta4", lambda z, tau: theta4(z, tau, cfg)))
+    checked, broken = 0, {}
+    for index, (z, tau) in enumerate(_bound_draw(random.Random(20261020), 150)):
+        kind, function = functions[index % 4]
+        bounds.clear()
+        try:
+            got = function(z, tau)
+        except (ConvergenceError, OverflowError):
+            continue
+        want = reference.theta_reference(kind, z, tau)
+        if not want.in_range:
+            continue
+        checked += 1
+        error = abs(got - want.value) / abs(want.value)
+        if not error <= bounds[0] + 4.0 * theta._EPS:
+            broken[kind, z, tau] = error / bounds[0]
+    assert checked >= 280
+    assert broken.keys() == _BREAKS_THE_BOUND, broken

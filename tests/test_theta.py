@@ -600,6 +600,49 @@ def test_reduced_keeps_relative_accuracy_near_a_zero(entry, z, tau):
     assert got != 0 and abs(got - want) <= 1e-12 * abs(want)
 
 
+def _factor_at(r, phi, sign):
+    # sign times the z of the cell, at Im z >= 0, with 1 - e^(2 pi i z)
+    # = r e^(i phi); |phi| <= 1.2 keeps |e^(2 pi i z)| <= 1
+    return sign * cmath.log(1.0 - r * cmath.exp(1j * phi)) / (2j * math.pi)
+
+
+@pytest.mark.parametrize(
+    "z, cancels",
+    [
+        # |1 - w^2| just below _CANCELS = 1/2, then just above it; the series
+        # takes -z where Im z < 0
+        *[(_factor_at(r, phi, (-1) ** index), r < 0.5)
+          for r in (0.4995, 0.5005)
+          for index, phi in enumerate((-1.2, -0.4, 0.0, 0.7, 1.2))],
+        (1e-9 + 2e-9j, True),  # near the zero 0
+        # 1e-10 from the zero tau and 1e-12 from 1 + tau: the series takes
+        # the offset from _off_zero
+        (0.1 + 1.2j + 1e-10, True),
+        (1.1 + 1.2j - 1e-12j, True),
+        (0.3 + 0.1j, False),
+    ],
+)
+def test_series_forms_1_minus_w2_by_subtraction_where_it_does_not_cancel(monkeypatch, z,
+                                                                         cancels):
+    # 1 - w^2 is 1.0 - w^2 from |1 - w^2| >= 1/2 on and _one_minus_exp below
+    calls = []
+    one_minus_exp = theta._one_minus_exp
+
+    def counted(x):
+        calls.append(x)
+        return one_minus_exp(x)
+
+    monkeypatch.setattr(theta, "_one_minus_exp", counted)
+    tau = 0.1 + 1.2j
+    series = theta1_series(z, tau)
+    reduced = theta1_reduced(z, tau)
+    assert len(calls) == (2 if cancels else 0)
+    # no step: theta1_reduced is theta1_series, bit for bit
+    assert not reduced.reduced and repr(reduced.value) == repr(series)
+    want = _jtheta(1, z, tau)
+    assert abs(series - want) <= 1e-15 * abs(want)
+
+
 def test_reduced_exact_zero_only_on_the_lattice():
     tau = 0.25 + 0.5j  # dyadic: 3 tau - 2 is exact in binary64
     assert theta1_reduced(3 * tau - 2, tau).value == 0
@@ -621,7 +664,8 @@ def test_off_zero_checks_the_exact_offset_after_its_rounding():
 
 
 def _count_steps(monkeypatch):
-    # each S step shifts z by the lattice once, and the series once more
+    # each S step shifts z by the lattice once; the series shifts a z that
+    # lies outside its cell once more, and skips the shift inside it
     steps = []
     shift = theta._shift
 
@@ -635,19 +679,27 @@ def _count_steps(monkeypatch):
 
 def test_theta3_theta4_series_takes_no_lattice_shift(monkeypatch):
     # both are even and take z at Im z <= 0, so that u = z + tau/2 lies in
-    # 0 <= Im u <= Im tau/2 where |Im z| <= Im tau/2 = 0.6
-    powers = []
-    shift = theta._shift
+    # 0 <= Im u <= Im tau/2 where |Im z| <= Im tau/2 = 0.6: the series gets
+    # a point of its cell, and any shift it took would be by n = m = 0
+    points, shifts = [], []
+    series, shift = theta._series, theta._shift
 
-    def recorded(*args):
+    def recorded_series(z, tau, *args):
+        points.append((z, tau))
+        return series(z, tau, *args)
+
+    def recorded_shift(*args):
         result = shift(*args)
-        powers.append(result[2])
+        shifts.append(result[1:3])  # n + m and the power
         return result
 
-    monkeypatch.setattr(theta, "_shift", recorded)
+    monkeypatch.setattr(theta, "_series", recorded_series)
+    monkeypatch.setattr(theta, "_shift", recorded_shift)
     for z in (0.3 + 0.4j, -0.7 - 0.2j, 0.1 + 0.59j):
         theta3(z, 0.1 + 1.2j), theta4(z, 0.1 + 1.2j)
-    assert powers == [0j] * 6
+    assert len(points) == 6
+    assert all(0.0 <= u.imag <= tau.imag / 2 and abs(u.real) <= 0.5 for u, tau in points)
+    assert all(taken == (0, 0j) for taken in shifts)
 
 
 def test_reduction_stops_where_s_maps_tau_onto_itself(monkeypatch):

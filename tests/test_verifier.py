@@ -746,6 +746,19 @@ def test_lemma2_circles_meet_their_tol():
     assert _circle_gate((0.3, 0.4)) <= 1e-12
 
 
+def test_zero_circle_at_its_contract_radius_stops_at_the_rate():
+    # at (0.5, -0.25, 0.5, 1) the radius 1/(4N) = 1/6 is exactly half the
+    # distance to the real pole 1/3, so the gaps decay at the contract's
+    # rate itself: the rule of 64 nodes has its gap 4.1003e-12 against a
+    # predicted 4.0994e-12, and without the guard's margin the circle
+    # doubled once more, to 128 nodes
+    p = DomainPoint(0.5, -0.25, 0.5, 1)
+    value, _, nodes = residue_by_circle(lambda zeta: residue_kernel(zeta, p), 0.0,
+                                        1.0 / (4.0 * p.N), tol=1e-12)
+    assert nodes == 64
+    assert abs(value - residue_at_zero(p)) <= 5e-18
+
+
 @pytest.mark.parametrize("suite", ["lemma2", "lemma3"])
 def test_fixed_point_suites_do_not_read_the_seed(suite):
     from siegeltheta import run_suite
