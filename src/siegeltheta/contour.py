@@ -218,8 +218,9 @@ def residue_by_circle(f: Integrand, center, radius: float,
     SIAM Rev. 56, 2014).  So besides a gap within tol, the circle accepts
     the rule of 2M nodes once its gap is at most 2^-(M/2) times the gap
     before it, the decay that rate predicts, within a margin of 1%, and
-    the gap times 2^-M is within tol.  Where a radius breaks the contract, the gaps decay more
-    slowly, that guard fails, and the gap alone stops the rules.
+    the gap times 2^-M is within tol.  Where a radius breaks the contract,
+    the gaps decay more slowly, that guard fails, and the gap alone stops
+    the rules.
     DomainError for a non-finite center.
     """
     _positive(tol, "tol")

@@ -143,9 +143,9 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # and y > -Im z > 0, power's real part is never positive, and no
             # exponential exceeds 1 in modulus.  1 - E_s cancels near the
             # triple pole at 0 and 1 - E_b where b is small (a large y); each
-            # is formed by expm1 there, by theta's rule for 1 - e^x, the one
-            # the series applies to 1 - w^2: `_one_minus_exp` below
-            # _CANCELS.  lemma2's nodes have |1 - E_s| >= 0.79 and at y = 2
+            # is formed by `_one_minus_exp` there, below _CANCELS: theta's
+            # one rule for 1 - e^x, which its series applies to 1 - w^2.
+            # lemma2's nodes have |1 - E_s| >= 0.79 and at y = 2
             # |1 - E_b| >= 0.54: none is.
             # At -zeta, s, b and a change sign: E_w is the same, g_w changes
             # sign, the cotangents' product is the same, and f_-s f_-b e^-a

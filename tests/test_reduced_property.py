@@ -15,6 +15,9 @@ its precision, and so its cost, grows with that term.
 Both gates also run at the points below, where the theta1 product's
 prefactor e^(i pi (z + tau/4)) underflows at Im z > 0 while the value is in
 range; a product taken with that prefactor is zero or off by up to 7%.
+
+A seeded gate checks the first-order rounding bound that the steps and
+the series report against the same reference.
 """
 
 import functools
