@@ -41,8 +41,10 @@ from .verifier import (
     lambert_terms,
     log_identity_residual,
     log_theta1_lambert,
+    residue_imag_pole,
     residue_kernel,
     residue_kernel_pair,
+    residue_real_pole,
     transformation_residual,
 )
 
@@ -178,20 +180,39 @@ def _lemma2_circles(p: DomainPoint, breakdown: ResidueBreakdown) -> list:
 def _lemma2_rhombus(p: DomainPoint) -> tuple[complex, int]:
     """(the kernel's integral over the rhombus (-i, y, i, -y), pair
     evaluations): E3 and E4 are E1 and E2 turned by pi, orientation kept,
-    so it is the integral of K(u) - K(-u) over E1 and E2, each edge at tol
-    2e-10, as it stands for two edges at 1e-10."""
+    so it is the integral of the odd K(u) - K(-u) over E1 and E2, each edge
+    at tol 2e-10, as it stands for two edges at 1e-10.
 
-    def odd(u):  # through the module global, which a trace may wrap
-        at, mirrored = residue_kernel_pair(u, p)
-        return at - mirrored
+    The poles +-in/N and +-ny/N sit just inside the vertices, 1/(2N) and
+    y/(2N) from them.  On each edge the quadrature takes the odd kernel
+    less the principal parts c/(u - q) at the two of them nearest its ends,
+    and each part comes back as c Log((end - q)/(start - q)), exact as a
+    segment subtends less than pi at a point off it; at n = 3 each edge
+    then settles at 65 nodes, not 129.  The odd kernel's residue at q and
+    at -q is c = r_q + r_-q, from the closed forms; any c gives the same
+    integral, and a wrong one only leaves a pole for the rule to resolve,
+    at more nodes.
+    """
+    n = p.n
+    imag, real = 1j * n / p.N, n * p.y / p.N
+    # through the module globals, which a caller may replace
+    c_imag = residue_imag_pole(n, p) + residue_imag_pole(-n, p)
+    c_real = residue_real_pole(n, p) + residue_real_pole(-n, p)
 
-    vertices = rhombus_contour(p.y)
-    value, nodes = 0j, 0
-    for start, end in zip(vertices[:2], vertices[1:3]):
-        edge, _, edge_nodes = integrate_edge(odd, start, end, tol=2e-10)
-        value += edge
-        nodes += edge_nodes
-    return value, nodes
+    def edge(start, end, q0, c0, q1, c1):
+        def smooth(u):  # through the module global, which a trace may wrap
+            at, mirrored = residue_kernel_pair(u, p)
+            return at - mirrored - c0 / (u - q0) - c1 / (u - q1)
+
+        value, _, nodes = integrate_edge(smooth, start, end, tol=2e-10)
+        return (value + c0 * cmath.log((end - q0) / (start - q0))
+                + c1 * cmath.log((end - q1) / (start - q1)), nodes)
+
+    bottom, right, top, _ = rhombus_contour(p.y)
+    # E1 (-i -> y) passes -in/N and ny/N, E2 (y -> i) ny/N and in/N
+    e1, nodes1 = edge(bottom, right, -imag, c_imag, real, c_real)
+    e2, nodes2 = edge(right, top, real, c_real, imag, c_imag)
+    return e1 + e2, nodes1 + nodes2
 
 
 def _suite_lemma2(seed, n, tol):

@@ -127,8 +127,9 @@ class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
 
 
 _DEFAULT_CFG = EvalConfig()
-# the series' length needs log eps at every call: formed once for the
-# default config, which every call without a config takes
+# the series' length needs log eps at every call, and the plain product's
+# at every call too: formed once for the default config, which every call
+# without a config takes, and the plain product always
 _DEFAULT_LOG_EPS = math.log(_DEFAULT_CFG.eps)
 
 ThetaEval = namedtuple("ThetaEval", "value terms_used reduced")
@@ -198,7 +199,7 @@ def _product_length(log_abs_q: float, log_abs_w: float) -> int:
     log_q2 = 2.0 * log_abs_q
     # expm1: |q| rounds to 1 for Im tau < 1e-17, where log1p(-|q|^2) fails
     log_c = _log_factor_scale(log_abs_w) - math.log(-math.expm1(log_q2))
-    target = math.log(eps) - log_c
+    target = _DEFAULT_LOG_EPS - log_c
     # compared before ceil, which fails on the inf a subnormal Im tau gives
     length = target / log_q2
     # NaN, from a huge Im z whose log|w| overflows, fails this test too

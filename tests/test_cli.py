@@ -274,19 +274,20 @@ def test_verify_timing_fills_wall_ms_only(capsys):
     assert timed == plain
 
 
-@pytest.mark.parametrize("n", [452, 1000])
+@pytest.mark.parametrize("n", [452, 1000, 2002, 5000])
 def test_verify_lemma2_past_the_kernels_factor_range(capsys, n):
     # from n = 452 the kernel's e^a leaves the binary64 range on the
-    # rhombus, where its value does not
+    # rhombus, where its value does not; from n = 2002 the rhombus edges
+    # settle only with the vertex poles' principal parts taken out
     code, out, err = run_cli(capsys, "verify", "lemma2", "--n", str(n))
     assert (code, err) == (0, "")
     assert all(json.loads(line)["passed"] for line in out.splitlines())
 
 
 def test_verify_writes_each_suite_before_the_next_runs(capsys):
-    # at n = 2002 a rhombus edge needs more than the 2,049-node cap: lemma2
+    # at n = 7370 a rhombus edge needs more than the 2,049-node cap: lemma2
     # raises, and eq2's 25 and lemma1's 10 lines are out already
-    code, out, err = run_cli(capsys, "verify", "all", "--n", "2002")
+    code, out, err = run_cli(capsys, "verify", "all", "--n", "7370")
     _, passing, _ = run_cli(capsys, "verify", "all")
     assert code == 3
     assert err.startswith("error: edge quadrature did not settle")

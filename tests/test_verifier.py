@@ -655,7 +655,7 @@ def test_transformation_residual_general_tau():
         assert transformation_residual(z, tau) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 10, 25, 100, 400])
+@pytest.mark.parametrize("n", [1, 3, 5, 10, 25, 100, 400, 2002, 5000])
 def test_rhombus_integral_matches_the_closed_residue_sum(n, monkeypatch):
     # the lemma2 contour check at its point, far below its 1e-8 tolerance
     from siegeltheta import suites
@@ -671,10 +671,25 @@ def test_rhombus_integral_matches_the_closed_residue_sum(n, monkeypatch):
     value, nodes = _lemma2_rhombus(p)
     assert abs(value - closed_residue_sum(p)) <= 2e-15
     # the node count returned is the pair evaluations made, one per node
-    # of E1's and E2's last rules (their shared vertex y twice): 258 at
+    # of E1's and E2's last rules (their shared vertex y twice): 130 at
     # lemma2's n = 3
     assert nodes == len(calls) == len(set(calls)) + 1
-    assert n != 3 or nodes == 258
+    assert n != 3 or nodes == 130
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-3, 0.0])
+def test_rhombus_integral_does_not_rest_on_the_subtracted_residues(scale, monkeypatch):
+    # the principal parts taken out at the vertex poles come back in closed
+    # form, so wrong coefficients leave the integral as it is and only cost
+    # nodes: at n = 3 the edges need their 129-node rules again
+    from siegeltheta import suites
+
+    p = DomainPoint(0.5, -0.25, 2.0, 3)
+    monkeypatch.setattr(suites, "residue_imag_pole", lambda k, q: scale * residue_imag_pole(k, q))
+    monkeypatch.setattr(suites, "residue_real_pole", lambda k, q: scale * residue_real_pole(k, q))
+    value, nodes = _lemma2_rhombus(p)
+    assert abs(value - closed_residue_sum(p)) <= 2e-15
+    assert nodes >= 258
 
 
 def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
@@ -702,8 +717,8 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
         nodes[r.check_name] += r.terms_or_nodes
     assert nodes["lemma2_residue_zero_vs_circle"] == 32
     assert nodes["lemma2_residue_imag_vs_circle"] == nodes["lemma2_residue_real_vs_circle"] == 64
-    assert nodes["lemma2_residue_theorem_contour"] == 258
-    assert len(calls) == 32 + 64 + 64 + 258 == 418
+    assert nodes["lemma2_residue_theorem_contour"] == 130
+    assert len(calls) == 32 + 64 + 64 + 130 == 290
     assert all(r.passed for r in reports)
 
 
