@@ -127,9 +127,9 @@ class EvalConfig(namedtuple("EvalConfig", "eps max_terms")):
 
 
 _DEFAULT_CFG = EvalConfig()
-# the series' length needs log eps at every call, and the plain product's
-# at every call too: formed once for the default config, which every call
-# without a config takes, and the plain product always
+# log eps at the default config, formed once: the series' length needs it
+# at every call without a config, and the plain product's length, which
+# always runs at the default eps, at every call
 _DEFAULT_LOG_EPS = math.log(_DEFAULT_CFG.eps)
 
 ThetaEval = namedtuple("ThetaEval", "value terms_used reduced")
