@@ -84,23 +84,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .suites import report_json_line, run_suite
+    from .suites import iter_suite, report_json_line
 
-    # one suite at a time, each written as it returns: a suite that raises
+    # each report written as its check produces it: a check that raises
     # keeps the lines of those that ran before it
     passed = True
-    for suite in SUITES if args.suite == "all" else (args.suite,):
-        reports = run_suite(
-            suite,
-            seed=args.seed,
-            count=args.count,
-            tol=args.tol,
-            n=args.n,
-            timing=args.timing,
-        )
-        for report in reports:
-            sys.stdout.write(report_json_line(report) + "\n")
-        passed = passed and all(r.passed for r in reports)
+    for report in iter_suite(args.suite, seed=args.seed, count=args.count, tol=args.tol,
+                             n=args.n, timing=args.timing):
+        sys.stdout.write(report_json_line(report) + "\n")
+        passed = passed and report.passed
     return 0 if passed else 1
 
 

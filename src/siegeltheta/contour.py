@@ -20,15 +20,14 @@ __all__ = [
 
 Integrand = Callable[[complex], complex]
 
-# node doublings before ConvergenceError: a circle goes from 8 to 1,048,576
+# node doublings before ConvergenceError: a circle goes from 4 to 1,048,576
 # nodes; an edge from 17 to 2,049, as its weights take O(N^2) work to form
-_MAX_LEVELS = 17
+_MAX_LEVELS = 18
 _EDGE_LEVELS = 7
-# the rate stop's margin on the decay a rate predicts: where a circle's
-# radius is exactly its contract's, the gaps decay at that rate itself, and
-# their rounding and lower-order terms leave a gap a hair above it (4.1003e-12
-# against 4.0994e-12 for the zero circle of DomainPoint(0.5, -0.25, 0.5, 1))
-_DECAY_MARGIN = 1.01
+# a circle's rate stop assumes the rule of M nodes errs like _RATE^M: its
+# radius contract gives (radius/R)^M <= 16^-M, and the factor 2 absorbs the
+# M^2 that a triple pole R away puts on it
+_RATE = 0.125
 # node tables by interval count, formed on first use: the Clenshaw-Curtis
 # weights, the edge cosines cos(pi j/count) and the circle directions
 # e^(2 pi i j/count).  A circle past 2,048 intervals, an edge's last rule,
@@ -100,10 +99,9 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
     Stops once two successive estimates differ by at most tol.  Where the
     rule of M intervals is known to err like rate^M, it also accepts the
     rule of 2M once the last gap is at most the gap before it times
-    rate^(M/2), the decay that rate predicts (within _DECAY_MARGIN), and
-    the gap times rate^M, the error that decay leaves in the finer rule,
-    is at most tol; at rate 1, the default, that adds nothing to the gap
-    test.  Raises
+    rate^(M/2), the decay that rate predicts, and the gap times rate^M,
+    the error that decay leaves in the finer rule, is at most tol; at
+    rate 1, the default, that adds nothing to the gap test.  Raises
     ConvergenceError after `levels` doublings, or at the first estimate
     that is not finite.
     """
@@ -123,7 +121,7 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
         if previous is not None:
             last_gap, gap = gap, max(map(abs, map(sub, approx, previous)))
             if gap <= tol or (level > 1
-                              and gap <= _DECAY_MARGIN * last_gap * rate ** (count // 4)
+                              and gap <= last_gap * rate ** (count // 4)
                               and gap * rate ** (count // 2) <= tol):
                 return approx, gap, len(values)
         previous = approx
@@ -211,16 +209,19 @@ def residue_by_circle(f: Integrand, center, radius: float,
     """(1/2 pi i) times the integral of f over the circle around center,
     as (value, error estimate, nodes), f being called once per node.
 
-    Periodic trapezoid rules from 8 nodes, nested and doubled at most 17
+    Periodic trapezoid rules from 4 nodes, nested and doubled at most 18
     times, to 1,048,576 (see `_nested`).  The caller must keep radius at
-    most half the distance R to the nearest other singularity: the rule of
-    M nodes then errs like (radius/R)^M <= 2^-M (Trefethen and Weideman,
-    SIAM Rev. 56, 2014).  So besides a gap within tol, the circle accepts
-    the rule of 2M nodes once its gap is at most 2^-(M/2) times the gap
-    before it, the decay that rate predicts, within a margin of 1%, and
-    the gap times 2^-M is within tol.  Where a radius breaks the contract,
-    the gaps decay more slowly, that guard fails, and the gap alone stops
-    the rules.
+    most R/16, R being the distance to the nearest other singularity, and
+    that singularity and the pole at center poles of order at most 3: the
+    rule of M nodes then errs like M^2 (radius/R)^M <= M^2 16^-M
+    (Trefethen and Weideman, SIAM Rev. 56, 2014), and no rule aliases the
+    center's zeta^-3 term onto its residue, 4 being the fewest nodes that
+    do not.  So besides a gap within tol, the circle accepts the rule of
+    2M nodes once its gap is at most 8^-(M/2) times the gap before it, the
+    decay that the rate 8^-M predicts, and the gap times 8^-M is within
+    tol; the factor 2 over 16^-M absorbs the M^2.  Where a radius breaks
+    the contract, the gaps decay more slowly, that guard fails, and the
+    gap alone stops the rules.
     DomainError for a non-finite center.
     """
     _positive(tol, "tol")
@@ -232,8 +233,8 @@ def residue_by_circle(f: Integrand, center, radius: float,
         return (sum(terms, 0j) * radius / count,)
 
     (value,), gap, nodes = _nested(lambda ds: [f(center + radius * d) * d for d in ds],
-                                   _directions, estimate, 8, _MAX_LEVELS, tol,
-                                   "circle quadrature", rate=0.5)
+                                   _directions, estimate, 4, _MAX_LEVELS, tol,
+                                   "circle quadrature", rate=_RATE)
     return value, gap, nodes
 
 
@@ -273,6 +274,6 @@ def residue_pair_by_circle(pair: Callable[[complex], tuple[complex, complex]], c
         at, mirrored = zip(*terms)
         return sum(at, 0j) * radius / count, -sum(mirrored, 0j) * radius / count
 
-    (value, mirrored), gap, nodes = _nested(values_at, _directions, estimate, 8, _MAX_LEVELS,
-                                            tol, "circle quadrature", rate=0.5)
+    (value, mirrored), gap, nodes = _nested(values_at, _directions, estimate, 4, _MAX_LEVELS,
+                                            tol, "circle quadrature", rate=_RATE)
     return value, mirrored, gap, nodes

@@ -7,6 +7,8 @@ import math
 import random
 import time
 from collections import namedtuple
+from collections.abc import Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 
 # integrate_closed has no caller here: it stays bound because the benchmark's
@@ -177,6 +179,20 @@ def _lemma2_circles(p: DomainPoint, breakdown: ResidueBreakdown) -> list:
     return circles
 
 
+def _lemma2_radius(p: DomainPoint, center: complex) -> float:
+    """The radius of lemma2's circle around the kernel pole center, R/16 as
+    residue_by_circle's contract allows, R being the distance to the next
+    pole.  The poles are ik/N and ky/N, the one at 0 triple, so R is 1/N
+    around ik/N, y/N around ky/N (k != 0) and min(1, y)/N around 0."""
+    if not center:
+        reach = min(1.0, p.y)
+    elif complex(center).imag:
+        reach = 1.0
+    else:
+        reach = p.y
+    return reach / (16.0 * p.N)
+
+
 def _lemma2_rhombus(p: DomainPoint) -> tuple[complex, int]:
     """(the kernel's integral over the rhombus (-i, y, i, -y), pair
     evaluations): E3 and E4 are E1 and E2 turned by pi, orientation kept,
@@ -219,7 +235,6 @@ def _suite_lemma2(seed, n, tol):
     a, b, y = LEMMA2_POINT
     p = DomainPoint(a, b, y, n)
     params = p._asdict()
-    radius = 1.0 / (4.0 * p.N)
 
     # both through the module globals, which a trace may wrap
     def kernel(zeta):
@@ -239,6 +254,7 @@ def _suite_lemma2(seed, n, tol):
     oracles = {}
     for check, extra, center, residue in _lemma2_circles(p, breakdown):
         if center not in oracles:
+            radius = _lemma2_radius(p, center)
             if center:
                 at, mirrored, _, nodes = residue_pair_by_circle(pair, center, radius, tol=1e-12)
                 oracles[-center] = mirrored, nodes
@@ -290,6 +306,53 @@ _SUITES = {
 }
 
 
+def _check_arguments(suite, count, tol, n) -> None:
+    if suite != "all" and suite not in SUITES:
+        raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
+    for name, value in (("count", count), ("n", n)):
+        if value is not None:
+            positive_int(value, name)
+    if tol is not None and not finite_real(tol, "tol") >= 0.0:
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
+
+
+def iter_suite(
+    suite: str,
+    seed: int = 0,
+    count: int | None = None,
+    tol: float | None = None,
+    n: int | None = None,
+    timing: bool = False,
+) -> Iterator[VerificationReport]:
+    """run_suite's reports one at a time, each as its check produces it, so
+    a check that raises leaves those before it with the caller.
+
+    The arguments are checked at the call, before any check runs; 'all'
+    starts each suite as the one before it ends.  With timing, each
+    report's wall_ms is the time taken to produce it, not counting the
+    caller's time between reports.
+    """
+    _check_arguments(suite, count, tol, n)
+    if suite == "all":
+        return chain.from_iterable(
+            iter_suite(name, seed=seed, count=count, tol=tol, n=n, timing=timing)
+            for name in SUITES
+        )
+    generate, default_tol, default_size, sized_by_count = _SUITES[suite]
+    size = count if sized_by_count else n
+    reports = generate(
+        seed, default_size if size is None else size, default_tol if tol is None else tol
+    )
+    return _timed(reports) if timing else reports
+
+
+def _timed(reports):
+    started = time.perf_counter()
+    for report in reports:
+        yield report._replace(wall_ms=(time.perf_counter() - started) * 1e3)
+        started = time.perf_counter()
+
+
 def run_suite(
     suite: str,
     seed: int = 0,
@@ -306,33 +369,13 @@ def run_suite(
     LEMMA3_POINT and never read it.  With timing, each report's wall_ms is
     the time taken to produce it.
     """
-    if suite != "all" and suite not in SUITES:
-        raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
-    for name, value in (("count", count), ("n", n)):
-        if value is not None:
-            positive_int(value, name)
-    if tol is not None and not finite_real(tol, "tol") >= 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
-    if suite == "all":
-        reports = []
-        for name in SUITES:
-            # through the module global, with the name first: a caller may
-            # wrap run_suite and see each suite's own call
-            reports.extend(run_suite(name, seed=seed, count=count, tol=tol, n=n, timing=timing))
-        return reports
-    generate, default_tol, default_size, sized_by_count = _SUITES[suite]
-    size = count if sized_by_count else n
-    reports = generate(
-        seed, default_size if size is None else size, default_tol if tol is None else tol
-    )
-    if not timing:
-        return list(reports)
-    timed = []
-    started = time.perf_counter()
-    for report in reports:
-        timed.append(report._replace(wall_ms=(time.perf_counter() - started) * 1e3))
-        started = time.perf_counter()
-    return timed
+    if suite != "all":
+        return list(iter_suite(suite, seed=seed, count=count, tol=tol, n=n, timing=timing))
+    _check_arguments(suite, count, tol, n)
+    # through the module global, with the name first: a caller may wrap
+    # run_suite and see each suite's own call
+    return [report for name in SUITES
+            for report in run_suite(name, seed=seed, count=count, tol=tol, n=n, timing=timing)]
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,15 @@ def _theta1_product(z: complex, tau: complex):
         power3 = cmath.exp(_IPI * ((2.0 + trail) * tau - two_z))
         prod = 1.0 + 0.0j
         for _ in range(terms):
-            f1, f2, f3 = 1.0 - power1, 1.0 - power2, 1.0 - power3
-            if f1 == 0 or f2 == 0 or f3 == 0:
-                return -1j, 0j, 0j
-            prod *= f1 * f2 * f3
+            prod *= (1.0 - power1) * (1.0 - power2) * (1.0 - power3)
             power1 *= q2
             power2 *= q2
             power3 *= q2
+        # an exactly zero factor leaves prod exactly zero, as the powers only
+        # shrink and no later factor is infinite; a product that overflowed
+        # before it is NaN, and takes the overflow's path below
+        if not prod:
+            return -1j, 0j, 0j
         if near:
             prod *= _one_minus_exp(-2.0 * _IPI * z)
         if cmath.isfinite(prod):

@@ -142,11 +142,14 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # g_s g_b ((1 + E_s)(1 + E_b)/8 + e^power)/zeta.  As 0 < Re z < 1
             # and y > -Im z > 0, power's real part is never positive, and no
             # exponential exceeds 1 in modulus.  1 - E_s cancels near the
-            # triple pole at 0 and 1 - E_b where b is small (a large y); each
-            # is formed by `_one_minus_exp` there, below _CANCELS: theta's
-            # one rule for 1 - e^x, which its series applies to 1 - w^2.
-            # lemma2's nodes have |1 - E_s| >= 0.79 and at y = 2
-            # |1 - E_b| >= 0.54: none is.
+            # poles ik/N, 1 - E_b near the poles ky/N and where b is small (a
+            # large y), and both near the triple pole at 0; each is formed by
+            # `_one_minus_exp` there, below _CANCELS: theta's one rule for
+            # 1 - e^x, which its series applies to 1 - w^2.  lemma2's
+            # circles, 1/16 of the way to the next pole, take it at every
+            # node for the factors of the pole they enclose, whose |w| is at
+            # most pi/8 there; at y = 2 its rhombus nodes have
+            # |1 - E_s| >= 0.99 and |1 - E_b| >= 0.77, and none takes it.
             # At -zeta, s, b and a change sign: E_w is the same, g_w changes
             # sign, the cotangents' product is the same, and f_-s f_-b e^-a
             # = g_s g_b e^mirror, mirror being -a plus each of s and b that

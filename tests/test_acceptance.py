@@ -25,7 +25,7 @@ from siegeltheta import (
     theta1_series,
     transformation_residual,
 )
-from siegeltheta.suites import sample_domain_points, sample_grid
+from siegeltheta.suites import _lemma2_radius, sample_domain_points, sample_grid
 from siegeltheta.theta import _theta1_plain
 
 GRID_SEED = 2024
@@ -80,20 +80,17 @@ def test_criterion_3_log_series_equivalence():
 def test_criterion_4_closed_residues_vs_quadrature():
     started = time.perf_counter()
     p = DomainPoint(0.5, -0.25, 2.0, 5)
-    radius = 1.0 / (4.0 * p.N)
     kernel = lambda zeta: residue_kernel(zeta, p)
-    worst = abs(residue_at_zero(p) - residue_by_circle(kernel, 0.0, radius, tol=1e-12)[0])
+
+    def oracle(center):  # at the radius lemma2 gives the circle around center
+        return residue_by_circle(kernel, center, _lemma2_radius(p, center), tol=1e-12)[0]
+
+    worst = abs(residue_at_zero(p) - oracle(0.0))
     for k in range(-p.n, p.n + 1):
         if k == 0:
             continue
-        worst = max(worst, abs(
-            residue_imag_pole(k, p)
-            - residue_by_circle(kernel, 1j * k / p.N, radius, tol=1e-12)[0]
-        ))
-        worst = max(worst, abs(
-            residue_real_pole(k, p)
-            - residue_by_circle(kernel, k * p.y / p.N, radius, tol=1e-12)[0]
-        ))
+        worst = max(worst, abs(residue_imag_pole(k, p) - oracle(1j * k / p.N)))
+        worst = max(worst, abs(residue_real_pole(k, p) - oracle(k * p.y / p.N)))
     totals_gap = abs(
         ResidueBreakdown.compute(p).total_times_2pi_i - closed_residue_sum(p)
     )

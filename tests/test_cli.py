@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -274,6 +275,33 @@ def test_verify_timing_fills_wall_ms_only(capsys):
     assert timed == plain
 
 
+def test_iter_suite_checks_first_and_times_only_its_own_work(monkeypatch):
+    # the arguments are checked at the call, before any check runs
+    ran = []
+
+    def instant(seed, size, tol):
+        for index in range(3):
+            ran.append(index)
+            yield suites._report("instant", {"index": index}, 0.0, tol, size)
+
+    monkeypatch.setitem(suites._SUITES, "lemma3", (instant, 1e-6, 10, False))
+    for kwargs in ({"n": 0}, {"tol": math.nan}, {"count": -1}):
+        with pytest.raises(DomainError):
+            suites.iter_suite("lemma3", **kwargs)
+        with pytest.raises(DomainError):
+            suites.iter_suite("all", **kwargs)
+    assert ran == []
+    # wall_ms leaves out the caller's time between reports
+    reports = []
+    for report in suites.iter_suite("lemma3", timing=True):
+        reports.append(report)
+        time.sleep(0.02)
+    assert [r.parameters["index"] for r in reports] == [0, 1, 2]
+    assert all(0.0 < r.wall_ms < 10.0 for r in reports)
+    # run_suite is the same reports in a list
+    assert suites.run_suite("lemma3") == list(suites.iter_suite("lemma3"))
+
+
 @pytest.mark.parametrize("n", [452, 1000, 2002, 5000])
 def test_verify_lemma2_past_the_kernels_factor_range(capsys, n):
     # from n = 452 the kernel's e^a leaves the binary64 range on the
@@ -286,12 +314,24 @@ def test_verify_lemma2_past_the_kernels_factor_range(capsys, n):
 
 def test_verify_writes_each_suite_before_the_next_runs(capsys):
     # at n = 7370 a rhombus edge needs more than the 2,049-node cap: lemma2
-    # raises, and eq2's 25 and lemma1's 10 lines are out already
+    # raises, and eq2's 25 and lemma1's 10 lines are out already, and so
+    # are lemma2's own breakdown and circle lines, which it yields before
+    # the rhombus
     code, out, err = run_cli(capsys, "verify", "all", "--n", "7370")
     _, passing, _ = run_cli(capsys, "verify", "all")
     assert code == 3
     assert err.startswith("error: edge quadrature did not settle")
-    assert out.splitlines() == passing.splitlines()[:35]
+    lines = out.splitlines()
+    assert len(lines) == 45
+    assert lines[:35] == passing.splitlines()[:35]
+    code, alone, err = run_cli(capsys, "verify", "lemma2", "--n", "7370")
+    assert code == 3 and err.startswith("error: edge quadrature did not settle")
+    assert alone.splitlines() == lines[35:]
+    records = [json.loads(line) for line in lines[35:]]
+    assert [r["check_name"] for r in records] == (
+        ["lemma2_breakdown_vs_closed_sum", "lemma2_residue_zero_vs_circle"]
+        + ["lemma2_residue_imag_vs_circle", "lemma2_residue_real_vs_circle"] * 4)
+    assert all(r["passed"] and r["parameters"]["n"] == 7370 for r in records)
 
 
 @pytest.mark.parametrize(

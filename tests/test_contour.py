@@ -146,11 +146,11 @@ def _call_order(node, count, last, ends):
 def _circle_without_reuse(f, center, radius, tol):
     # every level re-evaluates all of its nodes: the rule before nesting.
     # It stops at a gap within tol, or where the gap has shrunk by at least
-    # 2^-(M/2) since the last one and the gap times 2^-M is within tol, M
+    # 8^-(M/2) since the last one and the gap times 8^-M is within tol, M
     # being the coarser rule's node count
-    count = 8
+    count = 4
     previous = last_gap = None
-    for _ in range(18):
+    for _ in range(19):
         total = 0.0j
         for j in range(count):
             direction = cmath.exp(2j * math.pi * j / count)
@@ -159,10 +159,10 @@ def _circle_without_reuse(f, center, radius, tol):
         if previous is not None:
             gap = abs(approx - previous)
             if gap <= tol:
-                return approx, count
-            if last_gap is not None and gap <= last_gap * 0.5 ** (count // 4) \
-                    and gap * 0.5 ** (count // 2) <= tol:
-                return approx, count
+                return approx, gap, count
+            if last_gap is not None and gap <= last_gap * 0.125 ** (count // 4) \
+                    and gap * 0.125 ** (count // 2) <= tol:
+                return approx, gap, count
             last_gap = gap
         previous = approx
         count *= 2
@@ -179,7 +179,7 @@ def _circle_without_reuse(f, center, radius, tol):
     ],
 )
 def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
-    expected, count = _circle_without_reuse(f, center, radius, tol)
+    expected, expected_gap, count = _circle_without_reuse(f, center, radius, tol)
     nodes = []
 
     def counted(w):
@@ -187,14 +187,14 @@ def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
         return f(w)
 
     value, gap, returned_nodes = residue_by_circle(counted, center, radius, tol)
-    assert repr(value) == repr(expected) and gap <= tol
+    assert repr(value) == repr(expected) and gap == expected_gap
     # once per node of the last rule, every node a distinct point, and
     # within each rule in index order; the count returned is the calls made
-    assert returned_nodes == len(nodes) == count > 8
+    assert returned_nodes == len(nodes) == count > 8  # past the second doubling
     assert len(set(nodes)) == count
     center = complex(center)
     assert nodes == _call_order(
-        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 8, count, 0)
+        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 4, count, 0)
 
 
 def _edge_without_reuse(f, start, end, tol):
@@ -295,25 +295,46 @@ def test_residue_by_circle_stops_at_a_non_finite_estimate():
         calls.append(w)
         return math.nan if w.real < 0 else 1.0 / w
 
-    with pytest.raises(ConvergenceError, match="not finite at 8 nodes"):
+    with pytest.raises(ConvergenceError, match="not finite at 4 nodes"):
         residue_by_circle(f, 0.0, 1.0)
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_residue_by_circle_stops_at_the_rate_of_its_radius_contract():
-    # a pole three radii out: the rules err like 3^-M, within the contract's
-    # 2^-M.  The rule of 32 nodes differs from that of 16 by 2.3e-8, at most
-    # 2^-8 of the gap before it, which leaves 2.3e-8 * 2^-16 = 3.5e-13 of
-    # error at most; the gap alone would take the rule of 64
-    value, gap, nodes = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - 3.0), 0.0, 1.0,
+    # a pole sixteen radii out, the contract's limit: the rules err like
+    # 16^-M.  The rule of 16 nodes differs from that of 8 by 2.3e-10, at
+    # most 8^-4 of the gap before it, which leaves 2.3e-10 * 8^-8 = 1.4e-17
+    # of error at most; the gap alone would take the rule of 32
+    value, gap, nodes = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - 16.0), 0.0, 1.0,
                                           tol=1e-12)
-    assert nodes == 32 and gap > 1e-12
+    assert nodes == 16 and gap > 1e-12
     assert abs(value - 1.0) <= 1e-15
+
+
+def test_residue_by_circle_stops_at_the_rate_beside_a_triple_pole():
+    # a triple pole sixteen radii out, and another at the center: the rules
+    # err like M^2 16^-M, within the 8^-M the stop assumes, and the rule of
+    # 4 nodes already leaves the center's w^-3 term off the residue.  The
+    # rule of 16 is taken at a gap of 1.3e-7, at most 8^-4 of the one before
+    f = lambda w: 1.0 / w**3 + 1.0 / w + (16.0 / (w - 16.0)) ** 3  # noqa: E731
+    value, gap, nodes = residue_by_circle(f, 0.0, 1.0, tol=1e-12)
+    assert nodes == 16 and gap > 1e-12
+    assert abs(value - 1.0) <= 1e-12
+
+
+def test_residue_by_circle_at_a_quarter_of_the_reach_stops_at_the_gap():
+    # a pole four radii out breaks the contract: the rules err like 4^-M,
+    # and the rule of 16, 2.3e-10 off, shrinks the gap by 4e-3, more than
+    # 8^-4.  The decay guard refuses it, and the gap takes the rule of 64
+    value, gap, nodes = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - 4.0), 0.0, 1.0,
+                                          tol=1e-12)
+    assert nodes == 64 and gap <= 1e-12
+    assert abs(value - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("pole", [1.5, 1.2, 1.05])
 def test_residue_by_circle_past_its_radius_contract_stops_at_the_gap(pole):
-    # a pole closer than two radii: the gaps shrink slower than 2^-(M/2),
+    # a pole closer than two radii: the gaps shrink slower than 8^-(M/2),
     # and the decay guard leaves the stop to the gap
     value, gap, _ = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - pole), 0.0, 1.0,
                                       tol=1e-12)
@@ -344,7 +365,7 @@ def test_residue_pair_by_circle_takes_both_residues_from_one_rule(f, center, rad
     # the same order
     assert repr(value) == repr(alone)
     assert calls == _call_order(
-        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 8, nodes, 0)
+        lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 4, nodes, 0)
     # the one at -center is the rule on the negated nodes, directions -d_j,
     # its terms added in index order
     directions = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
@@ -369,7 +390,7 @@ def test_residue_pair_by_circle_stops_once_both_rules_do():
 
 def test_residue_pair_by_circle_stops_at_a_non_finite_estimate():
     # a NaN in the mirrored values alone ends the pair at its first rule
-    with pytest.raises(ConvergenceError, match="^circle quadrature estimate is not finite at 8 "):
+    with pytest.raises(ConvergenceError, match="^circle quadrature estimate is not finite at 4 "):
         residue_pair_by_circle(lambda w: (1.0 / w, math.nan), 0.0, 1.0)
 
 
@@ -381,7 +402,7 @@ def test_residue_by_circle_rejects_bad_radius():
 def test_residue_by_circle_reports_failure():
     # a pole 1e-9 outside the circle stalls the node doubling: the gap
     # shrinks like (1 + 1e-9)^-n, still far above tol at 1048576 nodes, and
-    # far slower than the 2^-n that the radius contract lets the stop assume
+    # far slower than the 8^-n that the radius contract lets the stop assume
     with pytest.raises(ConvergenceError) as info:
         residue_by_circle(lambda w: 1.0 / (w - (1.0 + 1e-9)), 0.0, 1.0)
     assert "1048576 nodes" in str(info.value)

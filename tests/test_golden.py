@@ -283,11 +283,11 @@ def test_compare_prints_the_fields_that_differ_and_writes_nothing(tmp_path, monk
     out = capsys.readouterr().out.splitlines()
     assert (tmp_path / name).read_bytes() == before
     assert out == [
-        f"{name} record 2: residual 0.001 -> {residual!r}, terms_or_nodes 7 -> 32",
+        f"{name} record 2: residual 0.001 -> {residual!r}, terms_or_nodes 7 -> 16",
         f"{name}: 1 of {len(lines)} records differ",
         f"{name}: largest change in residual {abs(residual - 1e-3):.3g} at record 2 "
         f"(0.001 -> {residual!r}); largest residual 0.001 -> {largest!r}",
-        f"{name}: largest change in terms_or_nodes 25 at record 2 (7.0 -> 32.0); "
+        f"{name}: largest change in terms_or_nodes 9 at record 2 (7.0 -> 16.0); "
         "largest terms_or_nodes 130.0 -> 130.0",
     ]
     with pytest.raises(SystemExit, match="^unknown golden files: bogus.txt$"):

@@ -33,8 +33,8 @@ from siegeltheta import (
     theta1,
     transformation_residual,
 )
-from siegeltheta.suites import (_lemma2_circles, _lemma2_rhombus, sample_domain_points,
-                                sample_grid)
+from siegeltheta.suites import (_lemma2_circles, _lemma2_radius, _lemma2_rhombus,
+                                sample_domain_points, sample_grid)
 from siegeltheta.theta import _one_minus_exp
 from siegeltheta.verifier import LAMBERT_EPS, LAMBERT_MAX_TERMS, _both_sides, _inverted_side_terms
 
@@ -506,7 +506,7 @@ def test_pole_distance_overflow_is_typed():
 def test_residue_zero_against_circle_oracle():
     p = DomainPoint(0.5, -0.25, 2.0, 3)
     oracle, _, _ = residue_by_circle(
-        lambda zeta: residue_kernel(zeta, p), 0.0, 1.0 / (4.0 * p.N),
+        lambda zeta: residue_kernel(zeta, p), 0.0, _lemma2_radius(p, 0.0),
         tol=1e-12,
     )
     assert abs(residue_at_zero(p) - oracle) < 1e-9
@@ -526,7 +526,7 @@ def test_residue_zero_structure():
 def test_residue_imag_against_circle_oracle(k):
     p = DomainPoint(0.5, -0.25, 2.0, 5)
     oracle, _, _ = residue_by_circle(
-        lambda zeta: residue_kernel(zeta, p), 1j * k / p.N, 1.0 / (4.0 * p.N),
+        lambda zeta: residue_kernel(zeta, p), 1j * k / p.N, _lemma2_radius(p, 1j * k / p.N),
         tol=1e-12,
     )
     assert abs(residue_imag_pole(k, p) - oracle) < 1e-9
@@ -535,7 +535,7 @@ def test_residue_imag_against_circle_oracle(k):
 def test_residue_real_against_circle_oracle():
     p = DomainPoint(0.5, -0.25, 2.0, 5)
     oracle, _, _ = residue_by_circle(
-        lambda zeta: residue_kernel(zeta, p), p.y / p.N, 1.0 / (4.0 * p.N),
+        lambda zeta: residue_kernel(zeta, p), p.y / p.N, _lemma2_radius(p, p.y / p.N),
         tol=1e-12,
     )
     assert abs(residue_real_pole(1, p) - oracle) < 1e-9
@@ -715,27 +715,30 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
         if r.check_name.endswith("_vs_circle") and r.parameters.get("k", 0) > 0:
             continue
         nodes[r.check_name] += r.terms_or_nodes
-    assert nodes["lemma2_residue_zero_vs_circle"] == 32
-    assert nodes["lemma2_residue_imag_vs_circle"] == nodes["lemma2_residue_real_vs_circle"] == 64
+    # each circle stops at 16 nodes, the first rule its rate stop may take
+    assert all(r.terms_or_nodes == 16 for r in reports if r.check_name.endswith("_vs_circle"))
+    assert nodes["lemma2_residue_zero_vs_circle"] == 16
+    assert nodes["lemma2_residue_imag_vs_circle"] == nodes["lemma2_residue_real_vs_circle"] == 32
     assert nodes["lemma2_residue_theorem_contour"] == 130
-    assert len(calls) == 32 + 64 + 64 + 130 == 290
+    assert len(calls) == 16 + 32 + 32 + 130 == 210
     assert all(r.passed for r in reports)
 
 
-def _circle_gate(ys):
-    # lemma2's circles at radius 1/(4N) and tol 1e-12, on a grid of points;
-    # the worst error against the closed forms, relative to max(1, |residue|),
-    # of each circle alone and of each pair of circles around c and -c
+def _circle_gate(ys, stretch=1.0):
+    # lemma2's circles at tol 1e-12, at its radii times stretch, on a grid of
+    # points; the worst error against the closed forms, relative to
+    # max(1, |residue|), of each circle alone and of each pair of circles
+    # around c and -c
     worst = 0.0
     for y in ys:
         for n in (1, 3, 10, 100, 451):
             for a, b in ((0.5, -0.25), (0.1, -0.2), (0.9, -0.29)):
                 p = DomainPoint(a, b, y, n)
-                radius = 1.0 / (4.0 * p.N)
                 residues = {center: residue for _, _, center, residue
                             in _lemma2_circles(p, ResidueBreakdown.compute(p))}
                 found = []
                 for center, residue in residues.items():
+                    radius = stretch * _lemma2_radius(p, center)
                     oracle, _, _ = residue_by_circle(
                         lambda zeta: residue_kernel(zeta, p), center, radius, tol=1e-12)
                     found.append((oracle, residue))
@@ -750,28 +753,29 @@ def _circle_gate(ys):
 
 
 def test_lemma2_circles_meet_their_tol():
-    # at y >= 1/2 the radius keeps the contract (at most half the distance
-    # to the next pole), so the circle may stop at the rate it gives.  At
-    # (0.5, -0.25, 0.5, 1) the rules of 15 and 30 nodes used to share their
-    # leading alias, and the zero circle stopped 1.6e-11 off with a gap of
-    # 1.5e-17
-    assert _circle_gate((0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 4.0)) <= 1e-12
-    # below y = 1/2 the radius breaks the contract: the decay guard must
-    # keep the rate stop from taking a rule that misses tol
-    assert _circle_gate((0.3, 0.4)) <= 1e-12
+    # lemma2's radii keep the contract (at most 1/16 of the distance to the
+    # next pole) at every y, so each circle may stop at the rate it gives.
+    # At (0.5, -0.25, 0.5, 1) the rules of 15 and 30 nodes used to share
+    # their leading alias, and the zero circle stopped 1.6e-11 off with a
+    # gap of 1.5e-17
+    assert _circle_gate((0.3, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 4.0)) <= 1e-12
+    # at four times those radii the circles break the contract: the decay
+    # guard must keep the rate stop from taking a rule that misses tol
+    assert _circle_gate((0.3, 1.0), stretch=4.0) <= 1e-12
 
 
 def test_zero_circle_at_its_contract_radius_stops_at_the_rate():
-    # at (0.5, -0.25, 0.5, 1) the radius 1/(4N) = 1/6 is exactly half the
-    # distance to the real pole 1/3, so the gaps decay at the contract's
-    # rate itself: the rule of 64 nodes has its gap 4.1003e-12 against a
-    # predicted 4.0994e-12, and without the guard's margin the circle
-    # doubled once more, to 128 nodes
+    # at (0.5, -0.25, 0.5, 1) the radius min(1, y)/(16N) = 1/48 is exactly
+    # 1/16 of the distance to the real pole 1/3, so the gaps decay at the
+    # contract's rate 16^-M itself, beside the triple pole at the center:
+    # the rule of 16 nodes is taken at a gap of 4.1e-12, 8^-4 of the one
+    # before it at most
     p = DomainPoint(0.5, -0.25, 0.5, 1)
-    value, _, nodes = residue_by_circle(lambda zeta: residue_kernel(zeta, p), 0.0,
-                                        1.0 / (4.0 * p.N), tol=1e-12)
-    assert nodes == 64
-    assert abs(value - residue_at_zero(p)) <= 5e-18
+    assert _lemma2_radius(p, 0.0) == (p.y / p.N) / 16.0
+    value, gap, nodes = residue_by_circle(lambda zeta: residue_kernel(zeta, p), 0.0,
+                                          _lemma2_radius(p, 0.0), tol=1e-12)
+    assert nodes == 16 and gap > 1e-12
+    assert abs(value - residue_at_zero(p)) <= 1e-14
 
 
 @pytest.mark.parametrize("suite", ["lemma2", "lemma3"])
