@@ -322,20 +322,13 @@ def test_residue_by_circle_stops_at_the_rate_beside_a_triple_pole():
     assert abs(value - 1.0) <= 1e-12
 
 
-def test_residue_by_circle_at_a_quarter_of_the_reach_stops_at_the_gap():
-    # a pole four radii out breaks the contract: the rules err like 4^-M,
-    # and the rule of 16, 2.3e-10 off, shrinks the gap by 4e-3, more than
-    # 8^-4.  The decay guard refuses it, and the gap takes the rule of 64
-    value, gap, nodes = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - 4.0), 0.0, 1.0,
-                                          tol=1e-12)
-    assert nodes == 64 and gap <= 1e-12
-    assert abs(value - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("pole", [1.5, 1.2, 1.05])
+@pytest.mark.parametrize("pole", [4.0, 1.5, 1.2, 1.05])
 def test_residue_by_circle_past_its_radius_contract_stops_at_the_gap(pole):
-    # a pole closer than two radii: the gaps shrink slower than 8^-(M/2),
-    # and the decay guard leaves the stop to the gap
+    # a pole closer than sixteen radii: the gaps shrink slower than
+    # 8^-(M/2), and the decay guard leaves the stop to the gap.  Four radii
+    # out, the rule of 16 is 2.3e-10 off, and its gap is 4e-3 of the one
+    # before it, more than 8^-4: the guard refuses it, and the gap takes
+    # the rule of 64
     value, gap, _ = residue_by_circle(lambda w: 1.0 / w + 1.0 / (w - pole), 0.0, 1.0,
                                       tol=1e-12)
     assert gap <= 1e-12
