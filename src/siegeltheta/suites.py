@@ -9,7 +9,13 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
+
+# json.dumps quotes a str with this C function; importing it from _json, not
+# json.encoder, keeps the json package (decoder and scanner too) out of verify
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without CPython's accelerator module
+    from json.encoder import encode_basestring_ascii as _quote
 
 # integrate_closed has no caller here: it stays bound because the benchmark's
 # verify_all trace wraps it, with residue_kernel, on this module, and
@@ -94,8 +100,20 @@ def _to_json(value) -> str:
 
 
 def report_json_line(report: VerificationReport) -> str:
-    """One report as a single JSON line."""
-    return _to_json(report._asdict())
+    """One report as a single JSON line.
+
+    For every report the suites build these are the bytes of
+    ``_to_json(report._asdict())``.
+    """
+    # the fields written directly, keys in sorted order: only the parameters
+    # need the generic walk
+    name, parameters, residual, tolerance, passed, terms_or_nodes, wall_ms = report
+    return (
+        f'{{"check_name": {_quote(name)}, "parameters": {_to_json(parameters)}, '
+        f'"passed": {"true" if passed else "false"}, "residual": {residual:.17g}, '
+        f'"terms_or_nodes": {terms_or_nodes!r}, "tolerance": {tolerance:.17g}, '
+        f'"wall_ms": {wall_ms:.17g}}}'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -407,19 +407,21 @@ def test_cli_import_loads_no_thread_pool_or_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0] []"
-    # the proof replay's records are namedtuples too
+    # the proof replay's records are namedtuples too, and its JSON lines are
+    # quoted by _json's C encoder without loading the json package
     probe = (
         "import sys\n"
         "from siegeltheta.cli import main\n"
-        "code = main(['verify', 'lemma3'])\n"
-        "print(code, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "codes = [main(['verify', 'lemma3']), main(['verify', 'all']),\n"
+        "         main(['sweep', 'lambert_tail', '--format', 'json', '--out', '-'])]\n"
+        "print(codes, [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_verify_failing_tolerance_exits_1(capsys):
@@ -442,6 +444,32 @@ def test_verify_unknown_suite_exits_2(capsys):
 def test_report_serializer_rejects_an_unknown_type():
     with pytest.raises(TypeError, match="^cannot serialize object$"):
         suites._to_json(object())
+
+
+def test_report_line_writes_the_generic_serializers_bytes():
+    reports = [r for seed in (0, 7, 2026) for r in suites.run_suite("all", seed=seed, timing=True)]
+    failing = list(suites.run_suite("lemma3", tol=1e-30))
+    assert failing and not any(r.passed for r in failing)
+    made = [
+        suites.VerificationReport("zero", {}, 0.0, 1.0, True, 0),
+        suites.VerificationReport("integral", {"n": 3}, 1.0, 0.0, False, 129, 0.0),
+        suites.VerificationReport(
+            'quote " backslash \\ and \u00e9', {"note": 'a "b" \\ \u03b6', "x": -0.0},
+            5e-324, 1e300, True, 1, 12.5,
+        ),
+    ]
+    for report in reports + failing + made:
+        assert suites.report_json_line(report) == suites._to_json(report._asdict())
+    assert any(r.wall_ms > 0.0 for r in reports)
+    assert suites.report_json_line(made[1]) == (
+        '{"check_name": "integral", "parameters": {"n": 3}, "passed": false, '
+        '"residual": 1, "terms_or_nodes": 129, "tolerance": 0, "wall_ms": 0}'
+    )
+    # ASCII-only, as json.dumps quotes
+    assert suites.report_json_line(made[2]).startswith(
+        '{"check_name": "quote \\" backslash \\\\ and \\u00e9", '
+        '"parameters": {"note": "a \\"b\\" \\\\ \\u03b6", "x": -0}, '
+    )
 
 
 # --------------------------------------------------------------------------
