@@ -105,8 +105,7 @@ def report_json_line(report: VerificationReport) -> str:
     For every report the suites build these are the bytes of
     ``_to_json(report._asdict())``.
     """
-    # the fields written directly, keys in sorted order: only the parameters
-    # need the generic walk
+    # keys in sorted order; only the parameters need the generic walk
     name, parameters, residual, tolerance, passed, terms_or_nodes, wall_ms = report
     return (
         f'{{"check_name": {_quote(name)}, "parameters": {_to_json(parameters)}, '
