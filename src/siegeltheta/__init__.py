@@ -29,8 +29,6 @@ _EXPORTS = {
             "ThetaEval",
             "format_complex",
             "inversion_rhs",
-            "nome",
-            "principal_pow",
             "product_terms",
             "theta1",
             "theta1_reduced",

@@ -222,19 +222,11 @@ def residue_by_circle(f: Integrand, center, radius: float,
     tol; the factor 2 over 16^-M absorbs the M^2.  Where a radius breaks
     the contract, the gaps decay more slowly, that guard fails, and the
     gap alone stops the rules.
+    It is `residue_pair_by_circle` with a zero mirror, whose gap is 0.
     DomainError for a non-finite center.
     """
-    _positive(tol, "tol")
-    center = finite_complex(center, "center")
-    _positive(radius, "radius")
-
-    def estimate(terms, count):
-        # in index order, as a single pass would add them
-        return (sum(terms, 0j) * radius / count,)
-
-    (value,), gap, nodes = _nested(lambda ds: [f(center + radius * d) * d for d in ds],
-                                   _directions, estimate, 4, _MAX_LEVELS, tol,
-                                   "circle quadrature", rate=_RATE)
+    value, _, gap, nodes = residue_pair_by_circle(
+        lambda zeta: (f(zeta), 0j), center, radius, tol)
     return value, gap, nodes
 
 
@@ -269,7 +261,7 @@ def residue_pair_by_circle(pair: Callable[[complex], tuple[complex, complex]], c
         return terms
 
     def estimate(terms, count):
-        # each rule's terms in index order, as residue_by_circle adds them;
+        # each rule's terms in index order, as a single pass would add them;
         # the mirrored rule's directions are -d_j
         at, mirrored = zip(*terms)
         return sum(at, 0j) * radius / count, -sum(mirrored, 0j) * radius / count

@@ -17,9 +17,9 @@ try:
 except ImportError:  # an interpreter without CPython's accelerator module
     from json.encoder import encode_basestring_ascii as _quote
 
-# integrate_closed has no caller here: it stays bound because the benchmark's
-# verify_all trace wraps it, with residue_kernel, on this module, and
-# tests/test_trace_names.py checks that both names are bound
+# integrate_closed, residue_by_circle and residue_kernel have no caller here:
+# they stay bound because the benchmark's verify_all trace wraps them on this
+# module, and tests/test_trace_names.py checks that they are bound
 from .contour import (  # noqa: F401
     integrate_closed,
     integrate_edge,
@@ -50,7 +50,7 @@ from .verifier import (
     log_identity_residual,
     log_theta1_lambert,
     residue_imag_pole,
-    residue_kernel,
+    residue_kernel,  # noqa: F401
     residue_kernel_pair,
     residue_real_pole,
     transformation_residual,
@@ -253,11 +253,7 @@ def _suite_lemma2(seed, n, tol):
     p = DomainPoint(a, b, y, n)
     params = p._asdict()
 
-    # both through the module globals, which a trace may wrap
-    def kernel(zeta):
-        return residue_kernel(zeta, p)
-
-    def pair(zeta):
+    def pair(zeta):  # through the module global, which a trace may wrap
         return residue_kernel_pair(zeta, p)
 
     closed = closed_residue_sum(p)
@@ -267,16 +263,14 @@ def _suite_lemma2(seed, n, tol):
     yield _report("lemma2_breakdown_vs_closed_sum", params, residual, tol, poles)
 
     # the circles around c and -c (k and -k on one axis) share one rule, and
-    # both report its nodes; the zero circle takes its own
+    # both report its nodes; around 0 the two are one circle, and as the key
+    # -0.0 is 0.0, the residue written last, at center, is the one kept
     oracles = {}
     for check, extra, center, residue in _lemma2_circles(p, breakdown):
         if center not in oracles:
-            radius = _lemma2_radius(p, center)
-            if center:
-                at, mirrored, _, nodes = residue_pair_by_circle(pair, center, radius, tol=1e-12)
-                oracles[-center] = mirrored, nodes
-            else:
-                at, _, nodes = residue_by_circle(kernel, center, radius, tol=1e-12)
+            at, mirrored, _, nodes = residue_pair_by_circle(
+                pair, center, _lemma2_radius(p, center), tol=1e-12)
+            oracles[-center] = mirrored, nodes
             oracles[center] = at, nodes
         oracle, nodes = oracles[center]
         yield _report(check, {**extra, **params}, abs(residue - oracle), tol, nodes)

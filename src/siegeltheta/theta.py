@@ -68,8 +68,6 @@ __all__ = [
     "ThetaEval",
     "format_complex",
     "inversion_rhs",
-    "nome",
-    "principal_pow",
     "product_terms",
     "require_tau",
     "theta1",
@@ -157,26 +155,6 @@ def require_tau(tau) -> complex:
     if tau.imag <= 0.0:
         raise DomainError(f"tau={tau!r} is not in the upper half-plane")
     return tau
-
-
-def nome(tau) -> complex:
-    """Nome q = exp(pi i tau); |q| = exp(-pi Im tau) < 1."""
-    return cmath.exp(_IPI * require_tau(tau))
-
-
-def principal_pow(base, exponent) -> complex:
-    """base**exponent through exp(exponent * log base) with arg in (-pi, pi].
-
-    A real negative base gets arg = +pi even when its imaginary part is a
-    negative zero.
-    """
-    base = finite_complex(base, "base")
-    exponent = finite_complex(exponent, "exponent")
-    if base == 0:
-        raise DomainError("principal power of a zero base is undefined")
-    if base.imag == 0.0:
-        base = complex(base.real, 0.0)
-    return cmath.exp(exponent * cmath.log(base))
 
 
 def _log_factor_scale(log_abs_w: float) -> float:

@@ -115,15 +115,15 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
 
     @cached_property
     def _kernel(self):
-        # kernel(zeta, pair): residue_kernel at this point for a finite
-        # complex zeta, and with pair, (K(zeta), K(-zeta)); the zeta-free
+        # kernel(zeta): (K(zeta), K(-zeta)) at this point for a finite
+        # complex zeta, residue_kernel being the first; the zeta-free
         # factors are bound once
         cap, y = self.N, self.y
         two_pi_cap, b_scale = _TWO_PI * cap, -2j * _PI * (cap / y)
         one_minus_z, guard = 1.0 - self.z, 1e-12 / cap
         exp, isfinite, one_minus_exp = cmath.exp, cmath.isfinite, _one_minus_exp
 
-        def kernel(zeta: complex, pair: bool = False):
+        def kernel(zeta: complex):
             # every pole lies on an axis, and _pole_distance keeps Re zeta and
             # Im zeta as legs of its hypots, so it is below guard only where
             # one of them is; the pole set is symmetric about 0, so the guard
@@ -189,13 +189,9 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
                 g = 1.0 / d_s / d_b
                 even = (1.0 + e_s) * (1.0 + e_b) * 0.125
                 value = g * (even + exp(power)) / zeta
-                if not pair:
-                    if isfinite(value):
-                        return value
-                else:
-                    other = -g * (even + exp(mirror)) / zeta
-                    if isfinite(value) and isfinite(other):
-                        return value, other
+                other = -g * (even + exp(mirror)) / zeta
+                if isfinite(value) and isfinite(other):
+                    return value, other
             except (OverflowError, ValueError):
                 # exp: an infinite imaginary part; or an overflow, as the
                 # joined exponent is not positive in exact arithmetic only
@@ -369,19 +365,21 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
 
     Triple pole at 0, simple poles at ik/N and ky/N for nonzero integer k.
     Both cotangents and both fractions are formed from three exponentials,
-    none of modulus above 1 (see DomainPoint._kernel).  Evaluation closer
-    than 1e-12/N to any pole raises PoleProximityError, a non-finite zeta
-    DomainError, and a zeta so large that the nearest pole's index or an
-    exponent leaves the binary64 range OverflowError.  The zeta-free
-    factors are computed once per DomainPoint.
+    none of modulus above 1 (see DomainPoint._kernel).  This is the first
+    value of residue_kernel_pair, whose one body also forms the kernel at
+    -zeta.  Evaluation closer than 1e-12/N to any pole raises
+    PoleProximityError, a non-finite zeta DomainError, and a zeta so large
+    that the nearest pole's index, an exponent or the kernel at zeta or at
+    -zeta leaves the binary64 range OverflowError.  The zeta-free factors
+    are computed once per DomainPoint.
     """
     # both checks inline: the quadrature calls this once per node, with a
     # finite complex zeta
     if not isinstance(p, DomainPoint):
         _point(p)  # raises
     if type(zeta) is complex and cmath.isfinite(zeta):
-        return p._kernel(zeta)
-    return p._kernel(finite_complex(zeta, "zeta"))
+        return p._kernel(zeta)[0]
+    return p._kernel(finite_complex(zeta, "zeta"))[0]
 
 
 def residue_kernel_pair(zeta, p: DomainPoint) -> tuple[complex, complex]:
@@ -398,8 +396,8 @@ def residue_kernel_pair(zeta, p: DomainPoint) -> tuple[complex, complex]:
     if not isinstance(p, DomainPoint):
         _point(p)  # raises
     if type(zeta) is complex and cmath.isfinite(zeta):
-        return p._kernel(zeta, True)
-    return p._kernel(finite_complex(zeta, "zeta"), True)
+        return p._kernel(zeta)
+    return p._kernel(finite_complex(zeta, "zeta"))
 
 
 def residue_at_zero(p: DomainPoint) -> complex:

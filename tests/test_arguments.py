@@ -30,9 +30,7 @@ from siegeltheta import (
     lambert_terms,
     log_identity_residual,
     log_theta1_lambert,
-    nome,
     pole_distance,
-    principal_pow,
     product_terms,
     residue_at_zero,
     residue_by_circle,
@@ -90,9 +88,6 @@ CASES = [
     ("theta1_series-z", "complex", "z", lambda v: theta1_series(v, 1j)),
     ("theta1_series-tau", "complex", "tau", lambda v: theta1_series(0.3, v)),
     ("format_complex-value", "complex", "value", format_complex),
-    ("nome-tau", "complex", "tau", nome),
-    ("principal_pow-base", "complex", "base", lambda v: principal_pow(v, 0.5)),
-    ("principal_pow-exponent", "complex", "exponent", lambda v: principal_pow(2.0, v)),
     ("product_terms-z", "complex", "z", lambda v: product_terms(v, 1j)),
     ("product_terms-tau", "complex", "tau", lambda v: product_terms(0.3, v)),
     ("inversion_rhs-z", "complex", "z", lambda v: inversion_rhs(v, 1j)),

@@ -13,6 +13,10 @@ from siegeltheta import (
     rhombus_contour,
 )
 from siegeltheta.contour import _clenshaw_curtis
+from siegeltheta.suites import LEMMA2_POINT
+from siegeltheta.verifier import DomainPoint, residue_kernel
+
+LEMMA2_P = DomainPoint(*LEMMA2_POINT, 3)
 
 TWO_PI_I = 2j * math.pi
 
@@ -176,6 +180,9 @@ def _circle_without_reuse(f, center, radius, tol):
         (lambda w: 1.0 / (w - (0.3 - 0.2j)) + w**3, 0.3 - 0.2j, 0.25, 1e-10),
         (lambda w: 1.0 / cmath.sin(w), 0.1j, 2.0, 1e-12),
         (lambda w: cmath.exp(1j * w) / (w - 2.0) ** 3, 2.0, 0.05, 1e-13),
+        # lemma2's zero circle: its kernel, at radius min(1, y)/(16 N)
+        (lambda w: residue_kernel(w, LEMMA2_P), 0.0,
+         min(1.0, LEMMA2_P.y) / (16 * LEMMA2_P.N), 1e-12),
     ],
 )
 def test_residue_by_circle_reuses_nodes_bit_for_bit(f, center, radius, tol):
@@ -352,10 +359,10 @@ def test_residue_pair_by_circle_takes_both_residues_from_one_rule(f, center, rad
         return f(w), f(-w)
 
     value, mirrored, gap, nodes = residue_pair_by_circle(pair, center, radius, tol)
-    alone, _, alone_nodes = residue_by_circle(f, center, radius, tol)
+    alone, _, alone_nodes = _circle_without_reuse(f, center, radius, tol)
     assert nodes == len(calls) == alone_nodes
-    # the residue at center is residue_by_circle's, at the same nodes in
-    # the same order
+    # the residue at center is the single rule's, at the same nodes in the
+    # same order
     assert repr(value) == repr(alone)
     assert calls == _call_order(
         lambda j, n: center + radius * cmath.exp(2j * math.pi * j / n), 4, nodes, 0)
@@ -366,7 +373,7 @@ def test_residue_pair_by_circle_takes_both_residues_from_one_rule(f, center, rad
     for d in directions:
         total += f(-(center + radius * d)) * d
     assert repr(mirrored) == repr(-total * radius / nodes)
-    assert abs(mirrored - residue_by_circle(f, -center, radius, tol)[0]) <= 1e-12
+    assert abs(mirrored - _circle_without_reuse(f, -center, radius, tol)[0]) <= 1e-12
 
 
 def test_residue_pair_by_circle_stops_once_both_rules_do():

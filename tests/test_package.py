@@ -1,6 +1,8 @@
 """The package namespace: names resolve lazily from their submodules."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,13 @@ def test_every_exported_name_is_its_defining_modules_object():
         module = importlib.import_module(f"siegeltheta.{siegeltheta._EXPORTS[name]}")
         assert getattr(siegeltheta, name) is getattr(module, name), name
         assert vars(siegeltheta)[name] is getattr(module, name), name  # cached
+
+
+def test_every_exported_name_appears_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in siegeltheta.__all__
+               if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert missing == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -694,21 +694,21 @@ def test_rhombus_integral_does_not_rest_on_the_subtracted_residues(scale, monkey
 
 def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
     # a trace that wraps suites.residue_kernel and suites.residue_kernel_pair
-    # sees each evaluation the circles and the rhombus make: the zero
-    # circle's single ones, and one pair per node of each pair of circles
-    # (whose two lines report the same rule) and of the rhombus
+    # sees each evaluation the circles and the rhombus make: one pair per
+    # node of the zero circle, of each pair of circles (whose two lines
+    # report the same rule) and of the rhombus, and no single kernel call
     from siegeltheta import run_suite, suites
 
-    calls = []
+    singles, calls = [], []
 
-    def counted(kernel):
+    def counted(kernel, seen):
         def call(zeta, p):
-            calls.append(zeta)
+            seen.append(zeta)
             return kernel(zeta, p)
         return call
 
-    monkeypatch.setattr(suites, "residue_kernel", counted(residue_kernel))
-    monkeypatch.setattr(suites, "residue_kernel_pair", counted(residue_kernel_pair))
+    monkeypatch.setattr(suites, "residue_kernel", counted(residue_kernel, singles))
+    monkeypatch.setattr(suites, "residue_kernel_pair", counted(residue_kernel_pair, calls))
     reports = run_suite("lemma2", seed=0)
     nodes = {r.check_name: 0 for r in reports}
     for r in reports:  # the lines of a pair of circles once
@@ -720,7 +720,11 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
     assert nodes["lemma2_residue_zero_vs_circle"] == 16
     assert nodes["lemma2_residue_imag_vs_circle"] == nodes["lemma2_residue_real_vs_circle"] == 32
     assert nodes["lemma2_residue_theorem_contour"] == 130
+    assert singles == []
     assert len(calls) == 16 + 32 + 32 + 130 == 210
+    # the zero circle's 16 come first, on its circle around 0
+    radius = _lemma2_radius(DomainPoint(*suites.LEMMA2_POINT, 3), 0.0)
+    assert all(abs(abs(zeta) - radius) <= 1e-15 for zeta in calls[:16])
     assert all(r.passed for r in reports)
 
 
