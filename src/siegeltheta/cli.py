@@ -1,16 +1,17 @@
 """Command-line interface: evaluate theta functions, stream verification
 suites as JSON lines, and write convergence sweeps as CSV or JSON tables.
 
-Exit codes: 0 success (all checks passed), 1 some check failed, 2 bad
-arguments (including tau outside the upper half-plane, and a kernel
-evaluated within 1e-12/N of one of its poles), 3 no binary64 result
-(non-convergence or overflow), 4 unwritable output path.
+Exit codes: 0 success (all checks passed, or -h), 1 some check failed, 2
+bad arguments (a usage error, tau outside the upper half-plane, a kernel
+within 1e-12/N of a pole), 3 no binary64 result (non-convergence or
+overflow), 4 unwritable output (the --out path, or a closed stdout).
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
+from types import SimpleNamespace
 
 from .errors import ConvergenceError, DomainError, PoleProximityError, finite_complex
 # eval loads only theta; verify and sweep import the suites module when they run
@@ -28,50 +29,6 @@ def parse_complex(text: str) -> complex:
         except DomainError:
             pass
     raise DomainError(f"invalid complex literal {text!r}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="siegeltheta",
-        description="Jacobi theta evaluation and inversion-law verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("eval", help="evaluate a theta function at (z, tau)")
-    ev.add_argument("function", choices=sorted(_HALVES))
-    ev.add_argument("--z", required=True, help="complex literal, e.g. 0.5-0.25i")
-    ev.add_argument("--tau", required=True, help="complex literal with Im > 0")
-    defaults = EvalConfig()
-    ev.add_argument("--eps", type=float, default=defaults.eps, help="truncation tolerance")
-    ev.add_argument("--max-terms", type=int, default=defaults.max_terms)
-    ev.add_argument(
-        "--reduce", action="store_true",
-        help="accepted and ignored: every function always takes the modular reduction",
-    )
-    ev.set_defaults(handler=_cmd_eval)
-
-    vf = sub.add_parser("verify", help="run a verification suite as JSON lines")
-    vf.add_argument("suite", choices=SUITES + ("all",))
-    vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--count", type=int, default=None, help="points per sampled suite")
-    vf.add_argument("--tol", type=float, default=None, help="override the suite tolerance")
-    vf.add_argument("--n", type=int, default=None, help="truncation index for lemma2/lemma3")
-    vf.add_argument(
-        "--timing", action="store_true",
-        help="measure wall_ms per check (breaks byte-level reproducibility)",
-    )
-    vf.set_defaults(handler=_cmd_verify)
-
-    sw = sub.add_parser("sweep", help="write a convergence sweep table")
-    sw.add_argument("target", choices=SWEEP_TARGETS)
-    sw.add_argument("--start", type=float, default=None)
-    sw.add_argument("--stop", type=float, default=None)
-    sw.add_argument("--steps", type=int, default=None)
-    sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sw.set_defaults(handler=_cmd_sweep)
-
-    return parser
 
 
 def _cmd_eval(args) -> int:
@@ -100,11 +57,7 @@ def _cmd_sweep(args) -> int:
     from .suites import render_sweep_csv, render_sweep_json, sweep_rows
 
     header, rows = sweep_rows(args.target, args.start, args.stop, args.steps)
-    rendered = (
-        render_sweep_csv(header, rows)
-        if args.format == "csv"
-        else render_sweep_json(header, rows)
-    )
+    rendered = (render_sweep_csv if args.format == "csv" else render_sweep_json)(header, rows)
     if args.out == "-":
         sys.stdout.write(rendered)
         return 0
@@ -117,17 +70,104 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# each command's handler, help, positional (name, choices) and options
+# {name: (converter, default, help)}: the converter is a callable, a tuple of
+# choices, or None for a flag; a default of ... marks a required option
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate a theta function at (z, tau)", ("function", tuple(_HALVES)), {
+        "z": (str, ..., "complex literal, e.g. 0.5-0.25i"),
+        "tau": (str, ..., "complex literal with Im > 0"),
+        "eps": (float, EvalConfig().eps, "truncation tolerance"),
+        "max-terms": (int, EvalConfig().max_terms, "cap on series terms"),
+        "reduce": (None, False, "ignored: every function always takes the modular reduction"),
+    }),
+    "verify": (_cmd_verify, "run a suite of checks as JSON lines", ("suite", (*SUITES, "all")), {
+        "seed": (int, 0, "seed of the sampled points"),
+        "count": (int, None, "points per sampled suite"),
+        "tol": (float, None, "override the suite tolerance"),
+        "n": (int, None, "truncation index for lemma2/lemma3"),
+        "timing": (None, False, "measure wall_ms per check (breaks byte-level reproducibility)"),
+    }),
+    "sweep": (_cmd_sweep, "write a convergence sweep table", ("target", SWEEP_TARGETS), {
+        "start": (float, None, "first grid value"), "stop": (float, None, "last grid value"),
+        "steps": (int, None, "grid size"), "format": (("csv", "json"), "csv", "table format"),
+        "out": (str, "-", "output path, '-' for stdout"),
+    }),
+}
+
+
+def _help(command) -> int:
+    """Print one command's help, or every command's for None; exit code 0."""
+    lines = ["usage: siegeltheta {eval,verify,sweep} ... [-h]"]
+    for name in (command,) if command else _COMMANDS:
+        _, about, (_, choices), options = _COMMANDS[name]
+        lines.append(f"\nsiegeltheta {name} {{{','.join(choices)}}} [options]: {about}")
+        for option, (kind, default, text) in options.items():
+            value = "" if kind is None else " " + (
+                f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else option.upper())
+            note = "" if kind is None or default is None else (
+                " (required)" if default is ... else f" (default {default})")
+            lines.append(f"  --{option}{value}  {text}{note}")
+    print("\n".join(lines))
+    return 0
+
+
+def _convert(label: str, kind, text: str):
+    try:  # tuple.index raises ValueError, as int and float do
+        return kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        wanted = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else kind.__name__
+        raise DomainError(f"invalid {label} {text!r}: expected {wanted}") from None
+
+
+def _parse(argv):
+    """(handler, args) for argv by _COMMANDS, (_help, command) for -h; DomainError on misuse."""
+    command, *words = argv or [""]
+    if command in ("-h", "--help"):
+        return _help, None
+    handler, _, (positional, choices), options = _COMMANDS[
+        _convert("command", tuple(_COMMANDS), command)]
+    values = {"command": command, positional: ...,
+              **{name: default for name, (_, default, _) in options.items()}}
+    words = iter(words)
+    for word in words:  # an option's value is the next word, even one starting with -
+        name, given, text = word[2:].partition("=")
+        if word in ("-h", "--help"):
+            return _help, command
+        if not word.startswith("--"):
+            if values[positional] is not ...:
+                raise DomainError(f"unexpected argument {word!r}")
+            values[positional] = _convert(positional, choices, word)
+        elif name not in options or given and options[name][0] is None:
+            raise DomainError(f"unknown option {word!r} for {command}")
+        elif options[name][0] is None:  # a flag
+            values[name] = True
+        else:
+            text = text if given else next(words, None)
+            if text is None:
+                raise DomainError(f"--{name} needs a value")
+            values[name] = _convert("--" + name, options[name][0], text)
+    for name, value in values.items():
+        if value is ...:
+            raise DomainError(f"missing {'--' * (name in options)}{name}")
+    return handler, SimpleNamespace(**{k.replace("-", "_"): v for k, v in values.items()})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (DomainError, PoleProximityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:
+        # the reader has gone: what is left, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

@@ -12,6 +12,7 @@ from siegeltheta import (
     theta1_reduced, theta2, theta3,
 )
 from siegeltheta import suites
+from siegeltheta import cli
 from siegeltheta.cli import main, parse_complex
 from siegeltheta.theta import SUITES
 
@@ -46,6 +47,125 @@ def test_parse_complex(text, expected):
 def test_parse_complex_rejects(text):
     with pytest.raises(DomainError):
         parse_complex(text)
+
+
+# --------------------------------------------------------------------------
+# the command table: parsing, help and usage errors
+# --------------------------------------------------------------------------
+
+_EVAL_DEFAULTS = {"eps": 1e-12, "max_terms": 5000, "reduce": False}
+_VERIFY_DEFAULTS = {"seed": 0, "count": None, "tol": None, "n": None, "timing": False}
+_SWEEP_DEFAULTS = {"start": None, "stop": None, "steps": None, "format": "csv", "out": "-"}
+
+
+# the namespaces that argparse's build_parser().parse_args gave for these argv
+@pytest.mark.parametrize("argv, parsed", [
+    (["eval", "theta1", "--z", "0.5", "--tau", "i"],
+     {"command": "eval", "function": "theta1", "z": "0.5", "tau": "i", **_EVAL_DEFAULTS}),
+    (["eval", "theta2", "--z=0.5-0.25i", "--tau=2i", "--eps", "1e-10", "--max-terms=50",
+      "--reduce"],
+     {"command": "eval", "function": "theta2", "z": "0.5-0.25i", "tau": "2i", "eps": 1e-10,
+      "max_terms": 50, "reduce": True}),
+    (["eval", "--z", "0.3", "--tau=i", "--reduce", "theta3"],
+     {"command": "eval", "function": "theta3", "z": "0.3", "tau": "i", "eps": 1e-12,
+      "max_terms": 5000, "reduce": True}),
+    (["eval", "theta4", "--z", "1", "--z=2", "--tau", "i", "--eps=1e-3", "--eps", "1e-5"],
+     {"command": "eval", "function": "theta4", "z": "2", "tau": "i", "eps": 1e-05,
+      "max_terms": 5000, "reduce": False}),
+    (["verify", "all"], {"command": "verify", "suite": "all", **_VERIFY_DEFAULTS}),
+    (["verify", "lemma2", "--seed", "-3"],
+     {"command": "verify", "suite": "lemma2", **_VERIFY_DEFAULTS, "seed": -3}),
+    (["verify", "--seed=1", "--seed", "2", "all"],
+     {"command": "verify", "suite": "all", **_VERIFY_DEFAULTS, "seed": 2}),
+    (["verify", "theorem", "--count", "5", "--tol", "1e-9", "--n=3", "--timing"],
+     {"command": "verify", "suite": "theorem", "seed": 0, "count": 5, "tol": 1e-09, "n": 3,
+      "timing": True}),
+    (["sweep", "edge_limit"], {"command": "sweep", "target": "edge_limit", **_SWEEP_DEFAULTS}),
+    (["sweep", "--format=json", "lambert_tail", "--start", "0.5", "--stop=2", "--steps", "4",
+      "--out", "t.json"],
+     {"command": "sweep", "target": "lambert_tail", "start": 0.5, "stop": 2.0, "steps": 4,
+      "format": "json", "out": "t.json"}),
+    (["sweep", "reduction_gain", "--format", "csv", "--format=json", "--out=-"],
+     {"command": "sweep", "target": "reduction_gain", **_SWEEP_DEFAULTS, "format": "json"}),
+])
+def test_parse_reads_argv_as_argparse_did(argv, parsed):
+    handler, args = cli._parse(argv)
+    assert handler is {"eval": cli._cmd_eval, "verify": cli._cmd_verify,
+                       "sweep": cli._cmd_sweep}[argv[0]]
+    assert vars(args) == parsed
+    assert all(type(args.__dict__[k]) is type(v) for k, v in parsed.items())
+
+
+def test_defaults_come_from_eval_config():
+    _, args = cli._parse(["eval", "theta1", "--z=0", "--tau=i"])
+    assert (args.eps, args.max_terms) == tuple(EvalConfig())
+
+
+def test_an_option_value_may_start_with_a_minus(capsys):
+    # argparse took -0.5+2i for an option and exited 2
+    _, args = cli._parse(["eval", "theta1", "--z", "-0.5", "--tau", "-0.5+2i"])
+    assert (args.z, args.tau) == ("-0.5", "-0.5+2i")
+    assert run_cli(capsys, "eval", "theta1", "--z", "0.3", "--tau", "-0.5+2i") == run_cli(
+        capsys, "eval", "theta1", "--z=0.3", "--tau=-0.5+2i")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["evaluate", "theta1"],
+    ["eval", "theta1", "--z", "0", "--tau", "i", "--zz", "1"],
+    ["eval", "theta1", "--z", "0", "--tau"],
+    ["verify", "all", "--seed"],
+    ["eval", "theta1", "--tau", "i"],
+    ["eval", "theta1", "--z", "0"],
+    ["eval", "--z", "0", "--tau", "i"],
+    ["eval", "theta5", "--z", "0", "--tau", "i"],
+    ["verify", "lemma4"],
+    ["sweep", "nosuch"],
+    ["sweep", "edge_limit", "--format", "xml"],
+    ["verify", "all", "--seed", "x"],
+    ["eval", "theta1", "--z", "0", "--tau", "i", "--eps", "x"],
+    ["sweep", "lambert_tail", "--steps", "1.5"],
+    ["verify", "all", "extra"],
+    ["eval", "theta1", "--z", "0", "--ta", "i"],
+    ["eval", "theta1", "--z", "0", "--tau", "i", "--reduce=yes"],
+])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["eval", "-h"], ["verify", "all", "--help"],
+                                  ["sweep", "--out", "x", "-h", "--format"]])
+def test_help_names_every_option_and_choice(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    commands = list(cli._COMMANDS) if len(argv) == 1 else [argv[0]]
+    for command in cli._COMMANDS:
+        _, about, (_, choices), options = cli._COMMANDS[command]
+        words = [about, *choices, *("--" + option for option in options)]
+        words += [choice for kind, _, _ in options.values() if isinstance(kind, tuple)
+                  for choice in kind]
+        if command in commands:
+            assert all(word in out for word in words), command
+        else:
+            assert about not in out
+
+
+def test_closed_stdout_exits_4_with_one_line():
+    # the reader takes one line and goes: the next write, or the flush at
+    # exit, meets a closed pipe; 1 would read as "a check failed"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "siegeltheta.cli", "verify", "all", "--seed", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b'{"check_name": ')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 4
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +497,7 @@ def test_kernel_pole_proximity_exits_2_with_one_line(capsys, monkeypatch):
 # modules only it uses
 _NOT_ON_THE_EVAL_PATH = (
     "siegeltheta.suites", "siegeltheta.verifier", "siegeltheta.contour",
-    "json", "dataclasses", "inspect", "typing", "random",
+    "json", "dataclasses", "inspect", "typing", "random", "argparse", "gettext", "locale",
 )
 
 
@@ -414,7 +534,8 @@ def test_cli_import_loads_no_thread_pool_or_numpy():
         "from siegeltheta.cli import main\n"
         "codes = [main(['verify', 'lemma3']), main(['verify', 'all']),\n"
         "         main(['sweep', 'lambert_tail', '--format', 'json', '--out', '-'])]\n"
-        "print(codes, [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
+        "print(codes, [m for m in ('dataclasses', 'inspect', 'json', 'argparse', 'gettext',\n"
+        "                          'locale') if m in sys.modules])\n"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env,
@@ -431,9 +552,9 @@ def test_verify_failing_tolerance_exits_1(capsys):
 
 
 def test_verify_unknown_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "nosuch"])
-    assert info.value.code == 2
+    assert run_cli(capsys, "verify", "nosuch") == (
+        2, "", "error: invalid suite 'nosuch': expected one of eq2, lemma1, lemma2, lemma3, "
+               "theorem, all\n")
     # the library entries behind the CLI's choices
     with pytest.raises(DomainError, match="^unknown suite 'nope'"):
         suites.run_suite("nope")

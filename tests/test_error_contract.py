@@ -1,9 +1,10 @@
-"""The error contract of the proof replay: every call either answers with a
-finite value or raises DomainError, ConvergenceError, OverflowError or
-PoleProximityError, on arguments from the subnormal range to 1e300.
+"""The error contract of the proof replay and of the eval entries: every call
+either answers with a finite value or raises DomainError, ConvergenceError,
+OverflowError or (the replay's kernel only) PoleProximityError, on arguments
+from the subnormal range to 1e300.
 
-A seeded draw calls each replay entry; no hypothesis, so the gate is the
-same on every run and takes well under a second.  The named cases below
+A seeded draw calls each entry; no hypothesis, so the gate is the same on
+every run and takes well under a second.  The named cases below
 are points where an entry used to leak a ValueError, a ZeroDivisionError or
 a NaN, or raised an error that named the wrong point or refused a value in
 range; where they answer, they are checked against mpmath.
@@ -12,6 +13,7 @@ range; where they answer, they are checked against mpmath.
 import cmath
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,6 +36,13 @@ from siegeltheta import (
     residue_kernel,
     residue_kernel_pair,
     residue_real_pole,
+    product_terms,
+    theta1,
+    theta1_reduced,
+    theta1_series,
+    theta2,
+    theta3,
+    theta4,
     transformation_residual,
 )
 from siegeltheta.verifier import EDGES
@@ -89,34 +98,54 @@ def _calls(rng):
     ]
 
 
+def _eval_calls(rng):
+    """One call of each eval entry at a seeded (z, tau), as (name, thunk)."""
+    z, tau = complex(_signed(rng), _signed(rng)), complex(_signed(rng), _size(rng))
+    return [(entry.__name__, lambda entry=entry: entry(z, tau)) for entry in (
+        theta1, theta2, theta3, theta4, theta1_series, theta1_reduced, inversion_rhs,
+        product_terms)]
+
+
 def _all_finite(value) -> bool:
     if isinstance(value, ResidueBreakdown):
         return all(map(_all_finite, (value.at_zero, value.total_times_2pi_i,
                                  *(v for _, v in value.at_imag + value.at_real))))
-    if isinstance(value, tuple):  # the kernel's pair
+    if isinstance(value, tuple):  # the kernel's pair, or a ThetaEval
         return all(map(_all_finite, value))
     return cmath.isfinite(value)
 
 
-def _breaches(seed: int, draws: int) -> list[str]:
+def _breaches(seed: int, draws: int, calls=_calls, documented=DOCUMENTED, outcomes=None):
     rng = random.Random(seed)
     found = []
     for _ in range(draws):
-        for name, call in _calls(rng):
+        for name, call in calls(rng):
             try:
                 value = call()
-            except DOCUMENTED:
+            except documented as error:
+                if outcomes is not None:
+                    outcomes[type(error).__name__] += 1
                 continue
             except Exception as error:  # a leak: the contract names no other type
                 found.append(f"{name}: {error!r}")
                 continue
             if not _all_finite(value):
                 found.append(f"{name}: {value!r}")
+            elif outcomes is not None:
+                outcomes["answer"] += 1
     return found
 
 
 def test_seeded_replay_calls_answer_or_raise_a_documented_error():
     assert _breaches(20261020, 1000) == []
+
+
+def test_seeded_eval_calls_answer_or_raise_a_documented_error():
+    # no PoleProximityError here: only the replay's kernel raises it
+    outcomes = Counter()
+    assert _breaches(20261021, 4000, _eval_calls, DOCUMENTED[:3], outcomes) == []
+    # the draw reaches each side of the contract
+    assert set(outcomes) == {"answer", "ConvergenceError", "OverflowError"}, outcomes
 
 
 # ---------------------------------------------------------------------------
