@@ -98,7 +98,7 @@ _COMMANDS = {
 
 def _help(command) -> int:
     """Print one command's help, or every command's for None; exit code 0."""
-    lines = ["usage: siegeltheta {eval,verify,sweep} ... [-h]"]
+    lines = [f"usage: siegeltheta {{{','.join(_COMMANDS)}}} ... [-h]"]
     for name in (command,) if command else _COMMANDS:
         _, about, (_, choices), options = _COMMANDS[name]
         lines.append(f"\nsiegeltheta {name} {{{','.join(choices)}}} [options]: {about}")
@@ -127,8 +127,7 @@ def _parse(argv):
         return _help, None
     handler, _, (positional, choices), options = _COMMANDS[
         _convert("command", tuple(_COMMANDS), command)]
-    values = {"command": command, positional: ...,
-              **{name: default for name, (_, default, _) in options.items()}}
+    values = {positional: ..., **{name: default for name, (_, default, _) in options.items()}}
     words = iter(words)
     for word in words:  # an option's value is the next word, even one starting with -
         name, given, text = word[2:].partition("=")
@@ -165,7 +164,8 @@ def main(argv=None) -> int:
         return 3
     except BrokenPipeError as exc:
         # the reader has gone: what is left, and the flush at exit, go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 4
 
