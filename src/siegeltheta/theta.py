@@ -504,17 +504,19 @@ def _finish(z: complex, eighths: int, exponent: complex, prod: complex, error: f
     rounding of the exponent's exp; z is the caller's point after the
     offset of `_off_zero`, before any step or shift.
 
-    ConvergenceError where the full bound exceeds _ROUNDING_LIMIT, unless
-    the value lies beyond binary64 by more than the bound (then it is
-    `_scaled`'s OverflowError).  An exact zero is returned only where z is
-    exactly 0, which is where the caller's point lies on the zero lattice.
+    ConvergenceError where the full bound exceeds _ROUNDING_LIMIT or is NaN
+    (achieved inf), unless the value lies beyond binary64 by more than the
+    bound (then it is `_scaled`'s OverflowError).  An exact zero is
+    returned only where z is exactly 0, which is where the caller's point
+    lies on the zero lattice.
     """
     error += _EPS * abs(exponent)
-    if error > _ROUNDING_LIMIT and (
-            not prod
-            or _LOG_TINY - error <= exponent.real + math.log(abs(prod)) <= _LOG_MAX + error):
-        raise ConvergenceError(
-            f"{what} rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
+    if not error <= _ROUNDING_LIMIT:
+        if math.isnan(error):  # a bound that says nothing declines as an infinite one
+            error = math.inf
+        if not prod or _LOG_TINY - error <= exponent.real + math.log(abs(prod)) <= _LOG_MAX + error:
+            raise ConvergenceError(
+                f"{what} rounding bound {error:.3e} > {_ROUNDING_LIMIT:.0e}", achieved=error)
     if not prod and z:
         raise OverflowError(f"{what} underflowed the binary64 range")
     return _scaled(_T_FACTORS[eighths % 8], exponent, prod, what)
@@ -623,7 +625,8 @@ def theta1_reduced(z, tau, cfg: EvalConfig | None = None) -> ThetaEval:
     series' shift carry into the value exceeds _ROUNDING_LIMIT (its
     `achieved`), as it does for many points close to the real axis
     (Im tau below about 1e-4), where each step amplifies the rounding of
-    the one before.
+    the one before.  A bound that cannot be formed (NaN) declines with
+    `achieved` inf.
     """
     tau = require_tau(tau)
     return ThetaEval(*_theta1_steps(_as_z(z), tau, cfg or _DEFAULT_CFG))
@@ -680,12 +683,14 @@ def _theta1_steps(z: complex, tau: complex, cfg: EvalConfig, halves=(0, 0)):
         # first-order rounding bounds across S: the relative error of the
         # prefactor (from dz, dtau and its own exp of pi z^2/tau) and the
         # absolute errors of z/tau and -1/tau; the sums that form log add
-        # _EPS |log|
+        # _EPS |log|.  An exact tau (dtau 0, as at the first step) carries
+        # none, though pi |z|^2/|tau|^2 overflows below |tau| of about
+        # 1.3e-154 |z|, where inf * 0 would make the bound NaN
         size = abs(tau)
         ratio = abs(z) / size
         exponent = _PI * ratio * abs(z)
-        s_error = ((0.5 / size + exponent / size) * dtau + 2.0 * _PI * ratio * dz
-                   + _EPS * (exponent + 4.0 + abs(log)))
+        s_error = (((0.5 / size + exponent / size) * dtau if dtau else 0.0)
+                   + 2.0 * _PI * ratio * dz + _EPS * (exponent + 4.0 + abs(log)))
         error += shift_error + s_error
         z, tau = inverted_z, inverted_tau
         dz, dtau = (dz + ratio * dtau) / size + _EPS * ratio, (dtau / size + _EPS) / size

@@ -134,60 +134,48 @@ class DomainPoint(namedtuple("DomainPoint", "a b y n")):
             # with s = 2 pi N zeta, b = -2 pi i (N/y) zeta and a = (1 - z) b,
             # the kernel is -cot_s cot_b/(8 zeta) + f_s f_b e^a/zeta, where
             # f_w = 1/(1 - e^w), cot_s = cot(pi i N zeta) = -i (1 - 2 f_s)
-            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  Take E_w = e^w
-            # and g_w = 1/(1 - E_w), or where Re w > 0, E_w = e^-w and
-            # g_w = 1/(E_w - 1); then f_w = g_w or e^-w g_w, that e^-w joins
-            # e^a's exponent, f_s f_b e^a = g_s g_b e^power, and in both
-            # branches 1 - 2 f_w = -(1 + E_w) g_w, so the kernel is
-            # g_s g_b ((1 + E_s)(1 + E_b)/8 + e^power)/zeta.  As 0 < Re z < 1
-            # and y > -Im z > 0, power's real part is never positive, and no
-            # exponential exceeds 1 in modulus.  1 - E_s cancels near the
-            # poles ik/N, 1 - E_b near the poles ky/N and where b is small (a
-            # large y), and both near the triple pole at 0; each is formed by
-            # `_one_minus_exp` there, below _CANCELS: theta's one rule for
-            # 1 - e^x, which its series applies to 1 - w^2.  lemma2's
-            # circles, 1/16 of the way to the next pole, take it at every
-            # node for the factors of the pole they enclose, whose |w| is at
-            # most pi/8 there; at y = 2 its rhombus nodes have
-            # |1 - E_s| >= 0.99 and |1 - E_b| >= 0.77, and none takes it.
-            # At -zeta, s, b and a change sign: E_w is the same, g_w changes
-            # sign, the cotangents' product is the same, and f_-s f_-b e^-a
-            # = g_s g_b e^mirror, mirror being -a plus each of s and b that
-            # the branch above did not subtract; so K(-zeta) is
-            # -g_s g_b ((1 + E_s)(1 + E_b)/8 + e^mirror)/zeta.  mirror is
-            # power at -zeta up to a pure imaginary s or b, so its real part
-            # is never positive either; its own exp, not E_s E_b/e^power,
-            # since e^power underflows at a large N
+            # and cot_b = cot(pi N zeta/y) = -i (1 - 2 f_b).  One rule per
+            # factor: where Re w > 0, w leaves e^a's exponent (power) and is
+            # negated; then E_w = e^w and g_w = 1/(1 - E_w), negated with w,
+            # as 1/(e^-w - 1) = -1/(1 - e^-w).  So f_w is g_w, or e^-w g_w
+            # at the unnegated w, that e^-w joining power; with g = g_s g_b,
+            # whose sign changes once per negated factor, f_s f_b e^a =
+            # g e^power, and 1 - 2 f_w = -(1 + E_w) g_w either way, so the
+            # kernel is g ((1 + E_s)(1 + E_b)/8 + e^power)/zeta.
+            # As 0 < Re z < 1 and y > -Im z > 0, power's real part is never
+            # positive, and no exponential exceeds 1 in modulus.  1 - E_s
+            # cancels near the poles ik/N, 1 - E_b near the poles ky/N and
+            # where b is small (a large y), and both near the triple pole at
+            # 0; each is formed by `_one_minus_exp` there, below _CANCELS:
+            # theta's one rule for 1 - e^x, which its series applies to
+            # 1 - w^2.  lemma2's circles, 1/16 of the way to the next pole,
+            # take it at every node for the factors of the pole they
+            # enclose, whose |w| is at most pi/8 there; at y = 2 its rhombus
+            # nodes have |1 - E_s| >= 0.99 and |1 - E_b| >= 0.77, and none
+            # takes it.  At -zeta, s, b and a change sign: each E_w is the
+            # same, each g_w changes sign and g does not, the cotangents'
+            # product is the same, and f_-s f_-b e^-a = g e^mirror, mirror
+            # being -a plus each w that power kept; so K(-zeta) is
+            # -g ((1 + E_s)(1 + E_b)/8 + e^mirror)/zeta.  mirror is power at
+            # -zeta up to a pure imaginary s or b, so its real part is never
+            # positive either; its own exp, not E_s E_b/e^power, since
+            # e^power underflows at a large N
             try:
                 s, b = two_pi_cap * zeta, b_scale * zeta
                 power = one_minus_z * b
-                mirror = -power
-                if s.real > 0.0:
-                    e_s = exp(-s)
-                    d_s = e_s - 1.0
-                    if abs(d_s) < _CANCELS:
-                        d_s = -one_minus_exp(-s)
-                    power -= s
-                else:
-                    e_s = exp(s)
-                    d_s = 1.0 - e_s
-                    if abs(d_s) < _CANCELS:
-                        d_s = one_minus_exp(s)
-                    mirror += s
-                if b.real > 0.0:
-                    e_b = exp(-b)
-                    power -= b
-                    d_b = e_b - 1.0
-                    if abs(d_b) < _CANCELS:
-                        d_b = -one_minus_exp(-b)
-                else:
-                    e_b = exp(b)
-                    d_b = 1.0 - e_b
-                    if abs(d_b) < _CANCELS:
-                        d_b = one_minus_exp(b)
-                    mirror += b
-                g = 1.0 / d_s / d_b
-                even = (1.0 + e_s) * (1.0 + e_b) * 0.125
+                mirror, g, even = -power, 1.0, 0.125
+                for w in (s, b):
+                    if w.real > 0.0:
+                        power -= w
+                        w, g = -w, -g
+                    else:
+                        mirror += w
+                    e = exp(w)
+                    d = 1.0 - e
+                    if abs(d) < _CANCELS:
+                        d = one_minus_exp(w)
+                    g /= d
+                    even *= 1.0 + e
                 value = g * (even + exp(power)) / zeta
                 other = -g * (even + exp(mirror)) / zeta
                 if isfinite(value) and isfinite(other):
@@ -373,13 +361,7 @@ def residue_kernel(zeta, p: DomainPoint) -> complex:
     -zeta leaves the binary64 range OverflowError.  The zeta-free factors
     are computed once per DomainPoint.
     """
-    # both checks inline: the quadrature calls this once per node, with a
-    # finite complex zeta
-    if not isinstance(p, DomainPoint):
-        _point(p)  # raises
-    if type(zeta) is complex and cmath.isfinite(zeta):
-        return p._kernel(zeta)[0]
-    return p._kernel(finite_complex(zeta, "zeta"))[0]
+    return residue_kernel_pair(zeta, p)[0]
 
 
 def residue_kernel_pair(zeta, p: DomainPoint) -> tuple[complex, complex]:

@@ -726,6 +726,43 @@ def test_reduction_rounding_bound_is_a_convergence_error():
     assert info.value.achieved > 5e-10
 
 
+@pytest.mark.parametrize("func, z, tau", [
+    (theta2, 0, 1e-300 + 1e-300j),
+    (theta3, 0, 1e-300 + 1e-300j),
+    (theta1, -0.5 - 8.303900469295807e-274j,
+     1.0601245617715662e-251 + 1.4762631041617077e-273j),
+])
+def test_the_rounding_bound_is_formed_below_an_overflowing_s_step(func, z, tau):
+    # below |tau| of about 1.3e-154 |z| the first S step's pi |z|^2/|tau|^2
+    # overflows; times that step's exact tau (dtau 0) it made the bound
+    # NaN, which passed the limit test, and these calls answered with a
+    # modulus of about 1, where theta2(0, tau) has |tau|^(-1/2), about
+    # 8.4e149 at the first point
+    with pytest.raises(ConvergenceError, match="reduced theta1 rounding bound") as info:
+        func(z, tau)
+    assert 5e-10 < info.value.achieved  # not NaN
+
+
+def test_a_nan_rounding_bound_declines_as_an_infinite_one():
+    with pytest.raises(ConvergenceError, match="^x rounding bound inf > 5e-10$") as info:
+        theta._finish(0.3, 0, 0j, 1 + 0j, math.nan, "x")
+    assert info.value.achieved == math.inf
+
+
+def test_theta_constants_on_the_deep_diagonal_decline_or_are_right():
+    # theta2(0, tau) and theta3(0, tau) have modulus |tau|^(-1/2) at
+    # tau = eps (x + i) for these eps, as Im(-1/tau) is at least 1/(2 eps)
+    rng = random.Random(38)
+    for index in range(2000):
+        tau = 10.0 ** rng.uniform(-300.0, -155.0) * complex(rng.uniform(-1.0, 1.0), 1.0)
+        want = abs(tau) ** -0.5
+        try:
+            got = (theta3 if index % 2 else theta2)(0, tau)
+        except (ConvergenceError, OverflowError):
+            continue
+        assert abs(abs(got) - want) <= 1e-9 * want, (index, tau, got)
+
+
 def test_series_sum_that_rounds_to_zero_off_the_zero_lattice_is_an_underflow():
     # 1 - w^2 at the smallest subnormal z makes the series' product -0j
     # though z is not 0: the value is nonzero and has no binary64 digits

@@ -318,6 +318,9 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
         for _ in range(40)
     ]
     poles = cancels = near_zero = 0
+    # (Re s > 0, Re b > 0) of each evaluated zeta: the kernel negates each
+    # factor with Re w > 0, and g's sign follows their count
+    signs = dict.fromkeys([(False, False), (False, True), (True, False), (True, True)], 0)
     for index in range(2000):
         p = points[index % len(points)]
         if index % 4 == 0:  # around a pole, some within the 1e-12/N guard
@@ -336,6 +339,10 @@ def test_kernel_matches_its_unhoisted_formula_bit_for_bit():
         cancels += abs(_exp_and_difference(-2j * PI * (p.N / p.y) * zeta)[1]) < 0.5
         near_zero += (expected != "pole"
                       and abs(_exp_and_difference(2.0 * PI * p.N * zeta)[1]) < 0.5)
+        if expected != "pole":
+            s, b = 2.0 * PI * p.N * zeta, -2j * PI * (p.N / p.y) * zeta
+            signs[s.real > 0.0, b.real > 0.0] += 1
+    assert min(signs.values()) >= 100, signs  # every sign case of the two factors
     assert 100 < poles < 500
     assert 100 < cancels < 1900  # both forms of D_b are reached
     assert 10 < near_zero < 500  # and of D_s, near the triple pole
