@@ -2,11 +2,12 @@
 and on the T/S steps of theta1_reduced and theta2 to theta4.
 
 Each CASES entry names a file under tests/golden/ and the CLI argv that
-writes it, or a callable that returns its text.  The steps_*.txt files are
-such callables: one line per function at each of 400 seeded points (Im tau
-log-uniform in 1e-7..3, |Re tau| and |Re z| up to 3, Im z within
-5 sqrt(Im tau)) and six edge inputs, holding the repr of the result or the
-error's type and message.  The gate compares the output with its file byte
+writes it, or a callable that returns its text.  verify_all_seeds.csv is
+one: the exit code and a hash of the output of `verify all --seed S` for
+S = 0..59.  The steps_*.txt files are others: one line per function at each
+of 400 seeded points (Im tau log-uniform in 1e-7..3, |Re tau| and |Re z| up
+to 3, Im z within 5 sqrt(Im tau)) and six edge inputs, holding the repr of
+the result or the error's type and message.  The gate compares the output with its file byte
 for byte, so a refactor of these paths must reproduce every file exactly.
 CHANGES.md names each file that was rewritten on purpose, and what moved.
 
@@ -31,6 +32,7 @@ in each of those fields:
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -109,6 +111,19 @@ def _steps(names):
 # theta3 and theta4 through the b = 1 branch
 CASES["steps_seeded_points.txt"] = partial(_steps, ("theta1_reduced", "theta2"))
 CASES["steps_theta3_theta4.txt"] = partial(_steps, ("theta3", "theta4"))
+
+
+def _verify_all_seeds():
+    """A CSV row per seed S = 0..59 of `verify all --seed S`: S, the exit
+    code and the sha256 of the output; record S + 1 under --compare."""
+    rows = ["seed,exit_code,stdout_sha256\n"]
+    for seed in range(60):
+        code, out = _output(["verify", "all", "--seed", str(seed)])
+        rows.append(f"{seed},{code},{hashlib.sha256(out.encode()).hexdigest()}\n")
+    return "".join(rows)
+
+
+CASES["verify_all_seeds.csv"] = _verify_all_seeds
 
 
 def _output(case):
