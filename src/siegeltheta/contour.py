@@ -10,14 +10,6 @@ from operator import mul, sub
 
 from .errors import ConvergenceError, DomainError, finite_complex, finite_real
 
-__all__ = [
-    "integrate_closed",
-    "integrate_edge",
-    "residue_by_circle",
-    "residue_pair_by_circle",
-    "rhombus_contour",
-]
-
 Integrand = Callable[[complex], complex]
 
 # node doublings before ConvergenceError: a circle goes from 4 to 1,048,576
@@ -83,18 +75,17 @@ def _directions(count: int) -> tuple[complex, ...]:
 
 
 def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, what: str,
-            rate: float = 1.0, values: list | None = None):
+            rate: float = 1.0):
     """(estimates, gap, nodes in the last rule) from nested rules of count,
     2 count, 4 count, ... intervals.
 
     nodes(count) is the table of the rule's nodes, in index order, and
     values_at(table) the list of the summands at a table's nodes, in its
-    order; values, where given, are the first rule's.  Node 2j of a doubled
-    rule is node j of the one before, bit for bit, so each doubling asks
-    only for the new odd j, once per node of the last rule in all;
-    estimate(values, count) combines them into a tuple of estimates, one
-    per integral that the rules share, and the gap is the largest of their
-    changes.
+    order.  Node 2j of a doubled rule is node j of the one before, bit for
+    bit, so each doubling asks only for the new odd j, once per node of the
+    last rule in all; estimate(values, count) combines them into a tuple of
+    estimates, one per integral that the rules share, and the gap is the
+    largest of their changes.
 
     Stops once two successive estimates differ by at most tol.  Where the
     rule of M intervals is known to err like rate^M, it also accepts the
@@ -105,8 +96,7 @@ def _nested(values_at, nodes, estimate, count: int, levels: int, tol: float, wha
     ConvergenceError after `levels` doublings, or at the first estimate
     that is not finite.
     """
-    if values is None:
-        values = values_at(nodes(count))
+    values = values_at(nodes(count))
     previous, gap = None, math.inf
     for level in range(levels + 1):
         if level:
@@ -151,13 +141,6 @@ def integrate_edge(f: Integrand, start, end, tol: float = 1e-10) -> tuple[comple
     _positive(tol, "tol")
     start = finite_complex(start, "start")
     end = finite_complex(end, "end")
-    return _edge(f, start, end, tol)
-
-
-def _edge(f: Integrand, start: complex, end: complex, tol: float, ends=None):
-    """integrate_edge at checked arguments; ends, where given, is
-    (f(end), f(start)), the first rule's values at j = 0 and j = N, which
-    are not formed again."""
     mid = 0.5 * (start + end)
     half = 0.5 * (end - start)
 
@@ -167,12 +150,8 @@ def _edge(f: Integrand, start: complex, end: complex, tol: float, ends=None):
     def estimate(values, count):
         return (half * sum(map(mul, _clenshaw_curtis(count), values), 0j),)
 
-    values = None
-    if ends is not None:
-        at_end, at_start = ends
-        values = [at_end, *values_at(_cosines(16)[1:-1]), at_start]
     (value,), gap, nodes = _nested(values_at, _cosines, estimate, 16, _EDGE_LEVELS, tol,
-                                   "edge quadrature", values=values)
+                                   "edge quadrature")
     return value, gap, nodes
 
 
@@ -181,26 +160,24 @@ def integrate_closed(
 ) -> tuple[complex, float, int]:
     """Sum of edge integrals around the closed polygon vertices[0] -> ... ->
     vertices[-1] -> vertices[0], as (value, error estimate, nodes): the
-    edges' estimates add up, and each edge meets tol on its own.  f is
-    called once at each vertex, whose value both edges that meet there
-    take, and once at every other node of each edge's last rule; nodes
-    counts those calls.  DomainError where vertices is not a list or a
-    tuple of at least two points."""
+    sums, in edge order, of `integrate_edge`'s values, gaps and node counts,
+    each edge meeting tol on its own.  So f is called at each vertex once
+    per edge that meets there.  DomainError where vertices is not a list
+    or a tuple of at least two points."""
     if not isinstance(vertices, (list, tuple)):
         raise DomainError(f"vertices must be a list or tuple of points, got {vertices!r}")
     if len(vertices) < 2:
         raise DomainError("a closed path needs at least two vertices")
     _positive(tol, "tol")
     points = [finite_complex(v, "vertex") for v in vertices]
-    at = [f(v) for v in points]
     total = 0.0j
     err = 0.0
-    nodes = len(points)
-    for k, (a, b) in enumerate(zip(points, points[1:] + points[:1])):
-        value, edge_err, edge_nodes = _edge(f, a, b, tol, (at[(k + 1) % len(at)], at[k]))
+    nodes = 0
+    for a, b in zip(points, points[1:] + points[:1]):
+        value, edge_err, edge_nodes = integrate_edge(f, a, b, tol)
         total += value
         err += edge_err
-        nodes += edge_nodes - 2
+        nodes += edge_nodes
     return total, err, nodes
 
 

@@ -63,21 +63,6 @@ from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, finite_complex, finite_real, positive_int
 
-__all__ = [
-    "EvalConfig",
-    "ThetaEval",
-    "format_complex",
-    "inversion_rhs",
-    "product_terms",
-    "require_tau",
-    "theta1",
-    "theta1_reduced",
-    "theta1_series",
-    "theta2",
-    "theta3",
-    "theta4",
-]
-
 _PI = math.pi
 _IPI = 1j * math.pi
 _TWO_IPI = 2j * math.pi

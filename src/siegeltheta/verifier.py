@@ -38,29 +38,6 @@ from .errors import (ConvergenceError, DomainError, PoleProximityError, finite_c
 # it; bound as theta1, the name the benchmark's verify_all trace wraps
 from .theta import _CANCELS, _one_minus_exp, _theta1_plain as theta1, inversion_rhs, require_tau
 
-__all__ = [
-    "EDGES",
-    "DomainPoint",
-    "ResidueBreakdown",
-    "closed_residue_sum",
-    "edge_endpoints",
-    "edge_limit_residual",
-    "edge_limit_target",
-    "edge_limit_value",
-    "inversion_log_ratio",
-    "inversion_log_ratio_lambert",
-    "lambert_terms",
-    "log_identity_residual",
-    "log_theta1_lambert",
-    "pole_distance",
-    "residue_at_zero",
-    "residue_imag_pole",
-    "residue_kernel",
-    "residue_kernel_pair",
-    "residue_real_pole",
-    "transformation_residual",
-]
-
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
