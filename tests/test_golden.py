@@ -44,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from siegeltheta import ConvergenceError, theta
+from siegeltheta import ConvergenceError, theta, verifier
 from siegeltheta.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -124,6 +124,44 @@ def _verify_all_seeds():
 
 
 CASES["verify_all_seeds.csv"] = _verify_all_seeds
+
+
+def _replay_closed_forms():
+    """A CSV row per seeded DomainPoint (a in 0.1..0.9, y log-uniform in
+    1.05..20, b in (-y, 0), n in 1..40): the repr of each closed form of
+    the replay, or the error's type and message.  The verify_* files write
+    |residual| only, so they miss a sign of zero or an imaginary part; at
+    k = +-1000n e^-t underflows, and real-axis residues carry a zero real
+    part."""
+    ks = ("1", "-1", "n", "-n", "1000n", "-1000n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["a", "b", "y", "n", "closed_residue_sum", "log_identity_residual",
+                     "inversion_log_ratio_lambert", "residue_at_zero",
+                     *[f"imag_{k}" for k in ks], *[f"real_{k}" for k in ks]])
+    rng = random.Random(20261022)
+    for _ in range(120):
+        y = 10.0 ** rng.uniform(math.log10(1.05), math.log10(20.0))
+        p = verifier.DomainPoint(rng.uniform(0.1, 0.9), -y * rng.uniform(0.01, 0.99), y,
+                                 rng.randint(1, 40))
+        signed = [s * m for m in (1, p.n, 1000 * p.n) for s in (1, -1)]
+        forms = [partial(f, p) for f in (verifier.closed_residue_sum,
+                                         verifier.log_identity_residual,
+                                         verifier.inversion_log_ratio_lambert,
+                                         verifier.residue_at_zero)]
+        forms += [partial(f, k, p) for f in (verifier.residue_imag_pole,
+                                             verifier.residue_real_pole) for k in signed]
+        cells = [repr(p.a), repr(p.b), repr(p.y), p.n]
+        for form in forms:
+            try:
+                cells.append(repr(form()))
+            except (ConvergenceError, OverflowError) as exc:
+                cells.append(f"{type(exc).__name__}: {exc}")
+        writer.writerow(cells)
+    return out.getvalue()
+
+
+CASES["replay_closed_forms.csv"] = _replay_closed_forms
 
 
 def _output(case):
