@@ -3,8 +3,8 @@ suites as JSON lines, and write convergence sweeps as CSV or JSON tables.
 
 Exit codes: 0 success (all checks passed, or -h), 1 some check failed, 2
 bad arguments (a usage error, tau outside the upper half-plane, a kernel
-within 1e-12/N of a pole), 3 no binary64 result (non-convergence or
-overflow), 4 unwritable output (the --out path, or a closed stdout).
+within 1e-12/N of a pole), 3 no result (non-convergence, overflow, out of
+memory), 4 unwritable output (the --out path, or a closed stdout).
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .suites import render_sweep_csv, render_sweep_json, sweep_rows
+    from .suites import render_sweep, sweep_rows
 
-    header, rows = sweep_rows(args.target, args.start, args.stop, args.steps)
-    rendered = (render_sweep_csv if args.format == "csv" else render_sweep_json)(header, rows)
+    rendered = render_sweep(*sweep_rows(args.target, args.start, args.stop, args.steps),
+                            args.format)
     if args.out == "-":
         sys.stdout.write(rendered)
         return 0
@@ -161,6 +161,9 @@ def main(argv=None) -> int:
         return 2
     except (ConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # an accepted size whose work does not fit in memory
+        print("error: out of memory", file=sys.stderr)
         return 3
     except BrokenPipeError as exc:
         # the reader has gone: what is left, and the flush at exit, go nowhere

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
+from functools import cache
 from operator import mul, sub
 
 from .errors import ConvergenceError, DomainError, finite_complex, finite_real
@@ -21,11 +22,9 @@ _EDGE_LEVELS = 7
 # M^2 that a triple pole R away puts on it
 _RATE = 0.125
 # node tables by interval count, formed on first use: the Clenshaw-Curtis
-# weights, the edge cosines cos(pi j/count) and the circle directions
-# e^(2 pi i j/count).  A circle past 2,048 intervals, an edge's last rule,
-# forms its directions per call, so a stalled circle leaves no large table
-_WEIGHTS: dict[int, tuple[float, ...]] = {}
-_COSINES: dict[int, tuple[float, ...]] = {}
+# weights and the edge cosines cos(pi j/count), cached, as an edge takes at
+# most 8 rules; and the circle directions e^(2 pi i j/count), kept to 2,048
+# intervals, an edge's last rule, so a stalled circle leaves no large table
 _DIRECTIONS: dict[int, tuple[complex, ...]] = {}
 _TABLED_COUNT = 2048
 
@@ -35,32 +34,28 @@ def _positive(value, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {value!r}")
 
 
+@cache
 def _clenshaw_curtis(count: int) -> tuple[float, ...]:
     """Weights on [-1, 1] of the nodes cos(pi j/count), j = 0..count, for an
     even count, from the closed-form cosine sum (Waldvogel, BIT 46, 2006):
     the end weights are e = 1/(count^2 - 1), and the others
     (2/count) (1 + (-1)^(j+1) e - sum_{0<k<count/2} 2 cos(2 pi k j/count)/(4k^2 - 1)).
     """
-    weights = _WEIGHTS.get(count)
-    if weights is None:
-        cosines = [math.cos(2.0 * math.pi * m / count) for m in range(count)]
-        end = 1.0 / (count * count - 1)
-        half = []  # w_1 .. w_(count/2); the rule is symmetric
-        for j in range(1, count // 2 + 1):
-            tail = 0.0
-            for k in range(count // 2 - 1, 0, -1):  # smallest terms first
-                tail += cosines[k * j % count] / (4 * k * k - 1)
-            half.append((1.0 + (end if j % 2 else -end) - 2.0 * tail) * 2.0 / count)
-        weights = _WEIGHTS[count] = (end, *half, *reversed(half[:-1]), end)
-    return weights
+    cosines = [math.cos(2.0 * math.pi * m / count) for m in range(count)]
+    end = 1.0 / (count * count - 1)
+    half = []  # w_1 .. w_(count/2); the rule is symmetric
+    for j in range(1, count // 2 + 1):
+        tail = 0.0
+        for k in range(count // 2 - 1, 0, -1):  # smallest terms first
+            tail += cosines[k * j % count] / (4 * k * k - 1)
+        half.append((1.0 + (end if j % 2 else -end) - 2.0 * tail) * 2.0 / count)
+    return (end, *half, *reversed(half[:-1]), end)
 
 
+@cache
 def _cosines(count: int) -> tuple[float, ...]:
     # edge nodes on [-1, 1], j = 0..count
-    table = _COSINES.get(count)
-    if table is None:
-        table = _COSINES[count] = tuple(math.cos(math.pi * j / count) for j in range(count + 1))
-    return table
+    return tuple(math.cos(math.pi * j / count) for j in range(count + 1))
 
 
 def _directions(count: int) -> tuple[complex, ...]:

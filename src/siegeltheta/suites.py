@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import cmath
-import math
 import random
 import time
 from collections import namedtuple
@@ -42,6 +41,7 @@ from .verifier import (
     LAMBERT_EPS,
     DomainPoint,
     ResidueBreakdown,
+    _log_law,
     closed_residue_sum,
     edge_limit_residual,
     inversion_log_ratio,
@@ -77,10 +77,6 @@ def _report(check_name, parameters, residual, tolerance, terms_or_nodes) -> Veri
     )
 
 
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _to_json(value) -> str:
     # deterministic JSON: sorted keys, floats at 17 significant digits
     if isinstance(value, bool):
@@ -88,7 +84,7 @@ def _to_json(value) -> str:
     if isinstance(value, int):
         return repr(value)
     if isinstance(value, float):
-        return _format_float(value)
+        return format(value, ".17g")
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, dict):
@@ -268,11 +264,7 @@ def _suite_lemma2(seed, n, tol):
     yield _report("lemma2_residue_theorem_contour", params, abs(value - closed), tol, nodes)
 
     deep = DomainPoint(a, b, y, 25)
-    limit = (
-        inversion_log_ratio_lambert(deep)
-        + math.pi * deep.z * deep.z / deep.y
-        - 0.5j * math.pi
-    )
+    limit = _log_law(deep, deep._sides)
     # its own 25 terms per side: deep._sides holds only the 20 that phi needs
     residual = abs(closed_residue_sum(deep) - limit)
     yield _report("lemma2_partial_sum_limit", deep._asdict(), residual, tol, deep.n)
@@ -457,19 +449,13 @@ def sweep_rows(target, start=None, stop=None, steps=None):
     raise DomainError(f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}")
 
 
-def render_sweep_csv(header, rows) -> str:
+def render_sweep(header, rows, fmt: str) -> str:
+    """A sweep's table as CSV for fmt "csv", else as a JSON list of
+    records: every number as _to_json writes it, and in CSV a str cell
+    bare."""
+    if fmt != "csv":
+        return _to_json([dict(zip(header, row)) for row in rows]) + "\n"
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join([cell if isinstance(cell, str) else _to_json(cell) for cell in row]))
     return "\n".join(lines) + "\n"
-
-
-def render_sweep_json(header, rows) -> str:
-    records = [dict(zip(header, row)) for row in rows]
-    return _to_json(records) + "\n"

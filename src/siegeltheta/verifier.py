@@ -252,6 +252,13 @@ def _ratio_closed_tail(z: complex, y: float) -> complex:
     return -_PI * z / y + 1j * _PI * z - (_PI / 4.0) * (y - 1.0 / y)
 
 
+def _log_law(p: DomainPoint, sides) -> complex:
+    # phi + pi z^2/y - pi i/2, phi's six sums taken over sides: the log
+    # law's left side, -(1/2) log y as the sums run on; with n terms per
+    # side it is closed_residue_sum
+    return _six_sums(*sides) + _ratio_closed_tail(p.z, p.y) + _PI * p.z * p.z / p.y - 0.5j * _PI
+
+
 def _tau_prefix(p: DomainPoint) -> complex:
     return complex(0.0, -_PI / 2.0) + 1j * _PI * p.z - _PI * p.y / 4.0
 
@@ -431,10 +438,7 @@ def closed_residue_sum(p: DomainPoint) -> complex:
     `ResidueBreakdown.total_times_2pi_i` up to roundoff.
     """
     _point(p)
-    z, y = p.z, p.y
-    sums = _six_sums(*_both_sides(z, y, p.n))
-    return _finite(sums + _ratio_closed_tail(z, y) + _PI * z * z / y - 0.5j * _PI,
-                   "closed residue sum")
+    return _finite(_log_law(p, _both_sides(p.z, p.y, p.n)), "closed residue sum")
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +491,8 @@ def edge_limit_residual(edge: str, t: float, p: DomainPoint) -> float:
 
 def log_identity_residual(p: DomainPoint) -> float:
     """|phi + pi z^2/y - pi i/2 + (1/2) log y|, zero iff the log identity holds."""
-    phi = inversion_log_ratio_lambert(p)
-    return abs(phi + _PI * p.z * p.z / p.y - 0.5j * _PI + 0.5 * math.log(p.y))
+    _point(p)
+    return abs(_log_law(p, p._sides) + 0.5 * math.log(p.y))
 
 
 def transformation_residual(z, tau) -> float:

@@ -457,6 +457,22 @@ def test_verify_writes_each_suite_before_the_next_runs(capsys):
     assert all(r["passed"] and r["parameters"]["n"] == 7370 for r in records)
 
 
+def test_verify_out_of_memory_exits_3_after_the_lines_written(capsys, monkeypatch):
+    # lemma2 first forms closed_residue_sum, whose lists grow with n; a
+    # MemoryError there, raised here without allocating, is no result (exit
+    # 3), not a failed check (exit 1), and eq2's and lemma1's lines stay out
+    def out_of_memory(p):
+        raise MemoryError
+
+    _, passing, _ = run_cli(capsys, "verify", "all")
+    monkeypatch.setattr(suites, "closed_residue_sum", out_of_memory)
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert (code, err) == (3, "error: out of memory\n")
+    assert out.splitlines() == passing.splitlines()[:35]
+    assert [json.loads(line)["check_name"] for line in out.splitlines()] == (
+        ["eq2_inversion_law"] * 25 + ["lemma1_log_series_equivalence"] * 10)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -591,6 +607,25 @@ def test_report_line_writes_the_generic_serializers_bytes():
         '"residual": 4.9406564584124654e-324, "terms_or_nodes": 1, '
         '"tolerance": 1.0000000000000001e+300, "wall_ms": 12.5}',
     ]
+
+
+def test_render_sweep_writes_the_generic_serializers_bytes():
+    # the golden sweep_* files pin real rows, and none holds these cells: an
+    # int past 2^64, a str with a space, a signed zero and the ends of the
+    # float range; a CSV str cell is written bare, every other cell as JSON
+    header = ["n", "edge", "x", "y"]
+    rows = [[2**64 + 1, "E2", 0.0, -0.0], [3, "a str", 5e-324, 1e300]]
+    assert suites.render_sweep(header, rows, "csv") == (
+        "n,edge,x,y\n"
+        "18446744073709551617,E2,0,-0\n"
+        "3,a str,4.9406564584124654e-324,1.0000000000000001e+300\n")
+    assert suites.render_sweep(header, rows, "json") == (
+        '[{"edge": "E2", "n": 18446744073709551617, "x": 0, "y": -0}, '
+        '{"edge": "a str", "n": 3, "x": 4.9406564584124654e-324, '
+        '"y": 1.0000000000000001e+300}]\n')
+    # an empty grid, as a start past the stop gives
+    assert suites.render_sweep(header, [], "csv") == "n,edge,x,y\n"
+    assert suites.render_sweep(header, [], "json") == "[]\n"
 
 
 # --------------------------------------------------------------------------
