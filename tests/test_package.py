@@ -1,5 +1,6 @@
 """The package namespace: names resolve lazily from their submodules."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -69,3 +70,29 @@ def test_monkeypatch_round_trip_restores_the_original(monkeypatch):
         inner.setattr(siegeltheta, "theta2", patched)
         assert siegeltheta.theta2 is patched
     assert siegeltheta.theta2 is original
+
+
+def _unused_imports(path: Path) -> list[str]:
+    # the names an import binds that the module never reads, less those whose
+    # import statement's first line or own line says "# noqa: F401"
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            waived = any("# noqa: F401" in lines[line - 1] for line in (node.lineno, alias.lineno))
+            if name not in read and not waived:
+                unused.append(f"{path.name}:{alias.lineno} {name}")
+    return unused
+
+
+def test_the_package_imports_no_name_it_does_not_use():
+    package = Path(siegeltheta.__file__).parent
+    assert [entry for path in sorted(package.glob("*.py"))
+            for entry in _unused_imports(path)] == []
