@@ -49,10 +49,7 @@ from .verifier import (
     lambert_terms,
     log_identity_residual,
     log_theta1_lambert,
-    residue_imag_pole,
     residue_kernel,  # noqa: F401
-    residue_kernel_pair,
-    residue_real_pole,
     transformation_residual,
 )
 
@@ -195,7 +192,7 @@ def _lemma2_radius(p: DomainPoint, center: complex) -> float:
     return reach / (16.0 * p.N)
 
 
-def _lemma2_rhombus(p: DomainPoint) -> tuple[complex, int]:
+def _lemma2_rhombus(p: DomainPoint, breakdown: ResidueBreakdown) -> tuple[complex, int]:
     """(the kernel's integral over the rhombus (-i, y, i, -y), pair
     evaluations): E3 and E4 are E1 and E2 turned by pi, orientation kept,
     so it is the integral of the odd K(u) - K(-u) over E1 and E2, each edge
@@ -207,19 +204,19 @@ def _lemma2_rhombus(p: DomainPoint) -> tuple[complex, int]:
     and each part comes back as c Log((end - q)/(start - q)), exact as a
     segment subtends less than pi at a point off it; at n = 3 each edge
     then settles at 65 nodes, not 129.  The odd kernel's residue at q and
-    at -q is c = r_q + r_-q, from the closed forms; any c gives the same
-    integral, and a wrong one only leaves a pole for the rule to resolve,
-    at more nodes.
+    at -q is c = r_q + r_-q, from breakdown's closed forms at k = n and
+    -n; any c gives the same integral, and a wrong one only leaves a pole
+    for the rule to resolve, at more nodes.
     """
-    n = p.n
+    n, kernel = p.n, p._kernel
     imag, real = 1j * n / p.N, n * p.y / p.N
-    # through the module globals, which a caller may replace
-    c_imag = residue_imag_pole(n, p) + residue_imag_pole(-n, p)
-    c_real = residue_real_pole(n, p) + residue_real_pole(-n, p)
+    # breakdown's entries run from k = -n to n
+    c_imag = breakdown.at_imag[-1][1] + breakdown.at_imag[0][1]
+    c_real = breakdown.at_real[-1][1] + breakdown.at_real[0][1]
 
     def edge(start, end, q0, c0, q1, c1):
-        def smooth(u):  # through the module global, which a trace may wrap
-            at, mirrored = residue_kernel_pair(u, p)
+        def smooth(u):
+            at, mirrored = kernel(u)
             return at - mirrored - c0 / (u - q0) - c1 / (u - q1)
 
         value, _, nodes = integrate_edge(smooth, start, end, tol=2e-10)
@@ -237,10 +234,6 @@ def _suite_lemma2(seed, n, tol):
     a, b, y = LEMMA2_POINT
     p = DomainPoint(a, b, y, n)
     params = p._asdict()
-
-    def pair(zeta):  # through the module global, which a trace may wrap
-        return residue_kernel_pair(zeta, p)
-
     closed = closed_residue_sum(p)
     breakdown = ResidueBreakdown.compute(p)
     residual = abs(breakdown.total_times_2pi_i - closed)
@@ -254,13 +247,13 @@ def _suite_lemma2(seed, n, tol):
     for check, extra, center, residue in _lemma2_circles(p, breakdown):
         if center not in oracles:
             at, mirrored, _, nodes = residue_pair_by_circle(
-                pair, center, _lemma2_radius(p, center), tol=1e-12)
+                p._kernel, center, _lemma2_radius(p, center), tol=1e-12)
             oracles[-center] = mirrored, nodes
             oracles[center] = at, nodes
         oracle, nodes = oracles[center]
         yield _report(check, {**extra, **params}, abs(residue - oracle), tol, nodes)
 
-    value, nodes = _lemma2_rhombus(p)
+    value, nodes = _lemma2_rhombus(p, breakdown)
     yield _report("lemma2_residue_theorem_contour", params, abs(value - closed), tol, nodes)
 
     deep = DomainPoint(a, b, y, 25)

@@ -359,10 +359,7 @@ def residue_kernel_pair(zeta, p: DomainPoint) -> tuple[complex, complex]:
     and the errors raised as in residue_kernel; OverflowError where either
     value leaves the binary64 range.
     """
-    if not isinstance(p, DomainPoint):
-        _point(p)  # raises
-    if type(zeta) is complex and cmath.isfinite(zeta):
-        return p._kernel(zeta)
+    _point(p)
     return p._kernel(finite_complex(zeta, "zeta"))
 
 
@@ -481,7 +478,7 @@ def edge_limit_value(edge: str, t: float, p: DomainPoint) -> complex:
     if not 0.05 <= finite_real(t, "t") <= 0.95:
         raise DomainError(f"t={t!r} must lie in [0.05, 0.95]")
     zeta = (1.0 - t) * start + t * end
-    return zeta * residue_kernel(zeta, p)
+    return zeta * p._kernel(zeta)[0]
 
 
 def edge_limit_residual(edge: str, t: float, p: DomainPoint) -> float:

@@ -663,19 +663,17 @@ def test_transformation_residual_general_tau():
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 10, 25, 100, 400, 2002, 5000])
-def test_rhombus_integral_matches_the_closed_residue_sum(n, monkeypatch):
+def test_rhombus_integral_matches_the_closed_residue_sum(n):
     # the lemma2 contour check at its point, far below its 1e-8 tolerance
-    from siegeltheta import suites
-
     p = DomainPoint(0.5, -0.25, 2.0, n)
-    calls = []
+    kernel, calls = p._kernel, []
 
-    def pair(zeta, point):
+    def counted(zeta):
         calls.append(zeta)
-        return residue_kernel_pair(zeta, point)
+        return kernel(zeta)
 
-    monkeypatch.setattr(suites, "residue_kernel_pair", pair)
-    value, nodes = _lemma2_rhombus(p)
+    p.__dict__["_kernel"] = counted  # where the cached property keeps it
+    value, nodes = _lemma2_rhombus(p, ResidueBreakdown.compute(p))
     assert abs(value - closed_residue_sum(p)) <= 2e-15
     # the node count returned is the pair evaluations made, one per node
     # of E1's and E2's last rules (their shared vertex y twice): 130 at
@@ -685,37 +683,47 @@ def test_rhombus_integral_matches_the_closed_residue_sum(n, monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [1.0 + 1e-3, 0.0])
-def test_rhombus_integral_does_not_rest_on_the_subtracted_residues(scale, monkeypatch):
+def test_rhombus_integral_does_not_rest_on_the_subtracted_residues(scale):
     # the principal parts taken out at the vertex poles come back in closed
     # form, so wrong coefficients leave the integral as it is and only cost
     # nodes: at n = 3 the edges need their 129-node rules again
-    from siegeltheta import suites
-
     p = DomainPoint(0.5, -0.25, 2.0, 3)
-    monkeypatch.setattr(suites, "residue_imag_pole", lambda k, q: scale * residue_imag_pole(k, q))
-    monkeypatch.setattr(suites, "residue_real_pole", lambda k, q: scale * residue_real_pole(k, q))
-    value, nodes = _lemma2_rhombus(p)
+    breakdown = ResidueBreakdown.compute(p)
+    wrong = breakdown._replace(at_imag=tuple((k, scale * r) for k, r in breakdown.at_imag),
+                               at_real=tuple((k, scale * r) for k, r in breakdown.at_real))
+    value, nodes = _lemma2_rhombus(p, wrong)
     assert abs(value - closed_residue_sum(p)) <= 2e-15
     assert nodes >= 258
 
 
-def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
-    # a trace that wraps suites.residue_kernel and suites.residue_kernel_pair
-    # sees each evaluation the circles and the rhombus make: one pair per
-    # node of the zero circle, of each pair of circles (whose two lines
-    # report the same rule) and of the rhombus, and no single kernel call
-    from siegeltheta import run_suite, suites
+def test_every_lemma2_kernel_node_goes_through_the_points_kernel(monkeypatch):
+    # a property on DomainPoint._kernel sees each evaluation the circles and
+    # the rhombus make: one pair per node of the zero circle, of each pair
+    # of circles (whose two lines report the same rule) and of the rhombus;
+    # residue_kernel and residue_kernel_pair, for outside callers, see none
+    from siegeltheta import run_suite, suites, verifier
 
-    singles, calls = [], []
+    cached = vars(verifier.DomainPoint)["_kernel"]
+    routed, calls = [], []
 
-    def counted(kernel, seen):
-        def call(zeta, p):
-            seen.append(zeta)
-            return kernel(zeta, p)
+    def counted(p):
+        kernel = cached.__get__(p, type(p))
+
+        def call(zeta):
+            calls.append(zeta)
+            return kernel(zeta)
         return call
 
-    monkeypatch.setattr(suites, "residue_kernel", counted(residue_kernel, singles))
-    monkeypatch.setattr(suites, "residue_kernel_pair", counted(residue_kernel_pair, calls))
+    def routed_through(function):
+        def call(zeta, p):
+            routed.append(zeta)
+            return function(zeta, p)
+        return call
+
+    monkeypatch.setattr(verifier.DomainPoint, "_kernel", property(counted))
+    monkeypatch.setattr(suites, "residue_kernel", routed_through(residue_kernel))
+    monkeypatch.setattr(verifier, "residue_kernel", routed_through(residue_kernel))
+    monkeypatch.setattr(verifier, "residue_kernel_pair", routed_through(residue_kernel_pair))
     reports = run_suite("lemma2", seed=0)
     nodes = {r.check_name: 0 for r in reports}
     for r in reports:  # the lines of a pair of circles once
@@ -727,7 +735,7 @@ def test_every_lemma2_kernel_node_goes_through_the_suites_global(monkeypatch):
     assert nodes["lemma2_residue_zero_vs_circle"] == 16
     assert nodes["lemma2_residue_imag_vs_circle"] == nodes["lemma2_residue_real_vs_circle"] == 32
     assert nodes["lemma2_residue_theorem_contour"] == 130
-    assert singles == []
+    assert routed == []
     assert len(calls) == 16 + 32 + 32 + 130 == 210
     # the zero circle's 16 come first, on its circle around 0
     radius = _lemma2_radius(DomainPoint(*suites.LEMMA2_POINT, 3), 0.0)
